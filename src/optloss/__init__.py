@@ -30,7 +30,6 @@ from .geometry import (
 )
 from .hypergraph import (
     ConflictHypergraph,
-    Hyperedge,
     IncidenceMatrix,
     Vertex,
     build_conflict_graph,

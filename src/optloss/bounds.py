@@ -32,8 +32,10 @@ from .data import LabeledDataset
 from .hypergraph import (
     ConflictHypergraph,
     build_conflict_graph,
+    edge_witness,
     extend_hyperedges,
     incidence,
+    vertex_graph,
 )
 from .lp_core import LpSolution, PackingLp, Tolerances, solve_packing
 
@@ -77,9 +79,7 @@ def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
     if m < 1:
         raise ValueError("m must be >= 1")
     if m == 1:
-        graph = ConflictHypergraph(
-            build_conflict_graph(dataset, epsilon).vertices, [], 1, float(epsilon)
-        )
+        graph = vertex_graph(dataset, epsilon)
     else:
         graph = build_conflict_graph(dataset, epsilon)
         if m > 2:
@@ -238,12 +238,7 @@ def hard_loss_bruteforce(graph: ConflictHypergraph, masses=None, cap: int = 30):
             f"{n} vertices exceeds the exact-search cap of {cap}"
         )
     w = graph.masses if masses is None else np.asarray(masses, dtype=float)
-    adj = [0] * n
-    for e in graph.edges:
-        if len(e.vertex_ids) == 2:
-            u, v = e.vertex_ids
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+    adj = [sum(1 << u for u in neighbors) for neighbors in graph.adjacency_sets()]
     order = sorted(range(n), key=lambda v: -w[v])
 
     def cover_bound(mask: int) -> float:
@@ -330,21 +325,29 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
     Edge e containing vertex v receives probability proportional to its cover
     z_e; the singleton cover plays the unperturbed point. Over-covered
     vertices (total cover above p_v) are normalized proportionally, which is
-    one of the equally good feasible choices.
+    one of the equally good feasible choices. Witnesses are computed here,
+    once per played edge (none when the graph has no coordinates).
     """
-    inc = sol.lp.incidence
-    B = inc.matrix.tocsc()
+    B = sol.lp.incidence.matrix
+    B_cols = B.tocsc()
     z = sol.edge_cover
     y = sol.singleton_cover
     p = sol.lp.masses
+    points = (graph.points() if all(v.point is not None for v in graph.vertices)
+              else None)
+    played: dict[int, tuple[tuple[int, ...], np.ndarray | None]] = {}
     per_vertex: list[VertexStrategy] = []
     for v in range(graph.num_vertices):
-        row_ids = B.indices[B.indptr[v]:B.indptr[v + 1]]
+        row_ids = B_cols.indices[B_cols.indptr[v]:B_cols.indptr[v + 1]]
         entries: list[tuple[tuple[int, ...] | None, float, np.ndarray | None]] = []
         for r in row_ids:
             if z[r] > 0.0:
-                edge = graph.edges[inc.edge_ids[r]]
-                entries.append((edge.vertex_ids, float(z[r]), edge.witness))
+                if r not in played:
+                    ids = tuple(B.indices[B.indptr[r]:B.indptr[r + 1]].tolist())
+                    witness = None if points is None else edge_witness(points, ids)
+                    played[r] = (ids, witness)
+                ids, witness = played[r]
+                entries.append((ids, float(z[r]), witness))
         if y[v] > 0.0:
             point = graph.vertices[v].point
             entries.append((None, float(y[v]), point))

@@ -179,25 +179,30 @@ def _ball_through(points: np.ndarray, boundary: list[int]):
 
 
 def _welzl(points: np.ndarray) -> tuple[np.ndarray, float, list[int]]:
-    """Randomized incremental minimum enclosing ball over support sets.
+    """Move-to-front Welzl: minimum enclosing ball over support sets.
 
-    Deterministic: the shuffle uses a fixed-seed generator, so identical
-    inputs always produce identical output.
+    The points are scanned in a loop; a call nests only when a point joins
+    the boundary, so the nesting depth is at most d + 1 however many points
+    there are. Deterministic: the initial order comes from a fixed-seed
+    shuffle, so identical inputs always produce identical output.
     """
     n, d = points.shape
     order = np.arange(n)
     np.random.Generator(np.random.Philox(key=20230921)).shuffle(order)
+    order = order.tolist()
 
-    def mb(active: list[int], boundary: list[int]):
-        if not active or len(boundary) == d + 1:
-            return _ball_through(points, boundary)
-        p = active[-1]
-        center, radius = mb(active[:-1], boundary)
-        if radius >= 0.0 and np.linalg.norm(points[p] - center) <= radius * (1 + REL_TOL) + 1e-14:
+    def mtf(end: int, boundary: list[int]):
+        center, radius = _ball_through(points, boundary)
+        if len(boundary) == d + 1:
             return center, radius
-        return mb(active[:-1], boundary + [p])
+        for i in range(end):
+            p = order[i]
+            if radius < 0.0 or np.linalg.norm(points[p] - center) > radius * (1 + REL_TOL) + 1e-14:
+                center, radius = mtf(i, boundary + [p])
+                order.insert(0, order.pop(i))
+        return center, radius
 
-    center, radius = mb(list(order), [])
+    center, radius = mtf(n, [])
     dist = np.linalg.norm(points - center, axis=1)
     support = [i for i in range(n) if dist[i] >= radius * (1 - 1e-7) - 1e-12]
     return center, radius, support
@@ -240,7 +245,8 @@ def min_enclosing_ball(points) -> BallWitness:
         alpha[rep[0]] = 1.0
         return BallWitness(center=uniq[0].copy(), radius=0.0, support_weights=alpha)
 
-    result = _meb_positive_support(uniq)
+    # more than d + 2 points make the squared-distance matrix singular
+    result = _meb_positive_support(uniq) if len(uniq) <= pts.shape[1] + 2 else None
     if result is None:
         center, radius, support = _welzl(uniq)
     else:

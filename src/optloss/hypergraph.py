@@ -4,40 +4,37 @@ Vertices are the support points of a labeled distribution. A set of
 vertices with pairwise-distinct labels forms a hyperedge when the closed
 epsilon-neighborhoods of all its points share a common point, i.e. when
 the minimum enclosing ball of the points has radius at most epsilon.
-The edge set is downward closed, which drives the candidate enumeration:
-a k-set is only tested when all of its (k-1)-subsets are already edges.
+
+Edges of degree k are stored as one int64 array of shape (E_k, k): each row
+holds increasing vertex ids and rows are sorted lexicographically. Next to
+it sits the radius of the ball that decided each edge. The edge set is
+downward closed, which drives the candidate enumeration: a k-set is only
+tested when all of its (k-1)-subsets are already edges.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import (
-    REL_TOL,
-    circumradius_batch,
-    min_enclosing_ball,
-    squared_distance_matrix,
-)
+from .geometry import REL_TOL, circumradius_batch, min_enclosing_ball
 
 __all__ = [
     "Vertex",
-    "Hyperedge",
     "ConflictHypergraph",
     "IncidenceMatrix",
+    "vertex_graph",
     "build_conflict_graph",
     "extend_hyperedges",
     "incidence",
+    "edge_witness",
     "graph_to_json",
     "graph_from_json",
 ]
-
-# Keep the full pairwise distance matrix cached only below this vertex count.
-_DENSE_CACHE_LIMIT = 8192
 
 
 @dataclass(frozen=True)
@@ -48,20 +45,14 @@ class Vertex:
     mass: float
 
 
-@dataclass(frozen=True)
-class Hyperedge:
-    vertex_ids: tuple[int, ...]
-    witness: np.ndarray | None
-    radius: float | None = None  # enclosing-ball radius used for the test
-
-
 @dataclass
 class ConflictHypergraph:
     vertices: list[Vertex]
-    edges: list[Hyperedge]
+    edges: dict[int, np.ndarray]  # degree k -> (E_k, k) sorted id rows
     max_degree: int
     epsilon: float
-    _d2_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # degree k -> (E_k,) radius of the deciding ball; NaN when unknown (imported)
+    radii: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def num_vertices(self) -> int:
@@ -82,46 +73,41 @@ class ConflictHypergraph:
 
     def edge_counts(self) -> dict[int, int]:
         """Number of stored hyperedges of each exact degree (dominated included)."""
-        counts: dict[int, int] = {}
-        for e in self.edges:
-            counts[len(e.vertex_ids)] = counts.get(len(e.vertex_ids), 0) + 1
-        return counts
+        return {k: len(rows) for k, rows in sorted(self.edges.items()) if len(rows)}
 
-    def edges_of_degree(self, k: int) -> list[Hyperedge]:
-        return [e for e in self.edges if len(e.vertex_ids) == k]
+    def edge_list(self) -> list[tuple[int, ...]]:
+        """Every edge as an id tuple, by degree and then lexicographically.
+
+        This is the row order of ``incidence(dedupe_dominated=False)`` and
+        the index space of ``IncidenceMatrix.edge_ids``.
+        """
+        return [tuple(row) for k in sorted(self.edges) for row in self.edges[k].tolist()]
+
+    def _pairs(self) -> np.ndarray:
+        return self.edges.get(2, np.zeros((0, 2), dtype=np.int64))
 
     def adjacency_sets(self) -> list[set[int]]:
         """Neighbor sets in the degree-2 graph."""
         adj: list[set[int]] = [set() for _ in self.vertices]
-        for e in self.edges:
-            if len(e.vertex_ids) == 2:
-                u, v = e.vertex_ids
-                adj[u].add(v)
-                adj[v].add(u)
+        for u, v in self._pairs().tolist():
+            adj[u].add(v)
+            adj[v].add(u)
         return adj
 
     def adjacency_matrix(self) -> sp.csr_matrix:
         """0/1 adjacency matrix of the degree-2 graph."""
-        rows, cols = [], []
-        for e in self.edges:
-            if len(e.vertex_ids) == 2:
-                u, v = e.vertex_ids
-                rows += [u, v]
-                cols += [v, u]
+        u, v = self._pairs().T
         n = self.num_vertices
-        data = np.ones(len(rows))
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        rows = np.concatenate([u, v])
+        cols = np.concatenate([v, u])
+        return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
 
     def boundary_tight_count(self, rel_tol: float = 1e-9) -> int:
         """Edges whose deciding ball radius sits within rel_tol of epsilon."""
+        radii = np.concatenate([np.zeros(0), *self.radii.values()])
         if self.epsilon == 0:
-            return sum(1 for e in self.edges if e.radius is not None and e.radius == 0.0)
-        return sum(
-            1
-            for e in self.edges
-            if e.radius is not None
-            and abs(e.radius - self.epsilon) <= rel_tol * self.epsilon
-        )
+            return int(np.count_nonzero(radii == 0.0))
+        return int(np.count_nonzero(np.abs(radii - self.epsilon) <= rel_tol * self.epsilon))
 
 
 @dataclass
@@ -129,219 +115,236 @@ class IncidenceMatrix:
     """Sparse hyperedge-vertex incidence: one row per retained hyperedge."""
 
     matrix: sp.csr_matrix
-    edge_ids: list[int]  # row -> index into the source graph's edge list
+    edge_ids: np.ndarray  # row -> index into the source graph's ``edge_list()``
 
 
-def _pair_distance_cache(points: np.ndarray) -> np.ndarray | None:
-    if points.shape[0] <= _DENSE_CACHE_LIMIT:
-        return squared_distance_matrix(points)
-    return None
+class _RowIndex:
+    """Finds id rows in a lexicographically sorted array of distinct rows.
 
-
-def build_conflict_graph(dataset, epsilon: float, block_size: int = 2048) -> ConflictHypergraph:
-    """Degree-2 conflict graph: cross-class pairs at distance <= 2*epsilon.
-
-    The witness of each pair edge is the midpoint of the two points. Uses a
-    blocked all-pairs sweep; no spatial index, distances are exact.
+    Column by column, a row prefix is replaced by its rank among the array's
+    distinct prefixes, so keys stay below len(rows) * n at any row width.
     """
+
+    def __init__(self, rows: np.ndarray, n: int):
+        self.n, self.levels = n, []
+        rank = rows[:, 0]
+        for column in rows.T[1:]:
+            key = rank * n + column
+            new = np.diff(key, prepend=-1) != 0
+            # the sentinel keeps every searchsorted position in range
+            self.levels.append(np.append(key[new], np.iinfo(np.int64).max))
+            rank = np.cumsum(new) - 1
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Index of each row in the array, -1 where it is absent."""
+        pos = rows[:, 0]
+        for keys, column in zip(self.levels, rows.T[1:]):
+            # an absent prefix (-1) gives a negative key, which never matches
+            key = pos * self.n + column
+            pos = np.searchsorted(keys, key)
+            pos = np.where(keys[pos] == key, pos, -1)
+        return pos
+
+
+def vertex_graph(dataset, epsilon: float) -> ConflictHypergraph:
+    """The dataset's support points as a graph without edges (max degree 1)."""
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     points = np.asarray(dataset.points, dtype=float)
     labels = np.asarray(dataset.labels)
     masses = np.asarray(dataset.masses, dtype=float)
-    n = points.shape[0]
-    if n == 0:
+    if points.shape[0] == 0:
         raise ValueError("empty dataset")
+    vertices = [Vertex(i, points[i], int(labels[i]), float(masses[i]))
+                for i in range(points.shape[0])]
+    return ConflictHypergraph(vertices, {}, max_degree=1, epsilon=float(epsilon))
 
-    vertices = [Vertex(i, points[i], int(labels[i]), float(masses[i])) for i in range(n)]
+
+def build_conflict_graph(dataset, epsilon: float, block_size: int = 2048) -> ConflictHypergraph:
+    """Degree-2 conflict graph: cross-class pairs at distance <= 2*epsilon.
+
+    Uses a blocked all-pairs sweep in Gram form on the centred points; no
+    spatial index, distances are exact up to rounding. Centring keeps the
+    Gram form free of cancellation when the data sit far from the origin.
+    """
+    graph = vertex_graph(dataset, epsilon)
+    points = np.asarray(dataset.points, dtype=float)
+    points = points - points.mean(axis=0)
+    labels = np.asarray(dataset.labels)
+    n = points.shape[0]
     threshold = (2.0 * epsilon * (1.0 + REL_TOL)) ** 2
     sq = np.einsum("ij,ij->i", points, points)
 
-    edges: list[Hyperedge] = []
+    found: list[np.ndarray] = [np.zeros((0, 2), dtype=np.int64)]
+    found_d2: list[np.ndarray] = [np.zeros(0)]
     for i0 in range(0, n, block_size):
         i1 = min(i0 + block_size, n)
         for j0 in range(i0, n, block_size):
             j1 = min(j0 + block_size, n)
-            d2 = (
-                sq[i0:i1, None]
-                + sq[None, j0:j1]
-                - 2.0 * (points[i0:i1] @ points[j0:j1].T)
-            )
+            d2 = sq[i0:i1, None] + sq[None, j0:j1] - 2.0 * (points[i0:i1] @ points[j0:j1].T)
             np.maximum(d2, 0.0, out=d2)
             ii, jj = np.nonzero(d2 <= threshold)
-            gi = ii + i0
-            gj = jj + j0
-            keep = (gi < gj) & (labels[gi] != labels[gj])
-            for a, b in zip(gi[keep], gj[keep]):
-                witness = (points[a] + points[b]) / 2.0
-                radius = float(np.linalg.norm(points[a] - points[b]) / 2.0)
-                edges.append(Hyperedge((int(a), int(b)), witness, radius))
+            keep = (ii + i0 < jj + j0) & (labels[ii + i0] != labels[jj + j0])
+            ii, jj = ii[keep], jj[keep]
+            found.append(np.column_stack([ii + i0, jj + j0]).astype(np.int64))
+            found_d2.append(d2[ii, jj])
 
-    edges.sort(key=lambda e: e.vertex_ids)
-    graph = ConflictHypergraph(vertices, edges, max_degree=2, epsilon=float(epsilon))
-    graph._d2_cache = _pair_distance_cache(points)
-    return graph
+    pairs = np.concatenate(found)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    radii = 0.5 * np.sqrt(np.concatenate(found_d2)[order])
+    return replace(graph, edges={2: pairs[order]}, radii={2: radii}, max_degree=2)
 
 
-def _candidate_sets(edges_prev: list[Hyperedge], adj: list[set[int]]):
-    """Extend each (k-1)-edge by common neighbors with id above its maximum.
+def _triangle_radius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Minimum-enclosing-ball radius of triangles from squared side lengths.
 
-    Each k-set is produced exactly once, from its (k-1)-prefix.
+    Obtuse or right: half the longest side. Acute: the circumradius,
+    R^2 = abc / (2(ab + bc + ca) - (a^2 + b^2 + c^2)) in squared lengths.
     """
-    for e in edges_prev:
-        ids = e.vertex_ids
-        common = adj[ids[0]]
-        for v in ids[1:]:
-            common = common & adj[v]
-            if not common:
-                break
-        top = ids[-1]
-        for u in sorted(common):
-            if u > top:
-                yield ids + (u,)
+    longest = np.maximum(np.maximum(a, b), c)
+    obtuse = 2.0 * longest >= a + b + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        circum = a * b * c / (2.0 * (a * b + b * c + c * a) - (a * a + b * b + c * c))
+    return np.sqrt(np.where(obtuse, longest / 4.0, circum))
 
 
-def _test_candidate_batch(cands: np.ndarray, points: np.ndarray, epsilon: float,
-                          d2_cache: np.ndarray | None):
-    """Geometric hyperedge test for an array of candidate id tuples.
+def _ball_radius(cands: np.ndarray, pair_index: _RowIndex, pair_d2: np.ndarray,
+                 points: np.ndarray, epsilon: float) -> np.ndarray:
+    """Enclosing-ball radius of k >= 4 candidates, exact where it decides.
 
-    Fast path: batched circumradius. Candidates the batch cannot settle
-    (no certified circumsphere, or circumradius above epsilon with negative
-    weights so the true enclosing ball may be smaller) are retested with the
-    exact per-candidate enclosing-ball routine.
+    Fast path: batched circumradius on the looked-up pair distances.
+    Candidates it cannot settle (no certified circumsphere, or circumradius
+    above epsilon with negative weights so the true ball may be smaller) get
+    the exact per-candidate enclosing ball.
     """
-    eps_tol = epsilon * (1.0 + REL_TOL)
-    if d2_cache is not None:
-        d2 = d2_cache[cands[:, :, None], cands[:, None, :]]
-    else:
-        pts = points[cands]  # (B, k, d)
-        gram = np.einsum("bij,bkj->bik", pts, pts)
-        sq = np.einsum("bii->bi", gram)
-        d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * gram
-        np.maximum(d2, 0.0, out=d2)
+    count, k = cands.shape
+    d2 = np.zeros((count, k, k))
+    for i, j in itertools.combinations(range(k), 2):
+        d2[:, i, j] = d2[:, j, i] = pair_d2[pair_index.find(cands[:, [i, j]])]
     radii, alphas, ok = circumradius_batch(d2)
-
-    accepted: list[tuple[tuple[int, ...], np.ndarray, float]] = []
-    for i in range(cands.shape[0]):
-        ids = tuple(int(v) for v in cands[i])
-        if ok[i] and radii[i] <= eps_tol:
-            # the circumcenter is equidistant from all members at radius <= eps
-            witness = alphas[i] @ points[cands[i]]
-            accepted.append((ids, witness, float(radii[i])))
-        elif ok[i] and alphas[i].min() >= -1e-12:
-            continue  # circumsphere is the enclosing ball and it is too large
-        else:
-            ball = min_enclosing_ball(points[cands[i]])
-            if ball.radius <= eps_tol:
-                accepted.append((ids, ball.center, ball.radius))
-    return accepted
+    with np.errstate(invalid="ignore"):
+        settled = ok & ((radii <= epsilon * (1.0 + REL_TOL)) | (alphas.min(axis=1) >= -1e-12))
+    for i in np.flatnonzero(~settled):
+        radii[i] = min_enclosing_ball(points[cands[i]]).radius
+    return radii
 
 
 def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
-                      progress=None, batch_size: int = 4096) -> ConflictHypergraph:
+                      progress=None, batch_size: int = 65536) -> ConflictHypergraph:
     """Add all hyperedges of degree up to m to a graph holding lower degrees.
 
-    Candidates of degree k are generated from degree k-1 edges restricted to
-    common neighbors in the degree-2 graph (downward-closure pruning) and then
-    tested geometrically. Candidate batches may be tested on a thread pool
-    (``jobs``); results are merged and sorted so the output is independent of
-    scheduling. ``progress`` is called with the cumulative candidate count.
+    A degree-k candidate extends a (k-1)-edge by a forward neighbor w of its
+    last vertex in the pair graph. It is tested only if every other
+    (k-1)-subset holding w is an edge too, found in the sorted (k-1)-edge
+    array. Triangles are decided in closed form from the three pair
+    distances; larger candidates by ``circumradius_batch`` with the
+    ``min_enclosing_ball`` fallback. Candidates are enumerated
+    ``batch_size`` at a time, and ``progress`` is called after each batch
+    with the cumulative count of tested candidates. ``jobs`` is accepted
+    for compatibility and ignored: extension runs in one thread.
     """
     if m < 2:
         raise ValueError("max degree m must be >= 2")
     if graph.max_degree >= m:
         return graph
+    if graph.max_degree < 2:
+        raise ValueError("extension needs the pair edges: start from build_conflict_graph")
     points = graph.points()
-    adj = graph.adjacency_sets()
-    d2_cache = graph._d2_cache
-    if d2_cache is None:
-        d2_cache = _pair_distance_cache(points)
+    points = points - points.mean(axis=0)
+    n = graph.num_vertices
+    eps_tol = graph.epsilon * (1.0 + REL_TOL)
+    pairs = graph.edges[2]
+    pair_index = _RowIndex(pairs, n)
+    pair_d2 = (2.0 * graph.radii[2]) ** 2
+    # forward CSR over the sorted pair array: v's forward neighbors are
+    # pairs[first[v]:first[v + 1], 1]
+    first = np.searchsorted(pairs[:, 0], np.arange(n + 1))
 
-    edges = list(graph.edges)
-    edge_sets = {frozenset(e.vertex_ids) for e in edges}
+    edges, radii = dict(graph.edges), dict(graph.radii)
     tested = 0
-
     for k in range(graph.max_degree + 1, m + 1):
-        prev = [e for e in edges if len(e.vertex_ids) == k - 1]
-        new_edges: list[Hyperedge] = []
-        batch: list[tuple[int, ...]] = []
-        pending: list[np.ndarray] = []
-
-        for cand in _candidate_sets(prev, adj):
-            # downward closure: every (k-1)-subset must already be an edge
-            if all(
-                frozenset(cand[:j] + cand[j + 1:]) in edge_sets
-                for j in range(len(cand) - 1)
-            ):
-                batch.append(cand)
-                if len(batch) >= batch_size:
-                    pending.append(np.array(batch, dtype=np.int64))
-                    batch = []
-        if batch:
-            pending.append(np.array(batch, dtype=np.int64))
-
-        def run(arr):
-            return _test_candidate_batch(arr, points, graph.epsilon, d2_cache)
-
-        if jobs > 1 and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run, pending))
-        else:
-            results = [run(arr) for arr in pending]
-
-        for arr, res in zip(pending, results):
-            tested += arr.shape[0]
-            for ids, witness, radius in res:
-                new_edges.append(Hyperedge(ids, witness, radius))
+        prev = edges[k - 1]
+        prev_index = _RowIndex(prev, n)
+        # candidate c extends the (k-1)-edge src with its (c - starts[src])-th
+        # forward neighbor
+        counts = first[prev[:, -1] + 1] - first[prev[:, -1]]
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        total = int(ends[-1]) if ends.size else 0
+        new_rows = [np.zeros((0, k), dtype=np.int64)]
+        new_radii = [np.zeros(0)]
+        for c0 in range(0, total, batch_size):
+            wedge = np.arange(c0, min(c0 + batch_size, total))
+            # the (k-1)-edges whose candidates overlap this batch
+            span = np.arange(*np.searchsorted(ends, wedge[[0, -1]], side="right") + [0, 1])
+            src = np.repeat(span, counts[span])[c0 - starts[span[0]]:][:wedge.size]
+            # pair index of (last vertex, w) for every candidate
+            fwd = first[prev[src, -1]] + wedge - starts[src]
+            cands = np.column_stack([prev[src], pairs[fwd, 1]])
+            # every (k-1)-subset holding w must be an edge; dropping the first
+            # vertex of a triangle leaves (last, w), a pair by construction
+            found = [prev_index.find(np.delete(cands, p, axis=1))
+                     for p in range(1 if k == 3 else 0, k - 1)]
+            closed = np.logical_and.reduce([f >= 0 for f in found])
+            cands = cands[closed]
+            if k == 3:
+                r = _triangle_radius(pair_d2[src[closed]], pair_d2[fwd[closed]],
+                                     pair_d2[found[0][closed]])
+            else:
+                r = _ball_radius(cands, pair_index, pair_d2, points, graph.epsilon)
+            accept = r <= eps_tol
+            new_rows.append(cands[accept])
+            new_radii.append(r[accept])
+            tested += len(cands)
             if progress is not None:
                 progress(tested)
+        edges[k] = np.concatenate(new_rows)
+        radii[k] = np.concatenate(new_radii)
 
-        new_edges.sort(key=lambda e: e.vertex_ids)
-        edges.extend(new_edges)
-        edge_sets.update(frozenset(e.vertex_ids) for e in new_edges)
-
-    edges.sort(key=lambda e: (len(e.vertex_ids), e.vertex_ids))
-    out = ConflictHypergraph(graph.vertices, edges, max_degree=m, epsilon=graph.epsilon)
-    out._d2_cache = d2_cache
-    return out
+    return replace(graph, edges=edges, radii=radii, max_degree=m)
 
 
 def incidence(graph: ConflictHypergraph, dedupe_dominated: bool = True) -> IncidenceMatrix:
-    """Hyperedge-vertex incidence matrix.
+    """Hyperedge-vertex incidence matrix, rows by degree then lexicographically.
 
     With ``dedupe_dominated`` every edge whose vertex set is a proper subset
     of another edge's is dropped: its packing constraint is implied by the
     superset row, so the LP optimum is unchanged.
     """
     n = graph.num_vertices
-    dominated: set[frozenset[int]] = set()
-    if dedupe_dominated:
-        from itertools import combinations
+    degrees = sorted(graph.edges)
+    kept: list[np.ndarray] = []
+    edge_ids: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    offset = 0
+    for k in degrees:
+        rows = graph.edges[k]
+        keep = np.ones(len(rows), dtype=bool)
+        if dedupe_dominated and len(rows):
+            index = _RowIndex(rows, n)
+            for big in degrees[degrees.index(k) + 1:]:
+                for cols in itertools.combinations(range(big), k):
+                    found = index.find(graph.edges[big][:, list(cols)])
+                    keep[found[found >= 0]] = False
+        kept.append(rows[keep])
+        edge_ids.append(offset + np.flatnonzero(keep))
+        offset += len(rows)
+    widths = np.concatenate([np.zeros(0, dtype=np.int64)]
+                            + [np.full(len(rows), rows.shape[1]) for rows in kept])
+    indptr = np.concatenate([[0], np.cumsum(widths)])
+    indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [rows.ravel() for rows in kept])
+    matrix = sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                           shape=(widths.size, n))
+    return IncidenceMatrix(matrix=matrix, edge_ids=np.concatenate(edge_ids))
 
-        for e in graph.edges:
-            ids = e.vertex_ids
-            if len(ids) < 3:
-                continue
-            for size in range(2, len(ids)):
-                for sub in combinations(ids, size):
-                    dominated.add(frozenset(sub))
 
-    rows: list[int] = []
-    cols: list[int] = []
-    edge_ids: list[int] = []
-    r = 0
-    for idx, e in enumerate(graph.edges):
-        if dedupe_dominated and frozenset(e.vertex_ids) in dominated:
-            continue
-        for v in e.vertex_ids:
-            rows.append(r)
-            cols.append(v)
-        edge_ids.append(idx)
-        r += 1
-    matrix = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(r, n)
-    )
-    return IncidenceMatrix(matrix=matrix, edge_ids=edge_ids)
+def edge_witness(points: np.ndarray, ids) -> np.ndarray:
+    """A point within epsilon of every member of a hyperedge.
+
+    The midpoint for a pair, the minimum-enclosing-ball center otherwise.
+    """
+    if len(ids) == 2:
+        return (points[ids[0]] + points[ids[1]]) / 2.0
+    return min_enclosing_ball(points[list(ids)]).center
 
 
 def graph_to_json(graph: ConflictHypergraph) -> str:
@@ -349,25 +352,21 @@ def graph_to_json(graph: ConflictHypergraph) -> str:
     doc = {
         "epsilon": graph.epsilon,
         "max_degree": graph.max_degree,
-        "vertices": [
-            {"id": v.id, "label": v.label, "mass": v.mass} for v in graph.vertices
-        ],
-        "edges": [list(e.vertex_ids) for e in graph.edges],
+        "vertices": [{"id": v.id, "label": v.label, "mass": v.mass} for v in graph.vertices],
+        "edges": [list(ids) for ids in graph.edge_list()],
     }
     return json.dumps(doc)
 
 
 def graph_from_json(text: str) -> ConflictHypergraph:
     doc = json.loads(text)
-    vertices = [
-        Vertex(int(v["id"]), None, int(v["label"]), float(v["mass"]))
-        for v in doc["vertices"]
-    ]
-    edges = [Hyperedge(tuple(int(i) for i in ids), None, None) for ids in doc["edges"]]
-    edges.sort(key=lambda e: (len(e.vertex_ids), e.vertex_ids))
-    return ConflictHypergraph(
-        vertices=vertices,
-        edges=edges,
-        max_degree=int(doc["max_degree"]),
-        epsilon=float(doc["epsilon"]),
-    )
+    vertices = [Vertex(int(v["id"]), None, int(v["label"]), float(v["mass"]))
+                for v in doc["vertices"]]
+    max_degree = int(doc["max_degree"])
+    by_degree: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(2, max_degree + 1)}
+    for ids in doc["edges"]:
+        by_degree.setdefault(len(ids), []).append(tuple(int(i) for i in ids))
+    edges = {k: np.array(sorted(rows), dtype=np.int64).reshape(-1, k)
+             for k, rows in sorted(by_degree.items())}
+    radii = {k: np.full(len(rows), np.nan) for k, rows in edges.items()}
+    return ConflictHypergraph(vertices, edges, max_degree, float(doc["epsilon"]), radii)

@@ -85,3 +85,21 @@ def oracle_max_weight_independent(pairs, weights):
             continue
         best = max(best, float(weights[members].sum()))
     return best
+
+
+def oracle_hyperedges(points, labels, epsilon, max_degree):
+    """Every label-distinct subset of 2..max_degree points whose enclosing-ball
+    radius, by ``oracle_meb_radius``, is at most epsilon * (1 + 1e-9).
+
+    Returns {degree: sorted list of id tuples}; no downward-closure pruning.
+    """
+    points = np.asarray(points, dtype=float)
+    out = {}
+    for k in range(2, max_degree + 1):
+        out[k] = [
+            subset
+            for subset in itertools.combinations(range(len(points)), k)
+            if len({int(labels[i]) for i in subset}) == k
+            and oracle_meb_radius(points[list(subset)]) <= epsilon * (1 + 1e-9)
+        ]
+    return out

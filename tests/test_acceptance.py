@@ -26,7 +26,6 @@ from optloss.data import from_arrays, gen_gaussian, load_idx, subset
 from optloss.geometry import min_enclosing_ball
 from optloss.hypergraph import (
     ConflictHypergraph,
-    Hyperedge,
     Vertex,
     build_conflict_graph,
     extend_hyperedges,
@@ -167,12 +166,13 @@ def test_a5_enclosing_ball_matches_exhaustive_oracle():
 def random_pair_graph(rng, n, edge_prob):
     vertices = [Vertex(i, None, i, 1.0 / n) for i in range(n)]
     edges = [
-        Hyperedge((u, v), None, None)
+        (u, v)
         for u in range(n)
         for v in range(u + 1, n)
         if rng.uniform() < edge_prob
     ]
-    return ConflictHypergraph(vertices, edges, max_degree=2, epsilon=0.0)
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return ConflictHypergraph(vertices, {2: pairs}, max_degree=2, epsilon=0.0)
 
 
 def test_a6_caro_wei_consistency():

@@ -22,8 +22,8 @@ from optloss.bounds import (
     pairwise_binary_losses,
     randomized_independent_set,
 )
-from optloss.data import from_arrays
-from optloss.hypergraph import build_conflict_graph
+from optloss.data import from_arrays, gen_gaussian
+from optloss.hypergraph import build_conflict_graph, edge_witness
 
 
 def triangle_dataset(side=1.0, masses=None):
@@ -41,7 +41,7 @@ def random_dataset(rng, n, k, d, spread=0.5):
 def oracle_mwis(ds, eps):
     """Exhaustive maximum-probability independent set."""
     graph = build_conflict_graph(ds, eps)
-    pairs = [e.vertex_ids for e in graph.edges]
+    pairs = graph.edge_list()
     return 1.0 - oracle_max_weight_independent(pairs, ds.masses)
 
 
@@ -59,7 +59,7 @@ def test_optimal_loss_m1_is_unconstrained():
     loss, sol, graph = optimal_loss(triangle_dataset(), 0.6, 1)
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(sol.q, 1.0)
-    assert graph.edges == []
+    assert graph.edge_list() == []
 
 
 def test_optimal_loss_monotone_in_m():
@@ -68,6 +68,17 @@ def test_optimal_loss_monotone_in_m():
     assert loss2 == pytest.approx(0.5, abs=1e-9)
     assert loss3 == pytest.approx(2 / 3, abs=1e-9)
     assert loss2 <= loss3 + 1e-9
+
+
+def test_optimal_loss_budget_up_to_ten_classes():
+    # 140 vertices at m = 10: id rows of width 9 and 10 have no int64 key
+    # in base n, so edge lookup must not depend on one
+    ds = gen_gaussian(num_classes=10, per_class=14, seed=0)
+    loss3, _, _ = optimal_loss(ds, 1.5, 3)
+    loss10, _, graph = optimal_loss(ds, 1.5, 10)
+    assert graph.max_degree == 10
+    assert graph.edge_counts() == {2: 2051, 3: 1274}
+    assert loss10 == loss3
 
 
 # ------------------------------------------------------------------- pairwise
@@ -225,7 +236,7 @@ def test_rounding_output_is_independent():
     rng = np.random.default_rng(71)
     ds = random_dataset(rng, 15, 3, 2)
     graph = build_conflict_graph(ds, 0.5)
-    pairs = {e.vertex_ids for e in graph.edges}
+    pairs = set(graph.edge_list())
     for seed in range(20):
         chosen = randomized_independent_set(graph, rng.uniform(0, 1, 15), seed)
         for u, v in itertools.combinations(chosen.tolist(), 2):
@@ -367,9 +378,9 @@ def test_classifier_at_pair_witness_splits_between_endpoints():
     ds = triangle_dataset()
     loss, sol, graph = optimal_loss(ds, 0.55, 2)
     table = SoftClassifierTable.from_solution(ds, 0.55, sol)
-    edge = graph.edges[0]
-    out = evaluate_classifier(table, edge.witness)
-    labels = [graph.vertices[i].label for i in edge.vertex_ids]
+    edge = graph.edge_list()[0]
+    out = evaluate_classifier(table, edge_witness(graph.points(), edge))
+    labels = [graph.vertices[i].label for i in edge]
     for y in labels:
         assert out[y] == pytest.approx(0.5, abs=1e-8)
     other = ({0, 1, 2} - set(labels)).pop()
@@ -389,8 +400,8 @@ def test_classifier_side_information_restricts_classes():
     ds = triangle_dataset()
     loss, sol, graph = optimal_loss(ds, 0.6, 3)
     table = SoftClassifierTable.from_solution(ds, 0.6, sol)
-    triple = [e for e in graph.edges if len(e.vertex_ids) == 3][0]
-    out = evaluate_classifier(table, triple.witness, side_info={0, 1})
+    triple = [e for e in graph.edge_list() if len(e) == 3][0]
+    out = evaluate_classifier(table, edge_witness(graph.points(), triple), side_info={0, 1})
     assert out[0] >= table.q[0] - 1e-8
     assert out[1] >= table.q[1] - 1e-8
     assert out.sum() == pytest.approx(1.0, abs=1e-12)

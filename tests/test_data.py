@@ -38,7 +38,7 @@ def test_load_csv_same_point_different_labels_stays_split(tmp_path):
     assert set(ds.labels.tolist()) == {0, 1}
     # they conflict at any budget, including zero
     graph = build_conflict_graph(ds, 0.0)
-    assert [e.vertex_ids for e in graph.edges] == [(0, 1)]
+    assert graph.edge_list() == [(0, 1)]
 
 
 def test_load_csv_normalization_and_provenance(tmp_path):

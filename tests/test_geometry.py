@@ -7,6 +7,7 @@ import pytest
 from oracles import ball_through_subset, oracle_meb_radius
 
 from optloss.geometry import (
+    REL_TOL,
     GeometryError,
     SingularDistanceMatrixError,
     circumradius,
@@ -178,6 +179,20 @@ def test_meb_agrees_with_circumradius_when_weights_nonnegative():
         ball = min_enclosing_ball(pts)
         assert ball.radius == pytest.approx(radius, rel=1e-9)
         found += 1
+
+
+def test_meb_many_points_no_recursion_error():
+    # the support-set search must not nest once per point
+    pts = np.random.default_rng(3000).normal(size=(3000, 3))
+    ball = min_enclosing_ball(pts)
+    dist = np.linalg.norm(pts - ball.center, axis=1)
+    assert dist.max() <= ball.radius * (1 + REL_TOL)
+    # optimality certificate: the center is a convex combination of points
+    # on the sphere
+    w = ball.support_weights
+    assert (w >= 0).all() and w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(w @ pts, ball.center, atol=1e-9)
+    assert np.allclose(dist[w > 0], ball.radius, rtol=1e-9)
 
 
 def test_meb_isometry_invariance():

@@ -1,18 +1,22 @@
 """Conflict hypergraph construction, truncation, incidence, serialization."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from oracles import oracle_hyperedges, oracle_meb_radius
 
-from optloss.data import from_arrays
+from optloss.data import from_arrays, gen_gaussian
 from optloss.geometry import neighborhoods_intersect
 from optloss.hypergraph import (
     build_conflict_graph,
+    edge_witness,
     extend_hyperedges,
     graph_from_json,
     graph_to_json,
     incidence,
+    vertex_graph,
 )
 from optloss.lp_core import PackingLp, solve_packing
 
@@ -33,28 +37,28 @@ def test_collinear_chain_edges():
     eps = 0.4
     pts = [(0.0, 0.0), (2 * eps, 0.0), (4 * eps, 0.0)]
     graph = build_conflict_graph(from_arrays(pts, [0, 1, 2]), eps)
-    assert [e.vertex_ids for e in graph.edges] == [(0, 1), (1, 2)]
-    for e in graph.edges:
+    assert graph.edge_list() == [(0, 1), (1, 2)]
+    for e in graph.edge_list():
         assert np.allclose(
-            e.witness, (np.array(pts[e.vertex_ids[0]]) + pts[e.vertex_ids[1]]) / 2
+            edge_witness(graph.points(), e), (np.array(pts[e[0]]) + pts[e[1]]) / 2
         )
 
 
 def test_zero_epsilon_distinct_points_no_edges():
     graph = build_conflict_graph(from_arrays([(0.0, 0.0), (0.1, 0.0)], [0, 1]), 0.0)
-    assert graph.edges == []
+    assert graph.edge_list() == []
 
 
 def test_zero_epsilon_identical_points_different_labels_edge():
     graph = build_conflict_graph(from_arrays([(0.5, 0.5), (0.5, 0.5)], [0, 1]), 0.0)
-    assert [e.vertex_ids for e in graph.edges] == [(0, 1)]
+    assert graph.edge_list() == [(0, 1)]
 
 
 def test_same_class_pair_never_an_edge():
     graph = build_conflict_graph(
         from_arrays([(0.0, 0.0), (0.05, 0.0)], [1, 1], merge_duplicates=False), 0.5
     )
-    assert graph.edges == []
+    assert graph.edge_list() == []
 
 
 def test_degree2_edges_match_bruteforce_double_loop():
@@ -70,16 +74,17 @@ def test_degree2_edges_match_bruteforce_double_loop():
                     ds.points[i] - ds.points[j]
                 ) <= 2 * eps * (1 + 1e-9):
                     expected.add((i, j))
-        assert {e.vertex_ids for e in graph.edges} == expected
+        assert set(graph.edge_list()) == expected
 
 
 def test_tight_triple_has_degree3_edge():
     graph = build_conflict_graph(triangle_dataset(), 0.6)
     graph = extend_hyperedges(graph, 3)
     assert graph.edge_counts() == {2: 3, 3: 1}
-    e3 = graph.edges_of_degree(3)[0]
-    assert e3.vertex_ids == (0, 1, 2)
-    assert np.linalg.norm(triangle_dataset().points - e3.witness, axis=1).max() <= 0.6 * (1 + 1e-9)
+    e3 = tuple(graph.edges[3][0].tolist())
+    assert e3 == (0, 1, 2)
+    witness = edge_witness(graph.points(), e3)
+    assert np.linalg.norm(triangle_dataset().points - witness, axis=1).max() <= 0.6 * (1 + 1e-9)
 
 
 def test_loose_triple_has_no_degree3_edge():
@@ -92,7 +97,7 @@ def test_two_classes_cap_hyperedge_degree():
     rng = np.random.default_rng(1)
     ds = random_dataset(rng, n=12, k=2, d=2, spread=0.3)
     graph = extend_hyperedges(build_conflict_graph(ds, 1.0), 4)
-    assert all(len(e.vertex_ids) <= 2 for e in graph.edges)
+    assert all(len(e) <= 2 for e in graph.edge_list())
 
 
 def test_downward_closure_of_stored_edges():
@@ -101,15 +106,84 @@ def test_downward_closure_of_stored_edges():
         ds = random_dataset(rng, n=14, k=4, d=2, spread=0.6)
         eps = float(rng.uniform(0.3, 0.9))
         graph = extend_hyperedges(build_conflict_graph(ds, eps), 4)
-        edge_sets = {e.vertex_ids for e in graph.edges}
-        for e in graph.edges:
-            k = len(e.vertex_ids)
+        edge_sets = set(graph.edge_list())
+        for e in graph.edge_list():
+            k = len(e)
             if k < 3:
                 continue
-            for sub in itertools.combinations(e.vertex_ids, k - 1):
+            for sub in itertools.combinations(e, k - 1):
                 assert sub in edge_sets
                 ok, _ = neighborhoods_intersect(ds.points[list(sub)], eps)
                 assert ok
+
+
+def edges_by_degree(graph, max_degree):
+    return {k: [tuple(row) for row in graph.edges[k].tolist()]
+            for k in range(2, max_degree + 1)}
+
+
+def test_extension_matches_subset_oracle_random():
+    rng = np.random.default_rng(2024)
+    higher = 0
+    for k in (3, 4):
+        for d in (1, 2, 3, 5):
+            for _ in range(2):
+                ds = random_dataset(rng, n=int(rng.integers(k + 2, 15)), k=k, d=d)
+                dist = np.linalg.norm(ds.points[:, None] - ds.points[None], axis=2)
+                eps = float(rng.uniform(0.3, 0.7)) * float(np.median(dist))
+                graph = extend_hyperedges(build_conflict_graph(ds, eps), k,
+                                          batch_size=int(rng.integers(1, 6)))
+                expected = oracle_hyperedges(ds.points, ds.labels, eps, k)
+                assert edges_by_degree(graph, k) == expected
+                higher += sum(len(expected[j]) for j in range(3, k + 1))
+    assert higher > 0  # the instances do exercise degrees 3 and 4
+
+
+def forced_cases():
+    """Duplicates, collinear points, exact right and equilateral triangles,
+    a square and a regular tetrahedron, each padded into higher dimensions."""
+    shapes = [
+        [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)],           # duplicate pair
+        [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)],           # three coincident points
+        [(0.0, 0.0), (1.0, 0.0), (3.0, 0.0)],           # collinear, uneven
+        [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],           # collinear, even
+        [(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)],           # right triangle
+        [(0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2)],  # equilateral
+        [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],  # square
+        [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0)],
+    ]
+    for shape in shapes:
+        pts = np.array(shape)
+        for d in (1, 2, 3, 5):
+            if d < pts.shape[1]:
+                if np.any(pts[:, d:]):
+                    continue
+                padded = pts[:, :d]
+            else:
+                padded = np.hstack([pts, np.zeros((len(pts), d - pts.shape[1]))])
+            yield padded
+
+
+def test_extension_matches_subset_oracle_forced_cases():
+    for pts in forced_cases():
+        k = len(pts)
+        radius = oracle_meb_radius(pts)
+        for eps in {radius, radius * (1 - 1e-6), radius * (1 + 1e-6)}:
+            ds = from_arrays(pts, list(range(k)), merge_duplicates=False)
+            graph = extend_hyperedges(build_conflict_graph(ds, eps), k)
+            assert edges_by_degree(graph, k) == oracle_hyperedges(pts, range(k), eps, k)
+            if k == 3 and graph.edge_counts().get(3):
+                # the closed-form triangle radius against the oracle ball
+                assert graph.radii[3][0] == pytest.approx(radius, rel=1e-9, abs=1e-12)
+
+
+def test_translation_leaves_edge_set_unchanged():
+    ds = gen_gaussian(num_classes=3, per_class=60, variance=0.05, mean_radius=3.0, seed=7)
+    moved = from_arrays(ds.points + 1e7, ds.labels, masses=ds.masses, merge_duplicates=False)
+    graph = extend_hyperedges(build_conflict_graph(ds, 2.6), 3)
+    shifted = extend_hyperedges(build_conflict_graph(moved, 2.6), 3)
+    assert graph.edge_counts() == {2: 4962, 3: 87}
+    assert shifted.edge_list() == graph.edge_list()
 
 
 def test_edge_counts_monotone_in_epsilon():
@@ -139,7 +213,7 @@ def test_incidence_dedupe_drops_dominated_rows():
     full = incidence(graph, dedupe_dominated=False)
     assert deduped.matrix.shape[0] == 1
     assert full.matrix.shape[0] == 4
-    assert graph.edges[deduped.edge_ids[0]].vertex_ids == (0, 1, 2)
+    assert graph.edge_list()[deduped.edge_ids[0]] == (0, 1, 2)
 
 
 def test_incidence_empty_edges_yields_full_packing():
@@ -169,7 +243,7 @@ def test_parallel_extension_matches_sequential():
     graph = build_conflict_graph(ds, 0.7)
     seq = extend_hyperedges(graph, 4, jobs=1, batch_size=8)
     par = extend_hyperedges(graph, 4, jobs=4, batch_size=8)
-    assert [e.vertex_ids for e in seq.edges] == [e.vertex_ids for e in par.edges]
+    assert seq.edge_list() == par.edge_list()
 
 
 def test_progress_callback_reports_candidates():
@@ -178,6 +252,29 @@ def test_progress_callback_reports_candidates():
     seen = []
     extend_hyperedges(build_conflict_graph(ds, 1.0), 3, progress=seen.append, batch_size=4)
     assert seen and seen[-1] == max(seen)
+
+
+def test_progress_batches_hold_at_most_batch_size_candidates():
+    rng = np.random.default_rng(8)
+    ds = random_dataset(rng, n=24, k=3, d=2, spread=0.3)
+    seen = []
+    extend_hyperedges(build_conflict_graph(ds, 1.0), 3, progress=seen.append, batch_size=4)
+    assert len(seen) > 1
+    assert (np.diff([0] + seen) <= 4).all()
+
+
+def test_ten_class_clique_among_a_thousand_vertices():
+    # one point of each class near the origin, 990 more far apart: every
+    # subset of the ten central points is an edge, up to degree 10, though
+    # ids in base 1000 overflow int64 from width 7 on
+    rng = np.random.default_rng(10)
+    central = rng.uniform(-0.05, 0.05, size=(10, 2))
+    far = 100.0 + 10.0 * np.stack(np.divmod(np.arange(990), 33), axis=1)
+    ds = from_arrays(np.vstack([central, far]), np.arange(1000) % 10, merge_duplicates=False)
+    graph = extend_hyperedges(build_conflict_graph(ds, 0.5), 10, batch_size=7)
+    assert graph.edge_counts() == {k: math.comb(10, k) for k in range(2, 11)}
+    assert graph.edge_list()[-1] == tuple(range(10))
+    assert incidence(graph).edge_ids.tolist() == [len(graph.edge_list()) - 1]
 
 
 def test_json_round_trip():
@@ -190,7 +287,7 @@ def test_json_round_trip():
     assert np.allclose(
         [v.mass for v in restored.vertices], [v.mass for v in graph.vertices]
     )
-    assert [e.vertex_ids for e in restored.edges] == [e.vertex_ids for e in graph.edges]
+    assert restored.edge_list() == graph.edge_list()
     # the imported structure supports LP assembly directly
     sol = solve_packing(PackingLp(restored.masses, incidence(restored)))
     assert sol.loss == pytest.approx(2 / 3, abs=1e-8)
@@ -201,6 +298,11 @@ def test_imported_graph_cannot_extend_without_coordinates():
     restored = graph_from_json(graph_to_json(graph))
     with pytest.raises(ValueError, match="no point coordinates"):
         extend_hyperedges(restored, 3)
+
+
+def test_vertex_graph_cannot_extend_without_pair_edges():
+    with pytest.raises(ValueError, match="pair edges"):
+        extend_hyperedges(vertex_graph(triangle_dataset(), 0.6), 3)
 
 
 def test_empty_dataset_rejected():
