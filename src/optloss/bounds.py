@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment
 
 from .data import LabeledDataset
 from .hypergraph import (
@@ -92,11 +91,16 @@ def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
 
 @dataclass
 class PairwiseLossMatrix:
-    """Symmetric zero-diagonal matrix of one-versus-one optimal losses."""
+    """Symmetric zero-diagonal matrix of one-versus-one optimal losses.
+
+    ``backends`` names the solver of each pair solved, in (i, j) order
+    with i < j; pairs with an empty side are not solved and not listed.
+    """
 
     losses: np.ndarray
     class_names: list[str] | None = None
     note: str = "entry (i,j) conditions on Y in {i,j} with prior-weighted masses"
+    backends: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.losses = np.asarray(self.losses, dtype=float)
@@ -112,47 +116,43 @@ def pairwise_binary_losses(dataset: LabeledDataset, epsilon: float,
 
     Each pair {i, j} restricts the distribution to those classes and
     renormalizes masses to the conditional distribution. Only pair edges are
-    needed: a two-class conflict hypergraph is bipartite.
+    needed: a two-class conflict hypergraph is bipartite, so ``solve_packing``
+    takes its min-cut backend whenever the masses scale to integers. ``jobs``
+    is accepted for compatibility and ignored: the pairs run in turn.
     """
     k = dataset.num_classes
     if k < 2:
         raise ValueError("need at least two classes")
     a = np.zeros((k, k))
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-
-    def solve_pair(pair):
-        i, j = pair
-        mask = (dataset.labels == i) | (dataset.labels == j)
-        if not (dataset.labels == i).any() or not (dataset.labels == j).any():
-            warnings.warn(f"class pair ({i},{j}) has an empty side; loss set to 0")
-            return 0.0
-        cond_mass = dataset.masses[mask] / dataset.masses[mask].sum()
-        sub = LabeledDataset(
-            points=dataset.points[mask],
-            labels=(dataset.labels[mask] == j).astype(int),
-            masses=cond_mass,
-            provenance=f"{dataset.provenance}|pair({i},{j})",
-        )
-        graph = build_conflict_graph(sub, epsilon)
-        sol = solve_packing(PackingLp(graph.masses, incidence(graph)), tol)
-        return max(0.0, sol.loss)
-
-    if jobs > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(solve_pair, pairs))
-    else:
-        values = [solve_pair(pair) for pair in pairs]
-    for (i, j), v in zip(pairs, values):
-        a[i, j] = a[j, i] = v
-    return PairwiseLossMatrix(a, class_names=dataset.class_names)
+    backends = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            mask = (dataset.labels == i) | (dataset.labels == j)
+            if not (dataset.labels == i).any() or not (dataset.labels == j).any():
+                warnings.warn(f"class pair ({i},{j}) has an empty side; loss set to 0")
+                continue
+            cond_mass = dataset.masses[mask] / dataset.masses[mask].sum()
+            sub = LabeledDataset(
+                points=dataset.points[mask],
+                labels=(dataset.labels[mask] == j).astype(int),
+                masses=cond_mass,
+                provenance=f"{dataset.provenance}|pair({i},{j})",
+            )
+            graph = build_conflict_graph(sub, epsilon)
+            sol = solve_packing(PackingLp(graph.masses, incidence(graph)), tol)
+            a[i, j] = a[j, i] = max(0.0, sol.loss)
+            backends.append(sol.backend)
+    return PairwiseLossMatrix(a, class_names=dataset.class_names, backends=backends)
 
 
 def class_only_bound(pairwise: PairwiseLossMatrix, priors) -> float:
     """Best coupling of the pairwise losses: the class-only lower bound.
 
-    Maximizes sum_ij priors_i * a_ij * s_ij over symmetric doubly stochastic
-    matrices s (s >= 0, s = s^T, rows sum to 1). The diagonal carries zero
-    weight, so leaving it free does not change the optimum.
+    Maximizes sum_{i<j} (priors_i a_ij + priors_j a_ji) s_ij over symmetric
+    doubly stochastic matrices s. By Birkhoff these are the convex hull of
+    (P + P^T) / 2 over permutation matrices P, so the optimum is half the
+    best assignment of the symmetric weights C_ij = priors_i a_ij +
+    priors_j a_ji (C_ii = 0, a fixed point).
     """
     a = pairwise.losses
     k = a.shape[0]
@@ -162,21 +162,11 @@ def class_only_bound(pairwise: PairwiseLossMatrix, priors) -> float:
     if abs(priors.sum() - 1.0) > 1e-9:
         raise ValueError("priors must sum to 1")
 
-    off_pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    nvar = k + len(off_pairs)  # diagonal entries, then upper-triangle entries
-    c = np.zeros(nvar)
-    for idx, (i, j) in enumerate(off_pairs):
-        c[k + idx] = -(priors[i] * a[i, j] + priors[j] * a[j, i])
-    A_eq = np.zeros((k, nvar))
-    for i in range(k):
-        A_eq[i, i] = 1.0
-    for idx, (i, j) in enumerate(off_pairs):
-        A_eq[i, k + idx] = 1.0
-        A_eq[j, k + idx] = 1.0
-    res = linprog(c=c, A_eq=A_eq, b_eq=np.ones(k), bounds=(0.0, 1.0), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"coupling LP failed: {res.message}")
-    return max(0.0, float(-res.fun))
+    weight = priors[:, None] * a
+    weight = weight + weight.T
+    np.fill_diagonal(weight, 0.0)
+    rows, cols = linear_sum_assignment(weight, maximize=True)
+    return max(0.0, float(weight[rows, cols].sum()) / 2.0)
 
 
 def caro_wei_bound(graph: ConflictHypergraph, weights) -> float:
@@ -471,6 +461,9 @@ class BoundReport:
     notes: list[str] = field(default_factory=list)
     certified: bool = True
     schema_version: int = 1
+    # keyed like runtimes: "solve_<m>" and "pairwise" -> "flow" or "highs"
+    # ("flow+highs" when the pairwise solves used both)
+    solver_backends: dict[str, str] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -487,6 +480,7 @@ class BoundReport:
             "runtimes": self.runtimes,
             "notes": self.notes,
             "certified": self.certified,
+            "solver_backends": self.solver_backends,
         }
 
     def to_csv_rows(self) -> list[list]:
@@ -540,6 +534,7 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
     if not 2 <= m_max:
         raise ValueError("m_max must be >= 2")
     runtimes: dict[str, float] = {}
+    backends: dict[str, str] = {}
     losses: dict[int, float] = {}
     q_histograms: dict[int, dict] = {}
 
@@ -556,6 +551,7 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
         t0 = time.perf_counter()
         sol = solve_packing(PackingLp(graph.masses, incidence(graph, dedupe)), tol)
         runtimes[f"solve_{m}"] = time.perf_counter() - t0
+        backends[f"solve_{m}"] = sol.backend
         losses[m] = sol.loss
         q_histograms[m] = _histogram(sol.q)
         if m == 2:
@@ -567,6 +563,8 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
         pairwise = pairwise_binary_losses(dataset, epsilon, tol, jobs=jobs)
         class_only = class_only_bound(pairwise, dataset.class_priors())
         runtimes["class_only"] = time.perf_counter() - t0
+        if pairwise.backends:
+            backends["pairwise"] = "+".join(sorted(set(pairwise.backends)))
 
     t0 = time.perf_counter()
     weights = sol2.q if caro_wei_weights is None else np.asarray(caro_wei_weights, float)
@@ -591,4 +589,5 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
         q_histograms=q_histograms,
         runtimes=runtimes,
         notes=list(_REPORT_NOTES),
+        solver_backends=backends,
     )

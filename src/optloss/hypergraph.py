@@ -337,13 +337,34 @@ def incidence(graph: ConflictHypergraph, dedupe_dominated: bool = True) -> Incid
     return IncidenceMatrix(matrix=matrix, edge_ids=np.concatenate(edge_ids))
 
 
+def _triangle_centre(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Minimum-enclosing-ball centre of a triangle, in closed form.
+
+    With squared sides a, b, c opposite p0, p1, p2: the midpoint of the
+    longest side when the triangle is obtuse, right or degenerate (the rule
+    of ``_triangle_radius``), else the circumcentre, whose barycentric
+    weights are a(b + c - a), b(c + a - b), c(a + b - c).
+    """
+    sides = [float(e @ e) for e in (p2 - p1, p0 - p2, p1 - p0)]
+    a, b, c = sides
+    longest = int(np.argmax(sides))
+    if 2.0 * sides[longest] >= a + b + c:
+        x, y = ((p1, p2), (p2, p0), (p0, p1))[longest]
+        return (x + y) / 2.0
+    wa, wb, wc = a * (b + c - a), b * (c + a - b), c * (a + b - c)
+    return p0 + (wb * (p1 - p0) + wc * (p2 - p0)) / (wa + wb + wc)
+
+
 def edge_witness(points: np.ndarray, ids) -> np.ndarray:
     """A point within epsilon of every member of a hyperedge.
 
-    The midpoint for a pair, the minimum-enclosing-ball center otherwise.
+    The midpoint for a pair, the closed-form enclosing-ball centre for a
+    triangle, the minimum-enclosing-ball centre for k >= 4.
     """
     if len(ids) == 2:
         return (points[ids[0]] + points[ids[1]]) / 2.0
+    if len(ids) == 3:
+        return _triangle_centre(*points[list(ids)])
     return min_enclosing_ball(points[list(ids)]).center
 
 

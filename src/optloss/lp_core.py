@@ -8,9 +8,14 @@ role of the degree-1 (singleton) hyperedges, so the full fractional cover
 of the vertices is ``B^T z + y``. One minus the primal optimum is the
 optimal soft-classification loss for the hypergraph.
 
-Every solve is certified: feasibility residuals and the duality gap are
-recomputed from the returned vectors, and a solve that cannot be certified
-raises instead of returning silently.
+Two backends solve it. An LP whose rows are all pairs of a bipartite graph,
+with masses that are integers under one scale, is a minimum-weight vertex
+cover: a max-flow min cut solves it exactly (backend ``"flow"``). Every
+other LP goes to HiGHS (backend ``"highs"``). The choice depends only on the
+LP itself. Every solve is certified the same way whatever the backend:
+feasibility residuals and the duality gap are recomputed from the returned
+vectors, and a solve that cannot be certified raises instead of returning
+silently.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
 
 from .hypergraph import IncidenceMatrix
 
@@ -73,7 +79,9 @@ class LpSolution:
 
     ``edge_cover`` is indexed by incidence rows; ``singleton_cover`` holds the
     duals of the q <= 1 bounds, one per vertex. ``objective`` is p^T q, i.e.
-    one minus the optimal loss.
+    one minus the optimal loss. ``backend`` names the solver that produced
+    the vectors: ``"flow"`` (min cut; also the closed form of an LP without
+    rows) or ``"highs"``.
     """
 
     q: np.ndarray
@@ -85,6 +93,7 @@ class LpSolution:
     primal_residual: float
     dual_residual: float
     lp: PackingLp = field(repr=False)
+    backend: str
 
     @property
     def loss(self) -> float:
@@ -149,13 +158,112 @@ def _residuals(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray,
     return max(primal, 0.0), max(dual, 0.0), objective, dual_objective, gap
 
 
+def _mass_scale(p: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """(D, integer masses D * p) for D = round(1 / min positive p), or None.
+
+    The loaders give masses in multiples of 1/n, so D = n makes them exact.
+    None when some mass is not an integer under D, or when the flow network's
+    capacities (up to twice the total plus one) would not fit in int32.
+    """
+    scale = np.rint(1.0 / p[p > 0.0].min())
+    if scale < 1.0:
+        return None
+    scaled = scale * p
+    w = np.rint(scaled)
+    if np.any(np.abs(scaled - w) > 1e-9 * scaled):
+        return None
+    if 2.0 * w.sum() + 1.0 > np.iinfo(np.int32).max:
+        return None
+    return scale, w
+
+
+def _bipartite_sides(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """Side-A mask of a 2-colouring of the pair graph, or None if it has an odd cycle.
+
+    In the bipartite double cover (vertex x becomes x and x + n, edge (u, v)
+    becomes (u, v + n) and (v, u + n)) the two copies of x are connected iff
+    x's component has an odd cycle. Otherwise each copy lies in one of the
+    two components that split x's component by colour.
+    """
+    edges = u.shape[0]
+    cover = sp.csr_matrix(
+        (np.ones(2 * edges, dtype=np.int8),
+         (np.concatenate([u, v]), np.concatenate([v + n, u + n]))),
+        shape=(2 * n, 2 * n),
+    )
+    _, comp = connected_components(cover, directed=False)
+    if np.any(comp[:n] == comp[n:]):
+        return None
+    return comp[:n] < comp[n:]
+
+
+def _flow_packing(p: np.ndarray, B: sp.csr_matrix):
+    """(q, z, y) of a bipartite pair LP from a max-flow min cut, or None.
+
+    Qualifies when every row holds two distinct vertices with coefficient 1,
+    the pair graph is bipartite and the masses scale to integers w. The
+    network is s -> a (cap w_a), a -> b (cap sum(w) + 1), b -> t (cap w_b)
+    for sides A and B; the vertices on the source side of the residual cut,
+    in A, and off it, in B, form a maximum-weight independent set, q is its
+    0/1 indicator, z is the edge flow over the scale and y the uncovered
+    mass. Zero-mass vertices get q = 1.
+    """
+    B = B.tocsr()
+    if np.any(np.diff(B.indptr) != 2) or np.any(B.data != 1.0) or not np.any(p > 0.0):
+        return None
+    ends = B.indices.reshape(-1, 2)
+    u, v = ends[:, 0].astype(np.int64), ends[:, 1].astype(np.int64)
+    if np.any(u == v):
+        return None
+    integer = _mass_scale(p)
+    if integer is None:
+        return None
+    scale, w = integer
+    n = p.shape[0]
+    side_a = _bipartite_sides(n, u, v)
+    if side_a is None:
+        return None
+
+    a = np.where(side_a[u], u, v)
+    b = np.where(side_a[u], v, u)
+    big = int(w.sum()) + 1
+    src = np.flatnonzero(side_a & (w > 0))
+    snk = np.flatnonzero(~side_a & (w > 0))
+    s, t = n, n + 1
+    caps = sp.csr_matrix(
+        (np.concatenate([w[src], np.full(a.shape[0], big), w[snk]]).astype(np.int64),
+         (np.concatenate([np.full(src.shape[0], s), a, snk]),
+          np.concatenate([src, b, np.full(snk.shape[0], t)]))),
+        shape=(n + 2, n + 2),
+    )
+    np.minimum(caps.data, big, out=caps.data)  # repeated rows were summed
+    caps = caps.astype(np.int32)
+    flow = maximum_flow(caps, s, t).flow
+
+    residual = caps - flow  # C - F: free capacity forward, flow backward
+    residual.eliminate_zeros()
+    reach = np.zeros(n + 2, dtype=bool)
+    reach[breadth_first_order(residual, s, return_predecessors=False)] = True
+    q = np.where(side_a, reach[:n], ~reach[:n]).astype(float)
+    q[p <= 0.0] = 1.0
+
+    # a repeated row carries its pair's flow once, on its first occurrence
+    _, first = np.unique(a * n + b, return_index=True)
+    z = np.zeros(a.shape[0])
+    z[first] = np.asarray(flow[a[first], b[first]], dtype=float).ravel() / scale
+    y = np.maximum(p - B.T @ z, 0.0)
+    return q, z, y
+
+
 def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
     """Solve the packing LP and return a certified primal-dual pair.
 
     Deterministic for a fixed instance and tolerance configuration. Vertices
-    with zero mass are excluded from the solve and reported with q = 1.
-    Raises :class:`LpNonConvergenceError` if the solver hits its iteration
-    limit and :class:`UncertifiedSolveError` if the certificates fail.
+    with zero mass are excluded from the solve and reported with q = 1. A
+    bipartite pair LP with integer-scalable masses is solved by min cut,
+    any other by HiGHS; both answers pass the same certificate check.
+    Raises :class:`LpNonConvergenceError` if HiGHS hits its iteration limit
+    and :class:`UncertifiedSolveError` if the certificates fail.
     """
     p = lp.masses
     B = lp.incidence.matrix
@@ -168,10 +276,26 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
         z = np.zeros(0)
         y = p.copy()
         objective = float(p.sum())
-        sol = LpSolution(q, z, y, objective, objective, 0.0, 0.0, 0.0, lp)
+        sol = LpSolution(q, z, y, objective, objective, 0.0, 0.0, 0.0, lp, "flow")
         _certify(lp, sol, tol)
         return sol
 
+    found = _flow_packing(p, B)
+    if found is not None:
+        q, z, y = found
+        backend = "flow"
+    else:
+        q, z, y = _highs_packing(p, B, active, tol)
+        backend = "highs"
+    primal, dual, objective, dual_objective, gap = _residuals(p, B, q, z, y, active)
+    sol = LpSolution(q, z, y, objective, dual_objective, gap, primal, dual, lp, backend)
+    _certify(lp, sol, tol)
+    return sol
+
+
+def _highs_packing(p: np.ndarray, B: sp.csr_matrix, active: np.ndarray, tol: Tolerances):
+    """(q, z, y) from HiGHS on the positive-mass columns."""
+    n = p.shape[0]
     if active.all():
         B_act = B
         p_act = p
@@ -205,11 +329,7 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
     y[active] = -np.asarray(res.upper.marginals, dtype=float)
     np.maximum(z, 0.0, out=z)
     np.maximum(y, 0.0, out=y)
-
-    primal, dual, objective, dual_objective, gap = _residuals(p, B, q, z, y, active)
-    sol = LpSolution(q, z, y, objective, dual_objective, gap, primal, dual, lp)
-    _certify(lp, sol, tol)
-    return sol
+    return q, z, y
 
 
 def _certify(lp: PackingLp, sol: LpSolution, tol: Tolerances) -> None:

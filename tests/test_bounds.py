@@ -497,6 +497,25 @@ def test_k2_collapse_soft_equals_hard():
         assert loss2 == pytest.approx(hard, abs=1e-8)
 
 
+def test_bound_report_records_solver_backends():
+    # a triangle of pairs is an odd cycle; each of its one-versus-one
+    # problems is one pair edge with masses 1/2, 1/2
+    report = bound_report(triangle_dataset(), 0.6, m_max=3)
+    assert report.solver_backends == {"solve_2": "highs", "solve_3": "highs",
+                                      "pairwise": "flow"}
+    doc = report.to_json_dict()
+    assert doc["solver_backends"] == report.solver_backends
+    assert set(doc) - {"solver_backends"} == {
+        "schema_version", "epsilon", "max_degree", "losses", "class_only_2", "caro_wei",
+        "hard_bruteforce", "edge_counts", "boundary_tight_edges", "q_histograms",
+        "runtimes", "notes", "certified"}
+    # two classes: the main pair LP is bipartite too
+    two = bound_report(from_arrays([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)], [0, 1, 0]), 0.3)
+    assert two.solver_backends == {"solve_2": "flow", "pairwise": "flow"}
+    assert two.losses[2] == pytest.approx(1 / 3, abs=1e-12)
+    assert two.caro_wei == pytest.approx(1 / 3, abs=1e-12)
+
+
 def test_bound_report_contents():
     ds = triangle_dataset(masses=[0.5, 0.3, 0.2])
     report = bound_report(ds, 0.6, m_max=3)

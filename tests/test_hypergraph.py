@@ -8,7 +8,7 @@ import pytest
 from oracles import oracle_hyperedges, oracle_meb_radius
 
 from optloss.data import from_arrays, gen_gaussian
-from optloss.geometry import neighborhoods_intersect
+from optloss.geometry import min_enclosing_ball, neighborhoods_intersect
 from optloss.hypergraph import (
     build_conflict_graph,
     edge_witness,
@@ -85,6 +85,50 @@ def test_tight_triple_has_degree3_edge():
     assert e3 == (0, 1, 2)
     witness = edge_witness(graph.points(), e3)
     assert np.linalg.norm(triangle_dataset().points - witness, axis=1).max() <= 0.6 * (1 + 1e-9)
+
+
+TRIANGLES_2D = {
+    "acute": [(0.0, 0.0), (4.0, 0.0), (1.5, 3.0)],
+    "equilateral": [(0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2)],
+    "right": [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)],
+    "right-scalene": [(1.0, 1.0), (4.0, 1.0), (1.0, 5.0)],
+    "obtuse": [(0.0, 0.0), (4.0, 0.0), (1.0, 1.0)],
+    "collinear": [(1.0, 0.0), (0.0, 0.0), (3.0, 0.0)],
+    "duplicate": [(0.0, 0.0), (3.0, 1.0), (0.0, 0.0)],
+    "one-point": [(2.0, -1.0), (2.0, -1.0), (2.0, -1.0)],
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 784])
+@pytest.mark.parametrize("name", sorted(TRIANGLES_2D))
+def test_triangle_witness_matches_enclosing_ball(name, d):
+    pts = np.zeros((3, d))
+    pts[:, :2] = TRIANGLES_2D[name]
+    if d > 2:
+        pts[:, 2:] = np.arange(d - 2) % 5  # a shared offset in the other axes
+    ball = min_enclosing_ball(pts)
+    eps = ball.radius
+    for order in itertools.permutations(range(3)):
+        witness = edge_witness(pts, order)
+        assert np.linalg.norm(witness - ball.center) <= 1e-9 * eps
+        assert np.linalg.norm(pts - witness, axis=1).max() <= eps * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 784])
+def test_triangle_witness_matches_enclosing_ball_random(d):
+    rng = np.random.default_rng(53 + d)
+    checked = 0
+    while checked < 40:
+        pts = rng.normal(size=(3, d)) * rng.uniform(0.1, 5.0)
+        sides = sorted(np.sum((pts - np.roll(pts, 1, axis=0)) ** 2, axis=1))
+        # stay clear of right angles, where the reference ball flips branch
+        if abs(sides[2] - sides[0] - sides[1]) < 1e-3 * sides[2]:
+            continue
+        ball = min_enclosing_ball(pts)
+        witness = edge_witness(pts, (0, 1, 2))
+        assert np.linalg.norm(witness - ball.center) <= 1e-9 * ball.radius
+        assert np.linalg.norm(pts - witness, axis=1).max() <= ball.radius * (1 + 1e-9)
+        checked += 1
 
 
 def test_loose_triple_has_no_degree3_edge():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.optimize import linprog
 
 from optloss.data import from_arrays
 from optloss.hypergraph import (
@@ -223,3 +224,85 @@ def test_tolerances_validation():
         Tolerances(feasibility_abs=0.0)
     with pytest.raises(ValueError):
         Tolerances(max_iterations=0)
+
+
+# ------------------------------------------------------------ flow backend
+
+
+def highs_objective(lp):
+    """Optimum of the packing LP straight from HiGHS, bypassing solve_packing."""
+    B = lp.incidence.matrix
+    res = linprog(c=-lp.masses, A_ub=B, b_ub=np.ones(B.shape[0]), bounds=(0.0, 1.0),
+                  method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+def random_bipartite_lp(rng):
+    """Pairs across a random split of shuffled ids, masses in multiples of 1/n.
+
+    Some vertices have no edge, some have zero mass, and a row may repeat.
+    """
+    n = int(rng.integers(4, 40))
+    side = rng.random(n) < 0.5
+    side[:2] = [True, False]
+    left, right = np.flatnonzero(side), np.flatnonzero(~side)
+    candidates = [(u, v) for u in left for v in right]
+    keep = rng.random(len(candidates)) < rng.uniform(0.05, 0.5)
+    rows = [tuple(sorted(map(int, c))) for c, k in zip(candidates, keep) if k]
+    if not rows:
+        rows = [tuple(sorted((int(left[0]), int(right[0]))))]
+    if rng.random() < 0.3:
+        rows.append(rows[int(rng.integers(len(rows)))])
+    counts = rng.integers(0, 4, size=n).astype(float)
+    counts[int(rng.integers(n))] = 1.0  # the scale 1 / min mass is then the total
+    return make_lp(rows, counts / counts.sum())
+
+
+def test_flow_backend_matches_highs_on_bipartite_pair_lps():
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        lp = random_bipartite_lp(rng)
+        sol = solve_packing(lp)
+        assert sol.backend == "flow"
+        assert sol.objective == pytest.approx(highs_objective(lp), abs=1e-12)
+        assert verify_certificates(lp, sol).ok
+        assert set(np.unique(sol.q)) <= {0.0, 1.0}
+        assert (sol.q[lp.masses == 0.0] == 1.0).all()
+
+
+def test_pair_lps_from_two_class_data_take_the_flow_backend():
+    rng = np.random.default_rng(67)
+    for _ in range(10):
+        pts = rng.normal(size=(30, 2))
+        labels = np.arange(30) % 2
+        ds = from_arrays(pts, labels, merge_duplicates=False)
+        graph = build_conflict_graph(ds, float(rng.uniform(0.2, 0.8)))
+        lp = PackingLp(graph.masses, incidence(graph))
+        sol = solve_packing(lp)
+        assert sol.backend == "flow"
+        assert sol.objective == pytest.approx(highs_objective(lp), abs=1e-12)
+
+
+@pytest.mark.parametrize("rows, masses", [
+    ([(0, 1), (0, 2), (1, 2)], [1 / 3, 1 / 3, 1 / 3]),  # odd cycle
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], [0.2] * 5),  # odd cycle of five
+    ([(0, 1, 2)], [1 / 3, 1 / 3, 1 / 3]),  # a row of width 3
+    ([(0, 1), (1, 2, 3)], [0.25] * 4),  # widths mixed
+])
+def test_non_bipartite_or_wide_lps_take_highs(rows, masses):
+    lp = make_lp(rows, masses)
+    sol = solve_packing(lp)
+    assert sol.backend == "highs"
+    assert sol.objective == pytest.approx(highs_objective(lp), abs=1e-9)
+
+
+def test_unscalable_masses_take_highs():
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        lp = random_bipartite_lp(rng)
+        masses = rng.dirichlet(np.ones(lp.masses.shape[0]))
+        dirichlet = PackingLp(masses, lp.incidence)
+        sol = solve_packing(dirichlet)
+        assert sol.backend == "highs"
+        assert sol.objective == pytest.approx(highs_objective(dirichlet), abs=1e-9)
