@@ -31,7 +31,6 @@ from .geometry import (
 from .hypergraph import (
     ConflictHypergraph,
     IncidenceMatrix,
-    Vertex,
     build_conflict_graph,
     extend_hyperedges,
     incidence,

@@ -83,9 +83,7 @@ def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
         graph = build_conflict_graph(dataset, epsilon)
         if m > 2:
             graph = extend_hyperedges(graph, m, jobs=jobs, progress=progress)
-    inc = incidence(graph, dedupe_dominated=dedupe)
-    lp = PackingLp(graph.masses, inc)
-    sol = solve_packing(lp, tol)
+    sol = solve_packing(PackingLp(graph.masses, incidence(graph, dedupe)), tol)
     return sol.loss, sol, graph
 
 
@@ -115,34 +113,44 @@ def pairwise_binary_losses(dataset: LabeledDataset, epsilon: float,
     """Optimal loss of every one-versus-one problem at the given budget.
 
     Each pair {i, j} restricts the distribution to those classes and
-    renormalizes masses to the conditional distribution. Only pair edges are
-    needed: a two-class conflict hypergraph is bipartite, so ``solve_packing``
-    takes its min-cut backend whenever the masses scale to integers. ``jobs``
-    is accepted for compatibility and ignored: the pairs run in turn.
+    renormalizes masses to the conditional distribution. One pair sweep
+    serves every pair (see ``_pairwise_losses``). ``jobs`` is accepted for
+    compatibility and ignored: the pairs run in turn.
     """
-    k = dataset.num_classes
+    return _pairwise_losses(build_conflict_graph(dataset, epsilon), tol, dataset.class_names)
+
+
+def _pairwise_losses(graph: ConflictHypergraph, tol: Tolerances,
+                     class_names: list[str] | None) -> PairwiseLossMatrix:
+    """One-versus-one losses from the pair edges of an already built graph.
+
+    The edges of problem {i, j} are the graph's pairs with labels i and j,
+    renumbered to local ids; the renumbering is monotone, so their rows stay
+    sorted. A two-class conflict hypergraph is bipartite, so ``solve_packing``
+    takes its min-cut backend whenever the masses scale to integers.
+    """
+    labels, masses, pairs = graph.labels, graph.masses, graph.edges[2]
+    k = int(labels.max()) + 1
     if k < 2:
         raise ValueError("need at least two classes")
+    lo, hi = np.sort(labels[pairs], axis=1).T
     a = np.zeros((k, k))
     backends = []
     for i in range(k):
         for j in range(i + 1, k):
-            mask = (dataset.labels == i) | (dataset.labels == j)
-            if not (dataset.labels == i).any() or not (dataset.labels == j).any():
+            if not (labels == i).any() or not (labels == j).any():
                 warnings.warn(f"class pair ({i},{j}) has an empty side; loss set to 0")
                 continue
-            cond_mass = dataset.masses[mask] / dataset.masses[mask].sum()
-            sub = LabeledDataset(
-                points=dataset.points[mask],
-                labels=(dataset.labels[mask] == j).astype(int),
-                masses=cond_mass,
-                provenance=f"{dataset.provenance}|pair({i},{j})",
-            )
-            graph = build_conflict_graph(sub, epsilon)
-            sol = solve_packing(PackingLp(graph.masses, incidence(graph)), tol)
+            keep = (labels == i) | (labels == j)
+            local = np.cumsum(keep) - 1  # graph id -> id among the kept vertices
+            cond_mass = masses[keep] / masses[keep].sum()
+            sub = ConflictHypergraph(labels[keep], cond_mass, None,
+                                     {2: local[pairs[(lo == i) & (hi == j)]]},
+                                     max_degree=2, epsilon=graph.epsilon)
+            sol = solve_packing(PackingLp(cond_mass, incidence(sub)), tol)
             a[i, j] = a[j, i] = max(0.0, sol.loss)
             backends.append(sol.backend)
-    return PairwiseLossMatrix(a, class_names=dataset.class_names, backends=backends)
+    return PairwiseLossMatrix(a, class_names=class_names, backends=backends)
 
 
 def class_only_bound(pairwise: PairwiseLossMatrix, priors) -> float:
@@ -323,8 +331,7 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
     z = sol.edge_cover
     y = sol.singleton_cover
     p = sol.lp.masses
-    points = (graph.points() if all(v.point is not None for v in graph.vertices)
-              else None)
+    points = graph.points
     played: dict[int, tuple[tuple[int, ...], np.ndarray | None]] = {}
     per_vertex: list[VertexStrategy] = []
     for v in range(graph.num_vertices):
@@ -338,8 +345,8 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
                     played[r] = (ids, witness)
                 ids, witness = played[r]
                 entries.append((ids, float(z[r]), witness))
+        point = None if points is None else points[v]
         if y[v] > 0.0:
-            point = graph.vertices[v].point
             entries.append((None, float(y[v]), point))
         total = sum(weight for _, weight, _ in entries)
         if p[v] > 0 and total < p[v] - tol.feasibility_abs:
@@ -349,7 +356,7 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
             )
         if not entries:
             # zero-mass or unconstrained vertex: play the point itself
-            entries.append((None, 1.0, graph.vertices[v].point))
+            entries.append((None, 1.0, point))
             total = 1.0
         probs = np.array([weight for _, weight, _ in entries]) / total
         per_vertex.append(
@@ -422,7 +429,8 @@ def class_distance_stats(dataset: LabeledDataset, block_size: int = 2048) -> np.
     k = dataset.num_classes
     if k < 2:
         raise ValueError("need at least two classes")
-    points = dataset.points
+    # centred like the pair sweep, so the Gram form does not cancel far from 0
+    points = dataset.points - dataset.points.mean(axis=0)
     labels = dataset.labels
     n = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
@@ -459,7 +467,6 @@ class BoundReport:
     q_histograms: dict[int, dict]
     runtimes: dict[str, float]
     notes: list[str] = field(default_factory=list)
-    certified: bool = True
     schema_version: int = 1
     # keyed like runtimes: "solve_<m>" and "pairwise" -> "flow" or "highs"
     # ("flow+highs" when the pairwise solves used both)
@@ -479,7 +486,7 @@ class BoundReport:
             "q_histograms": {str(m): h for m, h in self.q_histograms.items()},
             "runtimes": self.runtimes,
             "notes": self.notes,
-            "certified": self.certified,
+            "certified": True,  # an uncertified solve raises instead
             "solver_backends": self.solver_backends,
         }
 
@@ -560,7 +567,7 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
     class_only = None
     if k >= 2:
         t0 = time.perf_counter()
-        pairwise = pairwise_binary_losses(dataset, epsilon, tol, jobs=jobs)
+        pairwise = _pairwise_losses(graph, tol, dataset.class_names)
         class_only = class_only_bound(pairwise, dataset.class_priors())
         runtimes["class_only"] = time.perf_counter() - t0
         if pairwise.backends:

@@ -206,12 +206,12 @@ def cmd_bound(args) -> int:
     summary = {
         "command": "bound",
         "outputs": outputs,
-        "certified": all(rep.certified for rep, _ in results),
+        "certified": True,  # an uncertified solve raises before this point
         "losses": {f"{rep.epsilon:g}": {str(m): v for m, v in rep.losses.items()}
                    for rep, _ in results},
     }
     _emit(summary)
-    return 0 if summary["certified"] else 2
+    return 0
 
 
 def cmd_pairwise(args) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class LabeledDataset:
     masses: np.ndarray
     class_names: list[str] | None = None
     provenance: str = ""
-    _validated: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -56,7 +55,6 @@ class LabeledDataset:
         k = self.num_classes
         if self.labels.min() < 0 or self.labels.max() >= k:
             raise ValueError("labels must be contiguous integers starting at 0")
-        self._validated = True
 
     @property
     def num_points(self) -> int:

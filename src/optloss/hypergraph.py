@@ -24,7 +24,6 @@ import scipy.sparse as sp
 from .geometry import REL_TOL, circumradius_batch, min_enclosing_ball
 
 __all__ = [
-    "Vertex",
     "ConflictHypergraph",
     "IncidenceMatrix",
     "vertex_graph",
@@ -37,17 +36,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: int
-    point: np.ndarray | None
-    label: int
-    mass: float
-
-
 @dataclass
 class ConflictHypergraph:
-    vertices: list[Vertex]
+    # vertex i is (labels[i], masses[i], points[i]); its id is i
+    labels: np.ndarray  # (n,) int class ids
+    masses: np.ndarray  # (n,) probability masses
+    points: np.ndarray | None  # (n, d) coordinates; None when read from JSON
     edges: dict[int, np.ndarray]  # degree k -> (E_k, k) sorted id rows
     max_degree: int
     epsilon: float
@@ -56,20 +50,7 @@ class ConflictHypergraph:
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def masses(self) -> np.ndarray:
-        return np.array([v.mass for v in self.vertices])
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([v.label for v in self.vertices])
-
-    def points(self) -> np.ndarray:
-        if any(v.point is None for v in self.vertices):
-            raise ValueError("hypergraph has no point coordinates (imported from JSON?)")
-        return np.vstack([v.point for v in self.vertices])
+        return len(self.labels)
 
     def edge_counts(self) -> dict[int, int]:
         """Number of stored hyperedges of each exact degree (dominated included)."""
@@ -88,7 +69,7 @@ class ConflictHypergraph:
 
     def adjacency_sets(self) -> list[set[int]]:
         """Neighbor sets in the degree-2 graph."""
-        adj: list[set[int]] = [set() for _ in self.vertices]
+        adj: list[set[int]] = [set() for _ in range(self.num_vertices)]
         for u, v in self._pairs().tolist():
             adj[u].add(v)
             adj[v].add(u)
@@ -151,13 +132,11 @@ def vertex_graph(dataset, epsilon: float) -> ConflictHypergraph:
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     points = np.asarray(dataset.points, dtype=float)
-    labels = np.asarray(dataset.labels)
-    masses = np.asarray(dataset.masses, dtype=float)
     if points.shape[0] == 0:
         raise ValueError("empty dataset")
-    vertices = [Vertex(i, points[i], int(labels[i]), float(masses[i]))
-                for i in range(points.shape[0])]
-    return ConflictHypergraph(vertices, {}, max_degree=1, epsilon=float(epsilon))
+    return ConflictHypergraph(np.asarray(dataset.labels, dtype=np.int64),
+                              np.asarray(dataset.masses, dtype=float), points, {},
+                              max_degree=1, epsilon=float(epsilon))
 
 
 def build_conflict_graph(dataset, epsilon: float, block_size: int = 2048) -> ConflictHypergraph:
@@ -168,9 +147,8 @@ def build_conflict_graph(dataset, epsilon: float, block_size: int = 2048) -> Con
     Gram form free of cancellation when the data sit far from the origin.
     """
     graph = vertex_graph(dataset, epsilon)
-    points = np.asarray(dataset.points, dtype=float)
-    points = points - points.mean(axis=0)
-    labels = np.asarray(dataset.labels)
+    points = graph.points - graph.points.mean(axis=0)
+    labels = graph.labels
     n = points.shape[0]
     threshold = (2.0 * epsilon * (1.0 + REL_TOL)) ** 2
     sq = np.einsum("ij,ij->i", points, points)
@@ -249,8 +227,9 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
         return graph
     if graph.max_degree < 2:
         raise ValueError("extension needs the pair edges: start from build_conflict_graph")
-    points = graph.points()
-    points = points - points.mean(axis=0)
+    if graph.points is None:
+        raise ValueError("hypergraph has no point coordinates (imported from JSON?)")
+    points = graph.points - graph.points.mean(axis=0)
     n = graph.num_vertices
     eps_tol = graph.epsilon * (1.0 + REL_TOL)
     pairs = graph.edges[2]
@@ -373,21 +352,46 @@ def graph_to_json(graph: ConflictHypergraph) -> str:
     doc = {
         "epsilon": graph.epsilon,
         "max_degree": graph.max_degree,
-        "vertices": [{"id": v.id, "label": v.label, "mass": v.mass} for v in graph.vertices],
+        "vertices": [{"id": i, "label": label, "mass": mass} for i, (label, mass)
+                     in enumerate(zip(graph.labels.tolist(), graph.masses.tolist()))],
         "edges": [list(ids) for ids in graph.edge_list()],
     }
     return json.dumps(doc)
 
 
 def graph_from_json(text: str) -> ConflictHypergraph:
+    """Read a graph written by ``graph_to_json``, checking it on the way in.
+
+    Vertex ids must be 0..n-1 in order, masses nonnegative with sum 1. Each
+    edge's ids are sorted; an edge with a repeated or out-of-range id, two
+    vertices of one label, or a degree outside 2..max_degree raises a
+    ValueError that names it.
+    """
     doc = json.loads(text)
-    vertices = [Vertex(int(v["id"]), None, int(v["label"]), float(v["mass"]))
-                for v in doc["vertices"]]
-    max_degree = int(doc["max_degree"])
-    by_degree: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(2, max_degree + 1)}
-    for ids in doc["edges"]:
-        by_degree.setdefault(len(ids), []).append(tuple(int(i) for i in ids))
+    n, max_degree = len(doc["vertices"]), int(doc["max_degree"])
+    if [int(v["id"]) for v in doc["vertices"]] != list(range(n)):
+        raise ValueError("vertex ids must be 0..n-1 in order")
+    labels = np.array([int(v["label"]) for v in doc["vertices"]], dtype=np.int64)
+    masses = np.array([float(v["mass"]) for v in doc["vertices"]])
+    if not (np.all(masses >= 0.0) and abs(masses.sum() - 1.0) <= 1e-9):
+        raise ValueError("vertex masses must be nonnegative and sum to 1")
+    by_degree: dict[int, list[list[int]]] = {k: [] for k in range(2, max_degree + 1)}
+    for edge in doc["edges"]:
+        row = sorted(int(i) for i in edge)
+        if not 2 <= len(row) <= max_degree:
+            problem = f"degree {len(row)} is outside 2..{max_degree}"
+        elif row[0] < 0 or row[-1] >= n:
+            problem = f"an id is outside 0..{n - 1}"
+        elif len(set(row)) < len(row):
+            problem = "an id is repeated"
+        elif len(set(labels[row].tolist())) < len(row):
+            problem = "two vertices share a label"
+        else:
+            by_degree[len(row)].append(row)
+            continue
+        raise ValueError(f"bad edge {edge}: {problem}")
     edges = {k: np.array(sorted(rows), dtype=np.int64).reshape(-1, k)
-             for k, rows in sorted(by_degree.items())}
+             for k, rows in by_degree.items()}
     radii = {k: np.full(len(rows), np.nan) for k, rows in edges.items()}
-    return ConflictHypergraph(vertices, edges, max_degree, float(doc["epsilon"]), radii)
+    return ConflictHypergraph(labels, masses, None, edges, max_degree,
+                              float(doc["epsilon"]), radii)

@@ -99,10 +99,6 @@ class LpSolution:
     def loss(self) -> float:
         return 1.0 - self.objective
 
-    def vertex_cover_totals(self) -> np.ndarray:
-        """(B^T z + y)_v, the full fractional coverage of each vertex."""
-        return self.lp.incidence.matrix.T @ self.edge_cover + self.singleton_cover
-
 
 @dataclass
 class CertificateReport:
@@ -296,12 +292,7 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
 def _highs_packing(p: np.ndarray, B: sp.csr_matrix, active: np.ndarray, tol: Tolerances):
     """(q, z, y) from HiGHS on the positive-mass columns."""
     n = p.shape[0]
-    if active.all():
-        B_act = B
-        p_act = p
-    else:
-        B_act = B[:, active]
-        p_act = p[active]
+    B_act, p_act = (B, p) if active.all() else (B[:, active], p[active])
 
     res = linprog(
         c=-p_act,

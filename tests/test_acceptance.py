@@ -26,7 +26,6 @@ from optloss.data import from_arrays, gen_gaussian, load_idx, subset
 from optloss.geometry import min_enclosing_ball
 from optloss.hypergraph import (
     ConflictHypergraph,
-    Vertex,
     build_conflict_graph,
     extend_hyperedges,
     incidence,
@@ -164,7 +163,6 @@ def test_a5_enclosing_ball_matches_exhaustive_oracle():
 
 
 def random_pair_graph(rng, n, edge_prob):
-    vertices = [Vertex(i, None, i, 1.0 / n) for i in range(n)]
     edges = [
         (u, v)
         for u in range(n)
@@ -172,7 +170,8 @@ def random_pair_graph(rng, n, edge_prob):
         if rng.uniform() < edge_prob
     ]
     pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return ConflictHypergraph(vertices, {2: pairs}, max_degree=2, epsilon=0.0)
+    return ConflictHypergraph(np.arange(n), np.full(n, 1.0 / n), None, {2: pairs},
+                              max_degree=2, epsilon=0.0)
 
 
 def test_a6_caro_wei_consistency():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import oracle_class_only, oracle_max_weight_independent
 
+from optloss import bounds
 from optloss.bounds import (
     BOUND_CSV_HEADER,
     InstanceTooLargeError,
@@ -22,8 +23,9 @@ from optloss.bounds import (
     pairwise_binary_losses,
     randomized_independent_set,
 )
-from optloss.data import from_arrays, gen_gaussian
-from optloss.hypergraph import build_conflict_graph, edge_witness
+from optloss.data import LabeledDataset, from_arrays, gen_gaussian
+from optloss.hypergraph import build_conflict_graph, edge_witness, incidence
+from optloss.lp_core import PackingLp, solve_packing
 
 
 def triangle_dataset(side=1.0, masses=None):
@@ -120,6 +122,68 @@ def test_pairwise_parallel_matches_sequential():
     seq = pairwise_binary_losses(ds, 0.5, jobs=1)
     par = pairwise_binary_losses(ds, 0.5, jobs=4)
     assert np.array_equal(seq.losses, par.losses)
+
+
+def pairwise_reference(ds, eps):
+    """Each one-versus-one problem as its own dataset, swept on its own."""
+    k = ds.num_classes
+    a = np.zeros((k, k))
+    for i, j in itertools.combinations(range(k), 2):
+        mask = (ds.labels == i) | (ds.labels == j)
+        if not ((ds.labels == i).any() and (ds.labels == j).any()):
+            continue
+        sub = LabeledDataset(ds.points[mask], (ds.labels[mask] == j).astype(int),
+                             ds.masses[mask] / ds.masses[mask].sum())
+        graph = build_conflict_graph(sub, eps)
+        sol = solve_packing(PackingLp(graph.masses, incidence(graph)))
+        a[i, j] = a[j, i] = max(0.0, sol.loss)
+    return a
+
+
+def test_pairwise_matches_per_pair_sweeps():
+    rng = np.random.default_rng(47)
+    for trial in range(12):
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(2 * k, 40))
+        pts = rng.normal(size=(n, int(rng.integers(1, 4)))) * 0.5
+        labels = rng.integers(0, k, size=n)
+        labels[:k] = np.arange(k)
+        # uniform masses take the flow backend, Dirichlet masses HiGHS
+        masses = np.full(n, 1.0 / n) if trial % 2 else rng.dirichlet(np.ones(n))
+        ds = LabeledDataset(pts, labels, masses)
+        eps = float(rng.uniform(0.1, 0.8))
+        assert np.array_equal(pairwise_binary_losses(ds, eps).losses,
+                              pairwise_reference(ds, eps))
+
+
+def test_pairwise_absent_middle_class_matches_per_pair_sweeps():
+    rng = np.random.default_rng(48)
+    pts = rng.normal(size=(12, 2)) * 0.4
+    labels = np.array([0, 2, 3] * 4)  # class 1 has no point
+    ds = LabeledDataset(pts, labels, rng.dirichlet(np.ones(12)))
+    with pytest.warns(UserWarning, match="empty side"):
+        got = pairwise_binary_losses(ds, 0.4)
+    assert np.array_equal(got.losses, pairwise_reference(ds, 0.4))
+    assert len(got.backends) == 3
+    assert not got.losses[1].any()
+
+
+def test_one_pair_sweep_per_call(monkeypatch):
+    calls = []
+    sweep = bounds.build_conflict_graph
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "build_conflict_graph", counting)
+    ds = gen_gaussian(num_classes=4, per_class=8, variance=0.5, mean_radius=1.0, seed=5)
+    report = bound_report(ds, 0.6, m_max=3)
+    assert len(calls) == 1
+    assert report.class_only_2 > 0.0
+    calls.clear()
+    pairwise_binary_losses(ds, 0.6)
+    assert len(calls) == 1
 
 
 def test_pairwise_entries_within_half():
@@ -304,9 +368,7 @@ def test_strategy_triangle_uniform_cover():
         assert np.allclose(np.sort(vs.probabilities), [0.5, 0.5], atol=1e-8)
         for edge, witness in zip(vs.edges, vs.witnesses):
             assert vs.vertex_id in edge
-            dists = np.linalg.norm(
-                np.vstack([graph.vertices[i].point for i in edge]) - witness, axis=1
-            )
+            dists = np.linalg.norm(graph.points[list(edge)] - witness, axis=1)
             assert dists.max() <= 0.55 * (1 + 1e-9)
 
 
@@ -379,8 +441,8 @@ def test_classifier_at_pair_witness_splits_between_endpoints():
     loss, sol, graph = optimal_loss(ds, 0.55, 2)
     table = SoftClassifierTable.from_solution(ds, 0.55, sol)
     edge = graph.edge_list()[0]
-    out = evaluate_classifier(table, edge_witness(graph.points(), edge))
-    labels = [graph.vertices[i].label for i in edge]
+    out = evaluate_classifier(table, edge_witness(graph.points, edge))
+    labels = [int(graph.labels[i]) for i in edge]
     for y in labels:
         assert out[y] == pytest.approx(0.5, abs=1e-8)
     other = ({0, 1, 2} - set(labels)).pop()
@@ -401,7 +463,7 @@ def test_classifier_side_information_restricts_classes():
     loss, sol, graph = optimal_loss(ds, 0.6, 3)
     table = SoftClassifierTable.from_solution(ds, 0.6, sol)
     triple = [e for e in graph.edge_list() if len(e) == 3][0]
-    out = evaluate_classifier(table, edge_witness(graph.points(), triple), side_info={0, 1})
+    out = evaluate_classifier(table, edge_witness(graph.points, triple), side_info={0, 1})
     assert out[0] >= table.q[0] - 1e-8
     assert out[1] >= table.q[1] - 1e-8
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
@@ -450,6 +512,15 @@ def test_strategy_and_classifier_close_the_duality_gap():
 def test_class_distance_stats_two_points():
     ds = from_arrays([(0.0, 0.0), (3.0, 4.0)], [0, 1])
     assert np.allclose(class_distance_stats(ds), [5.0, 5.0])
+
+
+def test_class_distance_stats_translation_invariant():
+    # the Gram form cancels far from the origin unless the points are centred;
+    # uncentred, this translation moved the output by about 1.9e-3
+    ds = gen_gaussian(per_class=60, seed=7)
+    moved = LabeledDataset(ds.points + 1e7, ds.labels, ds.masses)
+    assert np.allclose(class_distance_stats(moved), class_distance_stats(ds),
+                       rtol=0.0, atol=1e-8)
 
 
 def test_class_distance_stats_matches_double_loop():

@@ -1,6 +1,7 @@
 """Conflict hypergraph construction, truncation, incidence, serialization."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -40,7 +41,7 @@ def test_collinear_chain_edges():
     assert graph.edge_list() == [(0, 1), (1, 2)]
     for e in graph.edge_list():
         assert np.allclose(
-            edge_witness(graph.points(), e), (np.array(pts[e[0]]) + pts[e[1]]) / 2
+            edge_witness(graph.points, e), (np.array(pts[e[0]]) + pts[e[1]]) / 2
         )
 
 
@@ -83,7 +84,7 @@ def test_tight_triple_has_degree3_edge():
     assert graph.edge_counts() == {2: 3, 3: 1}
     e3 = tuple(graph.edges[3][0].tolist())
     assert e3 == (0, 1, 2)
-    witness = edge_witness(graph.points(), e3)
+    witness = edge_witness(graph.points, e3)
     assert np.linalg.norm(triangle_dataset().points - witness, axis=1).max() <= 0.6 * (1 + 1e-9)
 
 
@@ -326,15 +327,55 @@ def test_json_round_trip():
     restored = graph_from_json(graph_to_json(graph))
     assert restored.epsilon == graph.epsilon
     assert restored.max_degree == graph.max_degree
-    assert [v.id for v in restored.vertices] == [v.id for v in graph.vertices]
-    assert [v.label for v in restored.vertices] == [v.label for v in graph.vertices]
-    assert np.allclose(
-        [v.mass for v in restored.vertices], [v.mass for v in graph.vertices]
-    )
+    assert restored.num_vertices == graph.num_vertices  # ids are 0..n-1
+    assert restored.labels.tolist() == graph.labels.tolist()
+    assert np.allclose(restored.masses, graph.masses)
     assert restored.edge_list() == graph.edge_list()
     # the imported structure supports LP assembly directly
     sol = solve_packing(PackingLp(restored.masses, incidence(restored)))
     assert sol.loss == pytest.approx(2 / 3, abs=1e-8)
+
+
+def graph_doc(labels, edges, ids=None, masses=None):
+    ids = range(len(labels)) if ids is None else ids
+    masses = [1.0 / len(labels)] * len(labels) if masses is None else masses
+    return json.dumps({
+        "epsilon": 1.0, "max_degree": 2, "edges": edges,
+        "vertices": [{"id": i, "label": y, "mass": p}
+                     for i, y, p in zip(ids, labels, masses)],
+    })
+
+
+def test_json_import_sorts_ids_within_an_edge():
+    graph = graph_from_json(graph_doc([0, 1, 2], [[2, 0], [1, 0]]))
+    assert graph.edges[2].tolist() == [[0, 1], [0, 2]]
+
+
+@pytest.mark.parametrize("labels, edges, message", [
+    ([0, 1], [[0, 0]], r"\[0, 0\]: an id is repeated"),
+    ([0, 1, 2, 3], [[0, 5]], r"\[0, 5\]: an id is outside 0\.\.3"),
+    ([0, 1], [[-1, 1]], r"\[-1, 1\]: an id is outside"),
+    ([0, 0, 1], [[0, 2], [1, 0]], r"\[1, 0\]: two vertices share a label"),
+    ([0, 1, 2], [[0, 1, 2]], r"\[0, 1, 2\]: degree 3 is outside 2\.\.2"),
+    ([0, 1], [[1]], r"\[1\]: degree 1"),
+])
+def test_json_import_rejects_malformed_edges(labels, edges, message):
+    # a graph of max degree 2; the [0, 0] edge used to give loss 0.25
+    with pytest.raises(ValueError, match=message):
+        graph_from_json(graph_doc(labels, edges))
+
+
+@pytest.mark.parametrize("ids", [[1, 0], [0, 2], [1, 2]])
+def test_json_import_requires_vertex_ids_in_order(ids):
+    with pytest.raises(ValueError, match="vertex ids"):
+        graph_from_json(graph_doc([0, 1], [[0, 1]], ids=ids))
+
+
+@pytest.mark.parametrize("masses", [[2.0, 0.5], [-0.5, 1.5], [float("nan"), 0.5]])
+def test_json_import_requires_a_distribution(masses):
+    # masses (2.0, 0.5) used to give loss -1.0, NaN an integer-conversion error
+    with pytest.raises(ValueError, match="masses"):
+        graph_from_json(graph_doc([0, 1], [[0, 1]], masses=masses))
 
 
 def test_imported_graph_cannot_extend_without_coordinates():
