@@ -131,6 +131,7 @@ def cmd_gen_gaussian(args) -> int:
 
 def cmd_build(args) -> int:
     ds = _load_dataset(args)
+    _check_max_degree(args, ds)
     graph = hg.build_conflict_graph(ds, args.epsilon[0])
     if args.max_degree > 2:
         graph = hg.extend_hyperedges(

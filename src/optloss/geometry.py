@@ -3,7 +3,9 @@
 Everything here works on squared-distance matrices and minimum enclosing
 balls. A set of points has a common point within distance epsilon of each
 of them iff the radius of their minimum enclosing ball is at most epsilon
-(closed balls throughout).
+(closed balls throughout). The circumsphere formula has one implementation,
+``circumradius_batch``, and the enclosing ball one algorithm, move-to-front
+Welzl, in ``min_enclosing_ball``.
 """
 
 from __future__ import annotations
@@ -26,19 +28,15 @@ __all__ = [
 # Relative tolerance for containment / radius comparisons.
 REL_TOL = 1e-9
 
-# Condition-number threshold above which the circumradius formula is
-# considered unreliable and callers should fall back to the general
-# enclosing-ball algorithm.
-COND_THRESHOLD = 1e12
-
 
 class GeometryError(ValueError):
     """Invalid geometric input (dimension mismatch, non-finite values)."""
 
 
 class SingularDistanceMatrixError(GeometryError):
-    """Squared-distance matrix is singular or too ill-conditioned for the
-    circumradius formula; callers should use the general enclosing-ball path."""
+    """``circumradius`` could not certify a circumsphere: the squared-distance
+    matrix is singular or ill-conditioned, or the points have no real
+    circumsphere in their affine hull. ``min_enclosing_ball`` needs none."""
 
 
 @dataclass(frozen=True)
@@ -79,51 +77,38 @@ def squared_distance_matrix(points) -> np.ndarray:
     return (d2 + d2.T) / 2.0
 
 
-def circumradius(d2: np.ndarray, cond_threshold: float = COND_THRESHOLD):
+def circumradius(d2: np.ndarray):
     """Radius and affine center weights of the circumsphere from squared distances.
 
     For points with squared-distance matrix D, the circumcenter is ``X @ alpha``
     with ``alpha = D^-1 1 / (1^T D^-1 1)`` and the radius is
-    ``1 / sqrt(2 * 1^T D^-1 1)``. Requires D invertible and well conditioned;
-    raises :class:`SingularDistanceMatrixError` otherwise (duplicate points,
-    affinely dependent inputs, or no real circumsphere in the affine hull).
+    ``1 / sqrt(2 * 1^T D^-1 1)``. One item of ``circumradius_batch``; raises
+    :class:`SingularDistanceMatrixError` where that batch flags the matrix
+    (duplicate points, affinely dependent inputs, ill-conditioning, or no
+    real circumsphere in the affine hull).
 
     Returns (radius, alpha).
     """
     d2 = np.asarray(d2, dtype=float)
     if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
         raise GeometryError(f"squared-distance matrix must be square, got {d2.shape}")
-    n = d2.shape[0]
-    if n == 1:
+    if d2.shape[0] == 1:
         return 0.0, np.ones(1)
-    try:
-        cond = np.linalg.cond(d2)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDistanceMatrixError(str(exc)) from exc
-    if not np.isfinite(cond) or cond > cond_threshold:
+    radii, alphas, ok = circumradius_batch(d2[None])
+    if not ok[0]:
         raise SingularDistanceMatrixError(
-            f"condition number {cond:.3e} exceeds threshold {cond_threshold:.1e}"
+            "no certified circumsphere: singular or ill-conditioned distance matrix, "
+            "or 1^T D^-1 1 <= 0"
         )
-    try:
-        x = np.linalg.solve(d2, np.ones(n))
-    except np.linalg.LinAlgError as exc:
-        raise SingularDistanceMatrixError(str(exc)) from exc
-    denom = float(x.sum())  # = 1^T D^-1 1
-    if not np.isfinite(denom) or denom <= 0.0:
-        raise SingularDistanceMatrixError(
-            "no real circumsphere in the affine hull (1^T D^-1 1 <= 0)"
-        )
-    alpha = x / denom
-    radius = float(np.sqrt(0.5 / denom))
-    return radius, alpha
+    return float(radii[0]), alphas[0]
 
 
-def circumradius_batch(d2_stack: np.ndarray, cond_threshold: float = COND_THRESHOLD):
+def circumradius_batch(d2_stack: np.ndarray):
     """Vectorized circumradius over a stack of (k x k) squared-distance matrices.
 
     Returns (radii, alphas, ok) where ``ok[i]`` is False for matrices the
     formula could not certify (singular, ill-conditioned, or no real
-    circumsphere); those entries hold NaN and must be handled individually.
+    circumsphere); those entries hold NaN.
     """
     d2_stack = np.asarray(d2_stack, dtype=float)
     batch, k, k2 = d2_stack.shape
@@ -143,8 +128,7 @@ def circumradius_batch(d2_stack: np.ndarray, cond_threshold: float = COND_THRESH
                 x[i] = np.linalg.solve(d2_stack[i], ones[i])
             except np.linalg.LinAlgError:
                 pass
-    # residual screen replaces an explicit (expensive) condition-number check;
-    # per-item recomputation through `circumradius` re-checks conditioning
+    # a residual screen stands in for an explicit (expensive) condition number
     resid = np.abs(np.einsum("bij,bj->bi", d2_stack, x) - 1.0).max(axis=1)
     scale = 1.0 + np.abs(d2_stack).max(axis=(1, 2))
     denom = x.sum(axis=1)
@@ -226,10 +210,8 @@ def _support_weights(points: np.ndarray, center: np.ndarray, support: list[int])
 def min_enclosing_ball(points) -> BallWitness:
     """Smallest ball containing all points, with affine weights of its center.
 
-    The primary path iterates the circumradius formula, dropping points whose
-    weight is nonpositive until all weights are nonnegative. Degenerate inputs
-    (duplicates, affine dependence, ill-conditioning) and any containment
-    failure fall back to a randomized incremental exact algorithm.
+    Duplicates are merged, then move-to-front Welzl finds the ball; the
+    weights are nonnegative on its support and zero elsewhere.
     """
     pts = _as_point_array(points)
     n = pts.shape[0]
@@ -245,44 +227,11 @@ def min_enclosing_ball(points) -> BallWitness:
         alpha[rep[0]] = 1.0
         return BallWitness(center=uniq[0].copy(), radius=0.0, support_weights=alpha)
 
-    # more than d + 2 points make the squared-distance matrix singular
-    result = _meb_positive_support(uniq) if len(uniq) <= pts.shape[1] + 2 else None
-    if result is None:
-        center, radius, support = _welzl(uniq)
-    else:
-        center, radius, support = result
-        dist = np.linalg.norm(uniq - center, axis=1)
-        if dist.max() > radius * (1 + REL_TOL) + 1e-12:
-            center, radius, support = _welzl(uniq)
-
+    center, radius, support = _welzl(uniq)
     alpha_u = _support_weights(uniq, center, support)
     alpha = np.zeros(n)
     alpha[rep] = alpha_u
     return BallWitness(center=center, radius=float(radius), support_weights=alpha)
-
-
-def _meb_positive_support(uniq: np.ndarray):
-    """Circumradius iteration restricted to positive-weight points.
-
-    Returns (center, radius, support indices) or None when the formula is
-    unusable and the caller should switch to the general algorithm.
-    """
-    d2_full = squared_distance_matrix(uniq)
-    active = np.arange(uniq.shape[0])
-    while True:
-        if active.size == 1:
-            return uniq[active[0]], 0.0, [int(active[0])]
-        try:
-            radius, alpha = circumradius(d2_full[np.ix_(active, active)])
-        except SingularDistanceMatrixError:
-            return None
-        if alpha.min() >= -1e-12:
-            center = alpha @ uniq[active]
-            return center, radius, [int(i) for i in active]
-        keep = alpha > 0.0
-        if not keep.any() or keep.all():
-            return None
-        active = active[keep]
 
 
 def neighborhoods_intersect(points, epsilon: float, rel_tol: float = REL_TOL):

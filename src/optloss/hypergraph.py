@@ -7,9 +7,12 @@ the minimum enclosing ball of the points has radius at most epsilon.
 
 Edges of degree k are stored as one int64 array of shape (E_k, k): each row
 holds increasing vertex ids and rows are sorted lexicographically. Next to
-it sits the radius of the ball that decided each edge. The edge set is
+it sits each edge's minimum-enclosing-ball radius. The edge set is
 downward closed, which drives the candidate enumeration: a k-set is only
-tested when all of its (k-1)-subsets are already edges.
+tested when all of its (k-1)-subsets are already edges. The same closure
+decides every degree k >= 3 by one rule: the ball of k points is their
+circumball when the circumcentre has nonnegative weights, and otherwise the
+ball of their largest (k-1)-face.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class ConflictHypergraph:
     edges: dict[int, np.ndarray]  # degree k -> (E_k, k) sorted id rows
     max_degree: int
     epsilon: float
-    # degree k -> (E_k,) radius of the deciding ball; NaN when unknown (imported)
+    # degree k -> (E_k,) minimum-enclosing-ball radius; NaN when unknown (imported)
     radii: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -84,7 +87,7 @@ class ConflictHypergraph:
         return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
 
     def boundary_tight_count(self, rel_tol: float = 1e-9) -> int:
-        """Edges whose deciding ball radius sits within rel_tol of epsilon."""
+        """Edges whose enclosing-ball radius sits within rel_tol of epsilon."""
         radii = np.concatenate([np.zeros(0), *self.radii.values()])
         if self.epsilon == 0:
             return int(np.count_nonzero(radii == 0.0))
@@ -142,9 +145,13 @@ def vertex_graph(dataset, epsilon: float) -> ConflictHypergraph:
 def build_conflict_graph(dataset, epsilon: float, block_size: int = 2048) -> ConflictHypergraph:
     """Degree-2 conflict graph: cross-class pairs at distance <= 2*epsilon.
 
-    Uses a blocked all-pairs sweep in Gram form on the centred points; no
-    spatial index, distances are exact up to rounding. Centring keeps the
-    Gram form free of cancellation when the data sit far from the origin.
+    A blocked all-pairs sweep in Gram form on the centred points screens
+    the pairs; no spatial index. The Gram form is off by a few ulps of
+    |p|^2, which is all of a short distance (coincident points come out
+    about 1e-8 |p| apart), so it screens with a slack and each screened
+    pair is decided, and its radius taken, from coordinate differences.
+    Centring keeps the Gram form free of cancellation when the data sit
+    far from the origin.
     """
     graph = vertex_graph(dataset, epsilon)
     points = graph.points - graph.points.mean(axis=0)
@@ -152,24 +159,28 @@ def build_conflict_graph(dataset, epsilon: float, block_size: int = 2048) -> Con
     n = points.shape[0]
     threshold = (2.0 * epsilon * (1.0 + REL_TOL)) ** 2
     sq = np.einsum("ij,ij->i", points, points)
+    screen = threshold + 1e-10 * sq.max()
 
     found: list[np.ndarray] = [np.zeros((0, 2), dtype=np.int64)]
-    found_d2: list[np.ndarray] = [np.zeros(0)]
     for i0 in range(0, n, block_size):
         i1 = min(i0 + block_size, n)
         for j0 in range(i0, n, block_size):
             j1 = min(j0 + block_size, n)
             d2 = sq[i0:i1, None] + sq[None, j0:j1] - 2.0 * (points[i0:i1] @ points[j0:j1].T)
-            np.maximum(d2, 0.0, out=d2)
-            ii, jj = np.nonzero(d2 <= threshold)
+            ii, jj = np.nonzero(d2 <= screen)
             keep = (ii + i0 < jj + j0) & (labels[ii + i0] != labels[jj + j0])
-            ii, jj = ii[keep], jj[keep]
-            found.append(np.column_stack([ii + i0, jj + j0]).astype(np.int64))
-            found_d2.append(d2[ii, jj])
+            found.append(np.column_stack([ii[keep] + i0, jj[keep] + j0]).astype(np.int64))
 
     pairs = np.concatenate(found)
+    d2 = np.zeros(len(pairs))
+    step = max(1, 8192 // points.shape[1])  # difference chunks of 64 KB
+    for s in range(0, len(pairs), step):
+        diff = points[pairs[s:s + step, 0]] - points[pairs[s:s + step, 1]]
+        d2[s:s + step] = np.einsum("ij,ij->i", diff, diff)
+    close = d2 <= threshold
+    pairs, d2 = pairs[close], d2[close]
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    radii = 0.5 * np.sqrt(np.concatenate(found_d2)[order])
+    radii = 0.5 * np.sqrt(d2[order])
     return replace(graph, edges={2: pairs[order]}, radii={2: radii}, max_degree=2)
 
 
@@ -187,13 +198,13 @@ def _triangle_radius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _ball_radius(cands: np.ndarray, pair_index: _RowIndex, pair_d2: np.ndarray,
-                 points: np.ndarray, epsilon: float) -> np.ndarray:
-    """Enclosing-ball radius of k >= 4 candidates, exact where it decides.
+                 face_radii: np.ndarray) -> np.ndarray:
+    """Minimum-enclosing-ball radius of k >= 4 candidates.
 
-    Fast path: batched circumradius on the looked-up pair distances.
-    Candidates it cannot settle (no certified circumsphere, or circumradius
-    above epsilon with negative weights so the true ball may be smaller) get
-    the exact per-candidate enclosing ball.
+    The circumradius, from the looked-up pair distances, when every
+    circumcentre weight is nonnegative. Otherwise the ball's support is a
+    proper subset of the points, so the ball is that of some (k-1)-face and
+    the radius is the largest of ``face_radii`` (count, k).
     """
     count, k = cands.shape
     d2 = np.zeros((count, k, k))
@@ -201,10 +212,8 @@ def _ball_radius(cands: np.ndarray, pair_index: _RowIndex, pair_d2: np.ndarray,
         d2[:, i, j] = d2[:, j, i] = pair_d2[pair_index.find(cands[:, [i, j]])]
     radii, alphas, ok = circumradius_batch(d2)
     with np.errstate(invalid="ignore"):
-        settled = ok & ((radii <= epsilon * (1.0 + REL_TOL)) | (alphas.min(axis=1) >= -1e-12))
-    for i in np.flatnonzero(~settled):
-        radii[i] = min_enclosing_ball(points[cands[i]]).radius
-    return radii
+        inside = ok & (alphas.min(axis=1) >= -1e-12)
+    return np.where(inside, radii, face_radii.max(axis=1))
 
 
 def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
@@ -215,8 +224,9 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
     last vertex in the pair graph. It is tested only if every other
     (k-1)-subset holding w is an edge too, found in the sorted (k-1)-edge
     array. Triangles are decided in closed form from the three pair
-    distances; larger candidates by ``circumradius_batch`` with the
-    ``min_enclosing_ball`` fallback. Candidates are enumerated
+    distances; larger candidates by ``circumradius_batch`` and the radii of
+    their (k-1)-faces, which that lookup has found. Every stored radius is
+    the edge's minimum-enclosing-ball radius. Candidates are enumerated
     ``batch_size`` at a time, and ``progress`` is called after each batch
     with the cumulative count of tested candidates. ``jobs`` is accepted
     for compatibility and ignored: extension runs in one thread.
@@ -229,7 +239,6 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
         raise ValueError("extension needs the pair edges: start from build_conflict_graph")
     if graph.points is None:
         raise ValueError("hypergraph has no point coordinates (imported from JSON?)")
-    points = graph.points - graph.points.mean(axis=0)
     n = graph.num_vertices
     eps_tol = graph.epsilon * (1.0 + REL_TOL)
     pairs = graph.edges[2]
@@ -270,7 +279,9 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
                 r = _triangle_radius(pair_d2[src[closed]], pair_d2[fwd[closed]],
                                      pair_d2[found[0][closed]])
             else:
-                r = _ball_radius(cands, pair_index, pair_d2, points, graph.epsilon)
+                # face p drops vertex p; face k - 1, without w, is src itself
+                faces = np.column_stack(found + [src])[closed]
+                r = _ball_radius(cands, pair_index, pair_d2, radii[k - 1][faces])
             accept = r <= eps_tol
             new_rows.append(cands[accept])
             new_radii.append(r[accept])
@@ -348,10 +359,14 @@ def edge_witness(points: np.ndarray, ids) -> np.ndarray:
 
 
 def graph_to_json(graph: ConflictHypergraph) -> str:
-    """Serialize structure (not coordinates) for reuse across bound runs."""
+    """Serialize structure (not coordinates) for reuse across bound runs.
+
+    ``max_degree`` is capped at the vertex count, the largest degree an
+    edge can have, which is all that ``graph_from_json`` accepts.
+    """
     doc = {
         "epsilon": graph.epsilon,
-        "max_degree": graph.max_degree,
+        "max_degree": min(graph.max_degree, graph.num_vertices),
         "vertices": [{"id": i, "label": label, "mass": mass} for i, (label, mass)
                      in enumerate(zip(graph.labels.tolist(), graph.masses.tolist()))],
         "edges": [list(ids) for ids in graph.edge_list()],
@@ -362,13 +377,16 @@ def graph_to_json(graph: ConflictHypergraph) -> str:
 def graph_from_json(text: str) -> ConflictHypergraph:
     """Read a graph written by ``graph_to_json``, checking it on the way in.
 
-    Vertex ids must be 0..n-1 in order, masses nonnegative with sum 1. Each
-    edge's ids are sorted; an edge with a repeated or out-of-range id, two
-    vertices of one label, or a degree outside 2..max_degree raises a
-    ValueError that names it.
+    Vertex ids must be 0..n-1 in order, masses nonnegative with sum 1, and
+    ``max_degree`` in 1..n (it sizes one array per degree). Each edge's ids
+    are sorted; an edge with a repeated or out-of-range id, two vertices of
+    one label, or a degree outside 2..max_degree raises a ValueError that
+    names it.
     """
     doc = json.loads(text)
     n, max_degree = len(doc["vertices"]), int(doc["max_degree"])
+    if not 1 <= max_degree <= n:
+        raise ValueError(f"max_degree {max_degree} is outside 1..{n}")
     if [int(v["id"]) for v in doc["vertices"]] != list(range(n)):
         raise ValueError("vertex ids must be 0..n-1 in order")
     labels = np.array([int(v["label"]) for v in doc["vertices"]], dtype=np.int64)

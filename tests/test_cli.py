@@ -199,6 +199,19 @@ def test_invalid_max_degree_rejected(tmp_path, capsys, gaussian_file):
     assert "max-degree" in out["error"]
 
 
+@pytest.mark.parametrize("max_degree", ["1", "4"])
+def test_build_rejects_max_degree_outside_class_count(tmp_path, capsys, gaussian_file, max_degree):
+    # 1 used to write a degree-2 graph named _m1; the dataset has 3 classes
+    path, _ = gaussian_file
+    code, out = run_cli(
+        capsys, "build", "--data", str(path), "--epsilon", "1.0",
+        "--max-degree", max_degree, "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "max-degree" in out["error"]
+    assert not list(tmp_path.glob("hypergraph_*.json"))
+
+
 def test_out_dir_from_environment(tmp_path, capsys, monkeypatch, gaussian_file):
     path, _ = gaussian_file
     monkeypatch.setenv("OPTLOSS_OUT", str(tmp_path / "envout"))

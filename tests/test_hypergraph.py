@@ -167,6 +167,13 @@ def edges_by_degree(graph, max_degree):
             for k in range(2, max_degree + 1)}
 
 
+def assert_radii_match_oracle(graph, points):
+    """Every stored radius is the edge's minimum-enclosing-ball radius."""
+    for k, rows in graph.edges.items():
+        for row, radius in zip(rows.tolist(), graph.radii[k].tolist()):
+            assert radius == pytest.approx(oracle_meb_radius(points[row]), rel=1e-9, abs=1e-12)
+
+
 def test_extension_matches_subset_oracle_random():
     rng = np.random.default_rng(2024)
     higher = 0
@@ -180,6 +187,7 @@ def test_extension_matches_subset_oracle_random():
                                           batch_size=int(rng.integers(1, 6)))
                 expected = oracle_hyperedges(ds.points, ds.labels, eps, k)
                 assert edges_by_degree(graph, k) == expected
+                assert_radii_match_oracle(graph, ds.points)
                 higher += sum(len(expected[j]) for j in range(3, k + 1))
     assert higher > 0  # the instances do exercise degrees 3 and 4
 
@@ -217,9 +225,11 @@ def test_extension_matches_subset_oracle_forced_cases():
             ds = from_arrays(pts, list(range(k)), merge_duplicates=False)
             graph = extend_hyperedges(build_conflict_graph(ds, eps), k)
             assert edges_by_degree(graph, k) == oracle_hyperedges(pts, range(k), eps, k)
-            if k == 3 and graph.edge_counts().get(3):
-                # the closed-form triangle radius against the oracle ball
-                assert graph.radii[3][0] == pytest.approx(radius, rel=1e-9, abs=1e-12)
+            assert_radii_match_oracle(graph, pts)
+            if graph.edge_counts().get(k):
+                # the closed-form triangle, and the face rule for the square
+                # and the tetrahedron, against the oracle ball
+                assert graph.radii[k][0] == pytest.approx(radius, rel=1e-9, abs=1e-12)
 
 
 def test_translation_leaves_edge_set_unchanged():
@@ -336,11 +346,11 @@ def test_json_round_trip():
     assert sol.loss == pytest.approx(2 / 3, abs=1e-8)
 
 
-def graph_doc(labels, edges, ids=None, masses=None):
+def graph_doc(labels, edges, ids=None, masses=None, max_degree=2):
     ids = range(len(labels)) if ids is None else ids
     masses = [1.0 / len(labels)] * len(labels) if masses is None else masses
     return json.dumps({
-        "epsilon": 1.0, "max_degree": 2, "edges": edges,
+        "epsilon": 1.0, "max_degree": max_degree, "edges": edges,
         "vertices": [{"id": i, "label": y, "mass": p}
                      for i, y, p in zip(ids, labels, masses)],
     })
@@ -363,6 +373,21 @@ def test_json_import_rejects_malformed_edges(labels, edges, message):
     # a graph of max degree 2; the [0, 0] edge used to give loss 0.25
     with pytest.raises(ValueError, match=message):
         graph_from_json(graph_doc(labels, edges))
+
+
+@pytest.mark.parametrize("max_degree", [0, -1, 3, 300000])
+def test_json_import_rejects_max_degree_outside_vertex_count(max_degree):
+    # one array per degree up to max_degree: 300000 used to take about a
+    # second and 268 MB for two vertices
+    with pytest.raises(ValueError, match=rf"max_degree {max_degree} is outside 1\.\.2"):
+        graph_from_json(graph_doc([0, 1], [[0, 1]], max_degree=max_degree))
+
+
+def test_json_round_trip_of_a_graph_extended_past_its_vertex_count():
+    graph = extend_hyperedges(build_conflict_graph(triangle_dataset(), 0.6), 4)
+    restored = graph_from_json(graph_to_json(graph))
+    assert restored.max_degree == 3
+    assert restored.edge_list() == graph.edge_list()
 
 
 @pytest.mark.parametrize("ids", [[1, 0], [0, 2], [1, 2]])
