@@ -22,11 +22,7 @@ from .data import LabeledDataset, gen_gaussian, load_csv, load_idx, subset
 from .geometry import (
     BallWitness,
     GeometryError,
-    SingularDistanceMatrixError,
-    circumradius,
     min_enclosing_ball,
-    neighborhoods_intersect,
-    squared_distance_matrix,
 )
 from .hypergraph import (
     ConflictHypergraph,
@@ -42,7 +38,6 @@ from .lp_core import (
     PackingLp,
     Tolerances,
     UncertifiedSolveError,
-    export_lp_text,
     solve_packing,
     verify_certificates,
 )

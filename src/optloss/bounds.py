@@ -29,6 +29,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .data import LabeledDataset
 from .hypergraph import (
+    SWEEP_BLOCK,
     ConflictHypergraph,
     build_conflict_graph,
     edge_witness,
@@ -73,7 +74,7 @@ def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
     Returns ``(loss, solution, graph)``. With m equal to the number of
     classes the value is the exact optimal soft-classification loss; smaller
     m gives a lower bound. m = 1 is the degenerate unconstrained game with
-    loss zero.
+    loss zero. ``jobs`` is ignored (see ``extend_hyperedges``).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -82,7 +83,7 @@ def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
     else:
         graph = build_conflict_graph(dataset, epsilon)
         if m > 2:
-            graph = extend_hyperedges(graph, m, jobs=jobs, progress=progress)
+            graph = extend_hyperedges(graph, m, progress=progress)
     sol = solve_packing(PackingLp(graph.masses, incidence(graph, dedupe)), tol)
     return sol.loss, sol, graph
 
@@ -114,8 +115,8 @@ def pairwise_binary_losses(dataset: LabeledDataset, epsilon: float,
 
     Each pair {i, j} restricts the distribution to those classes and
     renormalizes masses to the conditional distribution. One pair sweep
-    serves every pair (see ``_pairwise_losses``). ``jobs`` is accepted for
-    compatibility and ignored: the pairs run in turn.
+    serves every pair (see ``_pairwise_losses``). ``jobs`` is ignored (see
+    ``extend_hyperedges``): the pairs run in turn.
     """
     return _pairwise_losses(build_conflict_graph(dataset, epsilon), tol, dataset.class_names)
 
@@ -223,7 +224,7 @@ def randomized_independent_set(graph: ConflictHypergraph, weights, seed: int = 0
     return np.array(sorted(chosen), dtype=int)
 
 
-def hard_loss_bruteforce(graph: ConflictHypergraph, masses=None, cap: int = 30):
+def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
     """Exact optimal hard-classifier loss by branch and bound.
 
     The optimum equals one minus the maximum probability of an independent
@@ -235,7 +236,7 @@ def hard_loss_bruteforce(graph: ConflictHypergraph, masses=None, cap: int = 30):
         raise InstanceTooLargeError(
             f"{n} vertices exceeds the exact-search cap of {cap}"
         )
-    w = graph.masses if masses is None else np.asarray(masses, dtype=float)
+    w = graph.masses
     adj = [sum(1 << u for u in neighbors) for neighbors in graph.adjacency_sets()]
     order = sorted(range(n), key=lambda v: -w[v])
 
@@ -424,7 +425,7 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
     return g + (1.0 - total) / k
 
 
-def class_distance_stats(dataset: LabeledDataset, block_size: int = 2048) -> np.ndarray:
+def class_distance_stats(dataset: LabeledDataset) -> np.ndarray:
     """Per-class mean distance to the nearest point of any other class."""
     k = dataset.num_classes
     if k < 2:
@@ -435,8 +436,8 @@ def class_distance_stats(dataset: LabeledDataset, block_size: int = 2048) -> np.
     n = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
     nearest = np.full(n, np.inf)
-    for i0 in range(0, n, block_size):
-        i1 = min(i0 + block_size, n)
+    for i0 in range(0, n, SWEEP_BLOCK):
+        i1 = min(i0 + SWEEP_BLOCK, n)
         block = points[i0:i1]
         d2 = sq[i0:i1, None] + sq[None, :] - 2.0 * (block @ points.T)
         np.maximum(d2, 0.0, out=d2)
@@ -535,7 +536,7 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
     Solves L*(m) for m = 2..m_max, the class-only coupling bound, the
     Caro-Wei upper bound (weights default to the degree-2 packing solution),
     and, when the instance is at most ``hard_cap`` vertices, the exact
-    hard-classifier loss.
+    hard-classifier loss. ``jobs`` is ignored (see ``extend_hyperedges``).
     """
     k = dataset.num_classes
     if not 2 <= m_max:
@@ -553,7 +554,7 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
     for m in range(2, m_max + 1):
         if m > 2:
             t0 = time.perf_counter()
-            graph = extend_hyperedges(graph, m, jobs=jobs, progress=progress)
+            graph = extend_hyperedges(graph, m, progress=progress)
             runtimes[f"extend_{m}"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         sol = solve_packing(PackingLp(graph.masses, incidence(graph, dedupe)), tol)

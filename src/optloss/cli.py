@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -97,13 +98,20 @@ def _add_dataset_args(sub) -> None:
     sub.add_argument("--per-class", type=int, help="keep the first N vertices per class")
 
 
-def _add_common_args(sub) -> None:
-    sub.add_argument("--tol-gap", type=float, default=1e-6, help="relative duality-gap bound")
-    sub.add_argument("--dedupe", choices=["on", "off"], default="on",
-                     help="drop dominated incidence rows before solving")
-    sub.add_argument("--jobs", type=int, default=1)
+_FLAGS = {
+    "--tol-gap": dict(type=float, default=1e-6, help="relative duality-gap bound"),
+    "--dedupe": dict(choices=["on", "off"], default="on",
+                     help="drop dominated incidence rows before solving"),
+    "--jobs": dict(type=int, default=1, help="budgets of the sweep solved concurrently"),
+    "--format": dict(choices=["json", "csv", "both"], default="json"),
+}
+
+
+def _add_flags(sub, *names: str) -> None:
+    """The named ``_FLAGS`` plus ``--out``, which every command takes."""
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
     sub.add_argument("--out", help="output directory (default: $OPTLOSS_OUT or .)")
-    sub.add_argument("--format", choices=["json", "csv", "both"], default="json")
 
 
 def _tolerances(args) -> Tolerances:
@@ -135,7 +143,7 @@ def cmd_build(args) -> int:
     graph = hg.build_conflict_graph(ds, args.epsilon[0])
     if args.max_degree > 2:
         graph = hg.extend_hyperedges(
-            graph, args.max_degree, jobs=args.jobs,
+            graph, args.max_degree,
             progress=_progress_printer(f"degree extension eps={args.epsilon[0]}"),
         )
     counts = graph.edge_counts()
@@ -173,18 +181,16 @@ def cmd_bound(args) -> int:
     _check_max_degree(args, ds)
     tol = _tolerances(args)
     epsilons = sorted(args.epsilon)
-    if any(e < 0 for e in epsilons):
-        raise ValueError("epsilon values must be nonnegative")
+    if not all(math.isfinite(e) and e >= 0 for e in epsilons):
+        raise ValueError("epsilon values must be finite and nonnegative")
     outdir = _out_dir(args)
     weights = _caro_wei_weights(args, ds)
-    inner_jobs = args.jobs if len(epsilons) == 1 else 1
 
     def run(eps: float):
         report = bd.bound_report(
             ds, eps, m_max=args.max_degree, tol=tol,
             dedupe=(args.dedupe == "on"), hard_cap=args.hard_cap,
-            caro_wei_weights=weights,
-            jobs=inner_jobs, progress=_progress_printer(f"eps={eps:g}"),
+            caro_wei_weights=weights, progress=_progress_printer(f"eps={eps:g}"),
         )
         written = []
         if args.format in ("json", "both"):
@@ -219,7 +225,7 @@ def cmd_pairwise(args) -> int:
     ds = _load_dataset(args)
     tol = _tolerances(args)
     eps = args.epsilon[0]
-    matrix = bd.pairwise_binary_losses(ds, eps, tol, jobs=args.jobs)
+    matrix = bd.pairwise_binary_losses(ds, eps, tol)
     names = matrix.class_names or [str(i) for i in range(matrix.losses.shape[0])]
     outdir = _out_dir(args)
     written = []
@@ -247,8 +253,7 @@ def cmd_strategy(args) -> int:
     tol = _tolerances(args)
     eps = args.epsilon[0]
     loss, sol, graph = bd.optimal_loss(
-        ds, eps, args.max_degree, tol=tol,
-        dedupe=(args.dedupe == "on"), jobs=args.jobs,
+        ds, eps, args.max_degree, tol=tol, dedupe=(args.dedupe == "on"),
     )
     strategy = bd.extract_strategy(sol, graph, tol)
     outdir = _out_dir(args)
@@ -306,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--mean-radius", type=float, default=3.0)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--name", default="gaussian.json")
-    gen.add_argument("--out")
+    _add_flags(gen)
     gen.set_defaults(func=cmd_gen_gaussian)
 
     build = subs.add_parser("build", help="build and export a conflict hypergraph")
     _add_dataset_args(build)
     build.add_argument("--epsilon", type=float, nargs=1, required=True)
     build.add_argument("--max-degree", type=int, default=2)
-    _add_common_args(build)
+    _add_flags(build)
     build.set_defaults(func=cmd_build)
 
     bound = subs.add_parser("bound", help="compute the bound chain over an epsilon sweep")
@@ -325,25 +330,25 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--caro-wei-weights", default=None,
                        help="'uniform' or a JSON file of per-vertex weights "
                             "(default: the degree-2 packing solution)")
-    _add_common_args(bound)
+    _add_flags(bound, "--tol-gap", "--dedupe", "--jobs", "--format")
     bound.set_defaults(func=cmd_bound)
 
     pair = subs.add_parser("pairwise", help="one-versus-one optimal losses (heatmap data)")
     _add_dataset_args(pair)
     pair.add_argument("--epsilon", type=float, nargs=1, required=True)
-    _add_common_args(pair)
+    _add_flags(pair, "--tol-gap", "--format")
     pair.set_defaults(func=cmd_pairwise)
 
     strat = subs.add_parser("strategy", help="export the optimal adversary and classifier")
     _add_dataset_args(strat)
     strat.add_argument("--epsilon", type=float, nargs=1, required=True)
     strat.add_argument("--max-degree", type=int, default=2)
-    _add_common_args(strat)
+    _add_flags(strat, "--tol-gap", "--dedupe")
     strat.set_defaults(func=cmd_strategy)
 
     stats = subs.add_parser("stats", help="per-class nearest other-class distances")
     _add_dataset_args(stats)
-    _add_common_args(stats)
+    _add_flags(stats, "--format")
     stats.set_defaults(func=cmd_stats)
 
     return parser

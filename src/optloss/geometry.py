@@ -16,13 +16,9 @@ import numpy as np
 
 __all__ = [
     "GeometryError",
-    "SingularDistanceMatrixError",
     "BallWitness",
-    "squared_distance_matrix",
-    "circumradius",
     "circumradius_batch",
     "min_enclosing_ball",
-    "neighborhoods_intersect",
 ]
 
 # Relative tolerance for containment / radius comparisons.
@@ -31,12 +27,6 @@ REL_TOL = 1e-9
 
 class GeometryError(ValueError):
     """Invalid geometric input (dimension mismatch, non-finite values)."""
-
-
-class SingularDistanceMatrixError(GeometryError):
-    """``circumradius`` could not certify a circumsphere: the squared-distance
-    matrix is singular or ill-conditioned, or the points have no real
-    circumsphere in their affine hull. ``min_enclosing_ball`` needs none."""
 
 
 @dataclass(frozen=True)
@@ -66,49 +56,14 @@ def _as_point_array(points) -> np.ndarray:
     return pts
 
 
-def squared_distance_matrix(points) -> np.ndarray:
-    """Pairwise squared Euclidean distances as a symmetric zero-diagonal matrix."""
-    pts = _as_point_array(points)
-    sq = np.einsum("ij,ij->i", pts, pts)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    # exact symmetry regardless of float summation order
-    return (d2 + d2.T) / 2.0
-
-
-def circumradius(d2: np.ndarray):
-    """Radius and affine center weights of the circumsphere from squared distances.
-
-    For points with squared-distance matrix D, the circumcenter is ``X @ alpha``
-    with ``alpha = D^-1 1 / (1^T D^-1 1)`` and the radius is
-    ``1 / sqrt(2 * 1^T D^-1 1)``. One item of ``circumradius_batch``; raises
-    :class:`SingularDistanceMatrixError` where that batch flags the matrix
-    (duplicate points, affinely dependent inputs, ill-conditioning, or no
-    real circumsphere in the affine hull).
-
-    Returns (radius, alpha).
-    """
-    d2 = np.asarray(d2, dtype=float)
-    if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
-        raise GeometryError(f"squared-distance matrix must be square, got {d2.shape}")
-    if d2.shape[0] == 1:
-        return 0.0, np.ones(1)
-    radii, alphas, ok = circumradius_batch(d2[None])
-    if not ok[0]:
-        raise SingularDistanceMatrixError(
-            "no certified circumsphere: singular or ill-conditioned distance matrix, "
-            "or 1^T D^-1 1 <= 0"
-        )
-    return float(radii[0]), alphas[0]
-
-
 def circumradius_batch(d2_stack: np.ndarray):
     """Vectorized circumradius over a stack of (k x k) squared-distance matrices.
 
-    Returns (radii, alphas, ok) where ``ok[i]`` is False for matrices the
-    formula could not certify (singular, ill-conditioned, or no real
-    circumsphere); those entries hold NaN.
+    For points with squared-distance matrix D, the circumcenter is
+    ``X @ alpha`` with ``alpha = D^-1 1 / (1^T D^-1 1)`` and the radius is
+    ``1 / sqrt(2 * 1^T D^-1 1)``. Returns (radii, alphas, ok) where ``ok[i]``
+    is False for matrices the formula could not certify (singular,
+    ill-conditioned, or no real circumsphere); those entries hold NaN.
     """
     d2_stack = np.asarray(d2_stack, dtype=float)
     batch, k, k2 = d2_stack.shape
@@ -232,19 +187,3 @@ def min_enclosing_ball(points) -> BallWitness:
     alpha = np.zeros(n)
     alpha[rep] = alpha_u
     return BallWitness(center=center, radius=float(radius), support_weights=alpha)
-
-
-def neighborhoods_intersect(points, epsilon: float, rel_tol: float = REL_TOL):
-    """Whether the closed epsilon-balls around all points share a common point.
-
-    Returns (intersects, witness): the witness is the enclosing-ball center,
-    which lies within epsilon of every input point, or None when the
-    neighborhoods do not all intersect. Decision rule: enclosing-ball radius
-    at most ``epsilon * (1 + rel_tol)``.
-    """
-    if epsilon < 0:
-        raise GeometryError("epsilon must be nonnegative")
-    ball = min_enclosing_ball(points)
-    if ball.radius <= epsilon * (1.0 + rel_tol):
-        return True, ball.center
-    return False, None

@@ -19,12 +19,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .geometry import REL_TOL, circumradius_batch, min_enclosing_ball
+
+# points per block of the blocked all-pairs distance sweeps
+SWEEP_BLOCK = 2048
 
 __all__ = [
     "ConflictHypergraph",
@@ -62,8 +66,7 @@ class ConflictHypergraph:
     def edge_list(self) -> list[tuple[int, ...]]:
         """Every edge as an id tuple, by degree and then lexicographically.
 
-        This is the row order of ``incidence(dedupe_dominated=False)`` and
-        the index space of ``IncidenceMatrix.edge_ids``.
+        This is the row order of ``incidence(dedupe_dominated=False)``.
         """
         return [tuple(row) for k in sorted(self.edges) for row in self.edges[k].tolist()]
 
@@ -99,7 +102,6 @@ class IncidenceMatrix:
     """Sparse hyperedge-vertex incidence: one row per retained hyperedge."""
 
     matrix: sp.csr_matrix
-    edge_ids: np.ndarray  # row -> index into the source graph's ``edge_list()``
 
 
 class _RowIndex:
@@ -130,19 +132,26 @@ class _RowIndex:
         return pos
 
 
+def _budget(epsilon) -> float:
+    """The budget as a float; a ValueError unless it is finite and >= 0."""
+    epsilon = float(epsilon)
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+    return epsilon
+
+
 def vertex_graph(dataset, epsilon: float) -> ConflictHypergraph:
     """The dataset's support points as a graph without edges (max degree 1)."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    epsilon = _budget(epsilon)
     points = np.asarray(dataset.points, dtype=float)
     if points.shape[0] == 0:
         raise ValueError("empty dataset")
     return ConflictHypergraph(np.asarray(dataset.labels, dtype=np.int64),
                               np.asarray(dataset.masses, dtype=float), points, {},
-                              max_degree=1, epsilon=float(epsilon))
+                              max_degree=1, epsilon=epsilon)
 
 
-def build_conflict_graph(dataset, epsilon: float, block_size: int = 2048) -> ConflictHypergraph:
+def build_conflict_graph(dataset, epsilon: float) -> ConflictHypergraph:
     """Degree-2 conflict graph: cross-class pairs at distance <= 2*epsilon.
 
     A blocked all-pairs sweep in Gram form on the centred points screens
@@ -157,15 +166,15 @@ def build_conflict_graph(dataset, epsilon: float, block_size: int = 2048) -> Con
     points = graph.points - graph.points.mean(axis=0)
     labels = graph.labels
     n = points.shape[0]
-    threshold = (2.0 * epsilon * (1.0 + REL_TOL)) ** 2
+    threshold = (2.0 * graph.epsilon * (1.0 + REL_TOL)) ** 2
     sq = np.einsum("ij,ij->i", points, points)
     screen = threshold + 1e-10 * sq.max()
 
     found: list[np.ndarray] = [np.zeros((0, 2), dtype=np.int64)]
-    for i0 in range(0, n, block_size):
-        i1 = min(i0 + block_size, n)
-        for j0 in range(i0, n, block_size):
-            j1 = min(j0 + block_size, n)
+    for i0 in range(0, n, SWEEP_BLOCK):
+        i1 = min(i0 + SWEEP_BLOCK, n)
+        for j0 in range(i0, n, SWEEP_BLOCK):
+            j1 = min(j0 + SWEEP_BLOCK, n)
             d2 = sq[i0:i1, None] + sq[None, j0:j1] - 2.0 * (points[i0:i1] @ points[j0:j1].T)
             ii, jj = np.nonzero(d2 <= screen)
             keep = (ii + i0 < jj + j0) & (labels[ii + i0] != labels[jj + j0])
@@ -184,17 +193,27 @@ def build_conflict_graph(dataset, epsilon: float, block_size: int = 2048) -> Con
     return replace(graph, edges={2: pairs[order]}, radii={2: radii}, max_degree=2)
 
 
+def _area4(x, y, z):
+    """Four times the area of a triangle with side lengths x >= y >= z.
+
+    Kahan's arrangement of Heron's formula: exact up to a few ulps even on
+    needle-like triangles, where the textbook form cancels.
+    """
+    return np.sqrt((x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z)))
+
+
 def _triangle_radius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Minimum-enclosing-ball radius of triangles from squared side lengths.
 
-    Obtuse or right: half the longest side. Acute: the circumradius,
-    R^2 = abc / (2(ab + bc + ca) - (a^2 + b^2 + c^2)) in squared lengths.
+    Obtuse or right: half the longest side. Acute: the circumradius
+    xyz / (4 * area) of the side lengths, the area by ``_area4``.
     """
     longest = np.maximum(np.maximum(a, b), c)
     obtuse = 2.0 * longest >= a + b + c
+    x, y, z = np.sort(np.sqrt([a, b, c]), axis=0)[::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        circum = a * b * c / (2.0 * (a * b + b * c + c * a) - (a * a + b * b + c * c))
-    return np.sqrt(np.where(obtuse, longest / 4.0, circum))
+        circum = x * y * z / _area4(x, y, z)
+    return np.where(obtuse, np.sqrt(longest / 4.0), circum)
 
 
 def _ball_radius(cands: np.ndarray, pair_index: _RowIndex, pair_d2: np.ndarray,
@@ -228,8 +247,10 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
     their (k-1)-faces, which that lookup has found. Every stored radius is
     the edge's minimum-enclosing-ball radius. Candidates are enumerated
     ``batch_size`` at a time, and ``progress`` is called after each batch
-    with the cumulative count of tested candidates. ``jobs`` is accepted
-    for compatibility and ignored: extension runs in one thread.
+    with the cumulative count of tested candidates. ``jobs`` is ignored:
+    extension runs in one thread. It, like the ``jobs`` of ``optimal_loss``,
+    ``pairwise_binary_losses`` and ``bound_report``, is accepted only
+    because the benchmark harness passes it.
     """
     if m < 2:
         raise ValueError("max degree m must be >= 2")
@@ -304,8 +325,6 @@ def incidence(graph: ConflictHypergraph, dedupe_dominated: bool = True) -> Incid
     n = graph.num_vertices
     degrees = sorted(graph.edges)
     kept: list[np.ndarray] = []
-    edge_ids: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    offset = 0
     for k in degrees:
         rows = graph.edges[k]
         keep = np.ones(len(rows), dtype=bool)
@@ -316,33 +335,35 @@ def incidence(graph: ConflictHypergraph, dedupe_dominated: bool = True) -> Incid
                     found = index.find(graph.edges[big][:, list(cols)])
                     keep[found[found >= 0]] = False
         kept.append(rows[keep])
-        edge_ids.append(offset + np.flatnonzero(keep))
-        offset += len(rows)
     widths = np.concatenate([np.zeros(0, dtype=np.int64)]
                             + [np.full(len(rows), rows.shape[1]) for rows in kept])
     indptr = np.concatenate([[0], np.cumsum(widths)])
     indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [rows.ravel() for rows in kept])
     matrix = sp.csr_matrix((np.ones(indices.size), indices, indptr),
                            shape=(widths.size, n))
-    return IncidenceMatrix(matrix=matrix, edge_ids=np.concatenate(edge_ids))
+    return IncidenceMatrix(matrix)
 
 
 def _triangle_centre(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Minimum-enclosing-ball centre of a triangle, in closed form.
 
-    With squared sides a, b, c opposite p0, p1, p2: the midpoint of the
-    longest side when the triangle is obtuse, right or degenerate (the rule
-    of ``_triangle_radius``), else the circumcentre, whose barycentric
-    weights are a(b + c - a), b(c + a - b), c(a + b - c).
+    The midpoint of the longest side when the triangle is obtuse, right or
+    degenerate (the rule of ``_triangle_radius``), else the circumcentre
+    ``o + (|v|^2 (u.w) u - |u|^2 (v.w) v) / (2 |u x v|^2)``: o is the vertex
+    opposite the longest side, u and v run from it to the others, w = u - v,
+    and |u x v| is twice the area from ``_area4``. Neither term cancels on a
+    needle-like triangle.
     """
+    pts = (p0, p1, p2)
     sides = [float(e @ e) for e in (p2 - p1, p0 - p2, p1 - p0)]
-    a, b, c = sides
     longest = int(np.argmax(sides))
-    if 2.0 * sides[longest] >= a + b + c:
-        x, y = ((p1, p2), (p2, p0), (p0, p1))[longest]
+    o, x, y = pts[longest], pts[(longest + 1) % 3], pts[(longest + 2) % 3]
+    if 2.0 * sides[longest] >= sum(sides):
         return (x + y) / 2.0
-    wa, wb, wc = a * (b + c - a), b * (c + a - b), c * (a + b - c)
-    return p0 + (wb * (p1 - p0) + wc * (p2 - p0)) / (wa + wb + wc)
+    u, v = x - o, y - o
+    w = u - v
+    twice_area = _area4(*sorted(np.sqrt(sides), reverse=True)) / 2.0
+    return o + ((v @ v) * (u @ w) * u - (u @ u) * (v @ w) * v) / (2.0 * twice_area ** 2)
 
 
 def edge_witness(points: np.ndarray, ids) -> np.ndarray:
@@ -377,13 +398,14 @@ def graph_to_json(graph: ConflictHypergraph) -> str:
 def graph_from_json(text: str) -> ConflictHypergraph:
     """Read a graph written by ``graph_to_json``, checking it on the way in.
 
-    Vertex ids must be 0..n-1 in order, masses nonnegative with sum 1, and
-    ``max_degree`` in 1..n (it sizes one array per degree). Each edge's ids
-    are sorted; an edge with a repeated or out-of-range id, two vertices of
-    one label, or a degree outside 2..max_degree raises a ValueError that
-    names it.
+    Vertex ids must be 0..n-1 in order, masses nonnegative with sum 1,
+    ``epsilon`` finite and nonnegative, and ``max_degree`` in 1..n (it
+    sizes one array per degree). Each edge's ids are sorted; an edge with a
+    repeated or out-of-range id, two vertices of one label, or a degree
+    outside 2..max_degree raises a ValueError that names it.
     """
     doc = json.loads(text)
+    epsilon = _budget(doc["epsilon"])
     n, max_degree = len(doc["vertices"]), int(doc["max_degree"])
     if not 1 <= max_degree <= n:
         raise ValueError(f"max_degree {max_degree} is outside 1..{n}")
@@ -411,5 +433,4 @@ def graph_from_json(text: str) -> ConflictHypergraph:
     edges = {k: np.array(sorted(rows), dtype=np.int64).reshape(-1, k)
              for k, rows in by_degree.items()}
     radii = {k: np.full(len(rows), np.nan) for k, rows in edges.items()}
-    return ConflictHypergraph(labels, masses, None, edges, max_degree,
-                              float(doc["epsilon"]), radii)
+    return ConflictHypergraph(labels, masses, None, edges, max_degree, epsilon, radii)

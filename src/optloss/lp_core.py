@@ -20,7 +20,8 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +39,6 @@ __all__ = [
     "UncertifiedSolveError",
     "solve_packing",
     "verify_certificates",
-    "export_lp_text",
 ]
 
 
@@ -49,8 +49,9 @@ class Tolerances:
     max_iterations: int = 200_000
 
     def __post_init__(self):
-        if self.feasibility_abs <= 0 or self.gap_rel <= 0 or self.max_iterations <= 0:
-            raise ValueError("all tolerances must be positive")
+        # NaN would pass a "<= 0" test and then make every later check pass
+        if not all(math.isfinite(v) and v > 0 for v in astuple(self)):
+            raise ValueError("all tolerances must be finite and positive")
 
 
 @dataclass
@@ -132,9 +133,15 @@ class UncertifiedSolveError(RuntimeError):
         self.solution = solution
 
 
-def _residuals(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray,
-               z: np.ndarray, y: np.ndarray, active: np.ndarray):
-    """Feasibility residuals and gap, restricted to positive-mass vertices."""
+def _certificate(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray, z: np.ndarray,
+                 y: np.ndarray, tol: Tolerances) -> tuple[float, float, CertificateReport]:
+    """(objective, dual objective, report) of a primal-dual pair.
+
+    The one place that judges a solve: residuals and gap are recomputed from
+    the vectors, restricted to positive-mass vertices, and compared with the
+    tolerances (a NaN residual fails).
+    """
+    active = p > 0.0
     primal = max(
         float(np.max(-q[active], initial=0.0)),
         float(np.max(q[active] - 1.0, initial=0.0)),
@@ -151,7 +158,18 @@ def _residuals(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray,
     objective = float(p[active] @ q[active])
     dual_objective = float(z.sum() + y[active].sum())
     gap = abs(objective - dual_objective)
-    return max(primal, 0.0), max(dual, 0.0), objective, dual_objective, gap
+    gap_bound = tol.gap_rel * max(1.0, abs(objective))
+    over_covered = active & (q > tol.feasibility_abs) & (cover > p + tol.feasibility_abs)
+    report = CertificateReport(
+        primal_residual=primal,
+        dual_residual=dual,
+        duality_gap=gap,
+        gap_bound=gap_bound,
+        feasible=(primal <= tol.feasibility_abs and dual <= tol.feasibility_abs),
+        gap_ok=(gap <= gap_bound),
+        complementary_slackness_violations=np.flatnonzero(over_covered).tolist(),
+    )
+    return objective, dual_objective, report
 
 
 def _mass_scale(p: np.ndarray) -> tuple[float, np.ndarray] | None:
@@ -263,35 +281,35 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
     """
     p = lp.masses
     B = lp.incidence.matrix
-    n = p.shape[0]
-    active = p > 0.0
-
     if B.shape[0] == 0:
         # no constraints beyond the box: q = 1 and the singleton cover pays p
-        q = np.ones(n)
-        z = np.zeros(0)
-        y = p.copy()
-        objective = float(p.sum())
-        sol = LpSolution(q, z, y, objective, objective, 0.0, 0.0, 0.0, lp, "flow")
-        _certify(lp, sol, tol)
-        return sol
-
-    found = _flow_packing(p, B)
-    if found is not None:
-        q, z, y = found
-        backend = "flow"
+        found = np.ones(p.shape[0]), np.zeros(0), p.copy()
     else:
-        q, z, y = _highs_packing(p, B, active, tol)
-        backend = "highs"
-    primal, dual, objective, dual_objective, gap = _residuals(p, B, q, z, y, active)
-    sol = LpSolution(q, z, y, objective, dual_objective, gap, primal, dual, lp, backend)
-    _certify(lp, sol, tol)
+        found = _flow_packing(p, B)
+    if found is not None:
+        (q, z, y), backend = found, "flow"
+    else:
+        (q, z, y), backend = _highs_packing(p, B, tol), "highs"
+    objective, dual_objective, cert = _certificate(p, B, q, z, y, tol)
+    sol = LpSolution(q, z, y, objective, dual_objective, cert.duality_gap,
+                     cert.primal_residual, cert.dual_residual, lp, backend)
+    if not cert.feasible:
+        raise UncertifiedSolveError(
+            f"feasibility residuals too large: primal={sol.primal_residual:.3e}, "
+            f"dual={sol.dual_residual:.3e} (tol {tol.feasibility_abs:.1e})",
+            sol,
+        )
+    if not cert.gap_ok:
+        raise UncertifiedSolveError(
+            f"duality gap {sol.duality_gap:.3e} exceeds bound {cert.gap_bound:.3e}", sol
+        )
     return sol
 
 
-def _highs_packing(p: np.ndarray, B: sp.csr_matrix, active: np.ndarray, tol: Tolerances):
+def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
     """(q, z, y) from HiGHS on the positive-mass columns."""
     n = p.shape[0]
+    active = p > 0.0
     B_act, p_act = (B, p) if active.all() else (B[:, active], p[active])
 
     res = linprog(
@@ -323,70 +341,14 @@ def _highs_packing(p: np.ndarray, B: sp.csr_matrix, active: np.ndarray, tol: Tol
     return q, z, y
 
 
-def _certify(lp: PackingLp, sol: LpSolution, tol: Tolerances) -> None:
-    gap_bound = tol.gap_rel * max(1.0, abs(sol.objective))
-    if sol.primal_residual > tol.feasibility_abs or sol.dual_residual > tol.feasibility_abs:
-        raise UncertifiedSolveError(
-            f"feasibility residuals too large: primal={sol.primal_residual:.3e}, "
-            f"dual={sol.dual_residual:.3e} (tol {tol.feasibility_abs:.1e})",
-            sol,
-        )
-    if sol.duality_gap > gap_bound:
-        raise UncertifiedSolveError(
-            f"duality gap {sol.duality_gap:.3e} exceeds bound {gap_bound:.3e}", sol
-        )
-
-
 def verify_certificates(lp: PackingLp, sol: LpSolution,
                         tol: Tolerances = Tolerances()) -> CertificateReport:
     """Recompute all residuals from scratch, independently of the solver.
 
-    Also reports complementary-slackness violations: vertices with q above
-    tolerance that are strictly over-covered (an optimal classifier gives up
-    on over-covered vertices, so both cannot hold at an exact optimum).
+    The verdict is the one ``solve_packing`` raises on. Also reports
+    complementary-slackness violations: vertices with q above tolerance
+    that are strictly over-covered (an optimal classifier gives up on
+    over-covered vertices, so both cannot hold at an exact optimum).
     """
-    p = lp.masses
-    B = lp.incidence.matrix
-    active = p > 0.0
-    primal, dual, objective, dual_objective, gap = _residuals(
-        p, B, sol.q, sol.edge_cover, sol.singleton_cover, active
-    )
-    gap_bound = tol.gap_rel * max(1.0, abs(objective))
-    cover = B.T @ sol.edge_cover + sol.singleton_cover
-    violations = [
-        int(v)
-        for v in np.nonzero(
-            active & (sol.q > tol.feasibility_abs) & (cover > p + tol.feasibility_abs)
-        )[0]
-    ]
-    return CertificateReport(
-        primal_residual=primal,
-        dual_residual=dual,
-        duality_gap=gap,
-        gap_bound=gap_bound,
-        feasible=(primal <= tol.feasibility_abs and dual <= tol.feasibility_abs),
-        gap_ok=(gap <= gap_bound),
-        complementary_slackness_violations=violations,
-    )
-
-
-def export_lp_text(lp: PackingLp, name: str = "vertex_packing") -> str:
-    """Render the instance in LP interchange format for external solvers."""
-    p = lp.masses
-    B = lp.incidence.matrix.tocsr()
-    lines = [f"\\ {name}", "Maximize", " obj: " + _linear_expr(p, "q")]
-    lines.append("Subject To")
-    for r in range(B.shape[0]):
-        cols = B.indices[B.indptr[r]:B.indptr[r + 1]]
-        expr = " + ".join(f"q{c}" for c in cols)
-        lines.append(f" e{r}: {expr} <= 1")
-    lines.append("Bounds")
-    for v in range(p.shape[0]):
-        lines.append(f" 0 <= q{v} <= 1")
-    lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def _linear_expr(coeffs: np.ndarray, prefix: str) -> str:
-    terms = [f"{coeffs[i]!r} {prefix}{i}" for i in range(coeffs.shape[0])]
-    return " + ".join(terms) if terms else "0"
+    return _certificate(lp.masses, lp.incidence.matrix, sol.q, sol.edge_cover,
+                        sol.singleton_cover, tol)[2]

@@ -2,11 +2,12 @@
 
 These deliberately avoid the library's computation paths: enclosing balls
 come from exhaustive candidate enumeration with a Gram-matrix circumcenter
-solve, couplings from extreme-point enumeration, and independent sets from
+solve (triangles also in exact rational arithmetic), couplings from extreme-point enumeration, and independent sets from
 full subset search.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -54,6 +55,22 @@ def oracle_meb_radius(points):
             if np.linalg.norm(points - center, axis=1).max() <= radius * (1 + 1e-12) + 1e-12:
                 best = min(best, radius)
     return best
+
+
+def exact_triangle_radius(points):
+    """Enclosing-ball radius of three points in exact rational arithmetic.
+
+    The squared sides a, b, c are exact in the input coordinates. Obtuse or
+    right (2 max >= a + b + c): half the longest side; otherwise the
+    circumradius, R^2 = abc / (2(ab + bc + ca) - (a^2 + b^2 + c^2)). Only
+    the final square root rounds.
+    """
+    p = [[Fraction(float(x)) for x in row] for row in points]
+    a, b, c = (sum((s - t) ** 2 for s, t in zip(p[i], p[j])) for i, j in ((1, 2), (2, 0), (0, 1)))
+    longest = max(a, b, c)
+    if 2 * longest >= a + b + c:
+        return float(np.sqrt(float(longest / 4)))
+    return float(np.sqrt(float(a * b * c / (2 * (a * b + b * c + c * a) - (a * a + b * b + c * c)))))
 
 
 def oracle_class_only(a, priors):

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ import pytest
 from optloss import bounds as bd
 from optloss import data as dt
 from optloss.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -230,3 +235,54 @@ def test_csv_subset_flags(tmp_path, capsys):
     )
     assert code == 0
     assert len(out["values"]) == 2
+
+
+def test_each_command_takes_only_the_flags_it_reads(capsys):
+    dataset = {"--data", "--idx-images", "--idx-labels", "--normalize", "--classes",
+               "--per-class"}
+    expected = {
+        "gen-gaussian": {"--num-classes", "--per-class", "--variance", "--mean-radius",
+                         "--seed", "--name", "--out"},
+        "build": dataset | {"--epsilon", "--max-degree", "--out"},
+        "bound": dataset | {"--epsilon", "--max-degree", "--hard-cap", "--caro-wei-weights",
+                            "--tol-gap", "--dedupe", "--jobs", "--format", "--out"},
+        "pairwise": dataset | {"--epsilon", "--tol-gap", "--format", "--out"},
+        "strategy": dataset | {"--epsilon", "--max-degree", "--tol-gap", "--dedupe", "--out"},
+        "stats": dataset | {"--format", "--out"},
+    }
+    for name, flags in expected.items():
+        with pytest.raises(SystemExit) as done:
+            main([name, "--help"])
+        assert done.value.code == 0
+        shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert shown - {"--help"} == flags, name
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+def test_bound_rejects_a_non_finite_or_negative_budget(tmp_path, capsys, gaussian_file, eps):
+    path, _ = gaussian_file
+    code, out = run_cli(
+        capsys, "bound", "--data", str(path), "--epsilon", eps, "2.6", "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "epsilon" in out["error"] and out["command"] == "bound"
+    assert not list(tmp_path.glob("bound_*"))
+
+
+def readme_cli_commands():
+    """Every ``optloss ...`` command of the README's CLI ``sh`` block, as argv."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("optloss ")]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    commands = readme_cli_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        # the examples read and write under runs/; keep that inside tmp_path
+        argv = [str(tmp_path / arg) if arg == "runs" or arg.startswith("runs/") else arg
+                for arg in argv]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, (argv, out)

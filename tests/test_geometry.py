@@ -6,62 +6,41 @@ import numpy as np
 import pytest
 from oracles import ball_through_subset, oracle_meb_radius
 
-from optloss.geometry import (
-    REL_TOL,
-    GeometryError,
-    SingularDistanceMatrixError,
-    circumradius,
-    circumradius_batch,
-    min_enclosing_ball,
-    neighborhoods_intersect,
-    squared_distance_matrix,
-)
+from optloss.data import from_arrays
+from optloss.geometry import REL_TOL, GeometryError, circumradius_batch, min_enclosing_ball
+from optloss.hypergraph import build_conflict_graph, edge_witness, extend_hyperedges
 
 
-def test_squared_distance_single_point():
-    assert np.array_equal(squared_distance_matrix([(0.0, 0.0)]), [[0.0]])
+def d2(points):
+    """Squared-distance matrix, entry by entry from coordinate differences."""
+    pts = np.asarray(points, dtype=float)
+    return ((pts[:, None] - pts[None]) ** 2).sum(axis=2)
 
 
-def test_squared_distance_3_4_5():
-    d2 = squared_distance_matrix([(0.0, 0.0), (3.0, 4.0)])
-    assert np.array_equal(d2, [[0.0, 25.0], [25.0, 0.0]])
-
-
-def test_squared_distance_matches_direct_arithmetic():
-    pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    expected = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            expected[i, j] = sum((pts[i, t] - pts[j, t]) ** 2 for t in range(2))
-    assert np.allclose(squared_distance_matrix(pts), expected, atol=1e-15)
-    assert np.array_equal(expected[1], [1.0, 0.0, 2.0])
-    assert expected[1, 2] == 2.0
-
-
-def test_squared_distance_rejects_bad_input():
-    with pytest.raises(GeometryError):
-        squared_distance_matrix([(0.0, 0.0), (1.0,)])
-    with pytest.raises(GeometryError):
-        squared_distance_matrix([(0.0, np.nan)])
+def one_item(points):
+    """(radius, alpha) of one point set, a stack of one for ``circumradius_batch``;
+    None where the batch flags it."""
+    radii, alphas, ok = circumradius_batch(d2(points)[None])
+    return (float(radii[0]), alphas[0]) if ok[0] else None
 
 
 def test_circumradius_two_points():
     for d in (0.5, 1.0, 7.25):
-        radius, alpha = circumradius(squared_distance_matrix([(0.0,), (d,)]))
+        radius, alpha = one_item([(0.0,), (d,)])
         assert radius == pytest.approx(d / 2, rel=1e-12)
         assert np.allclose(alpha, [0.5, 0.5])
 
 
 def test_circumradius_equilateral_triangle():
     pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2)])
-    radius, alpha = circumradius(squared_distance_matrix(pts))
+    radius, alpha = one_item(pts)
     assert radius == pytest.approx(1 / np.sqrt(3), rel=1e-12)
     assert np.allclose(alpha, [1 / 3] * 3)
 
 
 def test_circumradius_obtuse_triangle_negative_weight():
     pts = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 0.1)])
-    radius, alpha = circumradius(squared_distance_matrix(pts))
+    radius, alpha = one_item(pts)
     # frozen from the subset oracle: center (1, -4.95), radius 5.05
     center, expected = ball_through_subset(pts, (0, 1, 2))
     assert expected == pytest.approx(5.05, rel=1e-12)
@@ -76,36 +55,41 @@ def test_circumradius_matches_oracle_on_random_simplices():
         d = int(rng.integers(2, 6))
         k = int(rng.integers(2, d + 2))
         pts = rng.normal(size=(k, d))
-        radius, alpha = circumradius(squared_distance_matrix(pts))
+        radius, alpha = one_item(pts)
         center, expected = ball_through_subset(pts, tuple(range(k)))
         assert radius == pytest.approx(expected, rel=1e-8)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_circumradius_rejects_duplicates():
-    with pytest.raises(SingularDistanceMatrixError):
-        circumradius(squared_distance_matrix([(0.0, 0.0), (0.0, 0.0)]))
+    assert one_item([(0.0, 0.0), (0.0, 0.0)]) is None
 
 
 def test_circumradius_batch_agrees_with_scalar():
+    # a stack of 40 gives each item what a stack of one gives it
     rng = np.random.default_rng(5)
-    stacks = np.array([
-        squared_distance_matrix(rng.normal(size=(3, 4))) for _ in range(40)
-    ])
-    radii, alphas, ok = circumradius_batch(stacks)
+    points = rng.normal(size=(40, 3, 4))
+    radii, alphas, ok = circumradius_batch(np.array([d2(pts) for pts in points]))
     assert ok.all()
     for i in range(40):
-        r, a = circumradius(stacks[i])
+        r, a = one_item(points[i])
         assert radii[i] == pytest.approx(r, rel=1e-10)
         assert np.allclose(alphas[i], a, atol=1e-10)
 
 
 def test_circumradius_batch_flags_singular_items():
-    good = squared_distance_matrix([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-    bad = squared_distance_matrix([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
+    good = d2([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    bad = d2([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
     radii, alphas, ok = circumradius_batch(np.array([good, bad]))
     assert ok[0] and not ok[1]
     assert np.isnan(radii[1])
+
+
+def test_meb_rejects_bad_input():
+    with pytest.raises(GeometryError):
+        min_enclosing_ball([(0.0, 0.0), (1.0,)])
+    with pytest.raises(GeometryError):
+        min_enclosing_ball([(0.0, np.nan)])
 
 
 def test_meb_single_point():
@@ -170,12 +154,10 @@ def test_meb_agrees_with_circumradius_when_weights_nonnegative():
     found = 0
     while found < 20:
         pts = rng.normal(size=(3, 3))
-        try:
-            radius, alpha = circumradius(squared_distance_matrix(pts))
-        except SingularDistanceMatrixError:
+        found_ball = one_item(pts)
+        if found_ball is None or found_ball[1].min() < 0:
             continue
-        if alpha.min() < 0:
-            continue
+        radius = found_ball[0]
         ball = min_enclosing_ball(pts)
         assert ball.radius == pytest.approx(radius, rel=1e-9)
         found += 1
@@ -209,15 +191,18 @@ def test_meb_isometry_invariance():
         assert np.allclose(b1.center @ rot.T + shift, b2.center, atol=1e-8)
 
 
+def pair_conflicts(a, b, eps):
+    """Whether the closed eps-neighborhoods of two points of two labels meet."""
+    return build_conflict_graph(from_arrays([a, b], [0, 1]), eps).edge_counts() == {2: 1}
+
+
 def test_neighborhoods_two_points_boundary():
+    # closed balls: two points exactly 2 * eps apart conflict
     eps = 0.75
-    ok, witness = neighborhoods_intersect([(0.0, 0.0), (2 * eps, 0.0)], eps)
-    assert ok
-    assert np.allclose(witness, [eps, 0.0])
-    ok, witness = neighborhoods_intersect(
-        [(0.0, 0.0), (2 * eps * (1 + 1e-3), 0.0)], eps
-    )
-    assert not ok and witness is None
+    assert pair_conflicts((0.0, 0.0), (2 * eps, 0.0), eps)
+    graph = build_conflict_graph(from_arrays([(0.0, 0.0), (2 * eps, 0.0)], [0, 1]), eps)
+    assert np.allclose(edge_witness(graph.points, (0, 1)), [eps, 0.0])
+    assert not pair_conflicts((0.0, 0.0), (2 * eps * (1 + 1e-3), 0.0), eps)
 
 
 def test_neighborhoods_two_points_matches_distance_rule():
@@ -225,19 +210,16 @@ def test_neighborhoods_two_points_matches_distance_rule():
     for _ in range(50):
         a, b = rng.normal(size=(2, 3))
         eps = float(rng.uniform(0.1, 2.0))
-        ok, _ = neighborhoods_intersect([a, b], eps)
-        assert ok == (np.linalg.norm(a - b) <= 2 * eps * (1 + 1e-9))
+        assert pair_conflicts(a, b, eps) == (np.linalg.norm(a - b) <= 2 * eps * (1 + 1e-9))
 
 
 def test_neighborhoods_pairwise_close_but_no_common_point():
     # equilateral side 1: pairwise balls intersect at eps = 0.55 but the
     # enclosing-ball radius 1/sqrt(3) = 0.577+ exceeds eps
     pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2)])
-    eps = 0.55
-    for i, j in itertools.combinations(range(3), 2):
-        assert np.linalg.norm(pts[i] - pts[j]) <= 2 * eps
-    ok, _ = neighborhoods_intersect(pts, eps)
-    assert not ok
-    ok, witness = neighborhoods_intersect(pts, 0.58)
-    assert ok
+    ds = from_arrays(pts, [0, 1, 2])
+    assert extend_hyperedges(build_conflict_graph(ds, 0.55), 3).edge_counts() == {2: 3}
+    graph = extend_hyperedges(build_conflict_graph(ds, 0.58), 3)
+    assert graph.edge_counts() == {2: 3, 3: 1}
+    witness = edge_witness(graph.points, (0, 1, 2))
     assert np.linalg.norm(pts - witness, axis=1).max() <= 0.58 * (1 + 1e-9)

@@ -6,10 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import oracle_hyperedges, oracle_meb_radius
+from oracles import exact_triangle_radius, oracle_hyperedges, oracle_meb_radius
 
 from optloss.data import from_arrays, gen_gaussian
-from optloss.geometry import min_enclosing_ball, neighborhoods_intersect
+from optloss.geometry import REL_TOL, min_enclosing_ball
 from optloss.hypergraph import (
     build_conflict_graph,
     edge_witness,
@@ -132,6 +132,38 @@ def test_triangle_witness_matches_enclosing_ball_random(d):
         checked += 1
 
 
+def thin_triangles(count, seed):
+    """Needle-like acute triangles: a base of 1e-8..1e-4 under an apex
+    0.5..2 away, near the base's bisector, rotated and moved in the plane."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        base = 10 ** rng.uniform(-8, -4)
+        pts = np.array([(rng.normal() * base * 0.1, rng.uniform(0.5, 2.0)),
+                        (-base / 2, 0.0), (base / 2, 0.0)])
+        turn = rng.uniform(0.0, 2 * np.pi)
+        rot = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        pts = pts @ rot.T + rng.normal(size=2)
+        sides = [float(np.sum((pts[i] - pts[j]) ** 2)) for i, j in ((1, 2), (2, 0), (0, 1))]
+        if 2 * max(sides) < sum(sides):  # acute in floating point too
+            out.append(pts[rng.permutation(3)])
+    return out
+
+
+def test_thin_acute_triangles_match_exact_radius():
+    # where the squared-side circumradius formula cancels, by up to 17 %
+    for pts in thin_triangles(200, seed=17):
+        radius = exact_triangle_radius(pts)
+        ds = from_arrays(pts, [0, 1, 2], merge_duplicates=False)
+        graph = extend_hyperedges(build_conflict_graph(ds, radius), 3)
+        assert graph.edge_counts()[3] == 1
+        assert graph.radii[3][0] == pytest.approx(radius, rel=1e-12)
+        tighter = extend_hyperedges(build_conflict_graph(ds, radius * (1 - 1e-6)), 3)
+        assert 3 not in tighter.edge_counts()
+        witness = edge_witness(graph.points, (0, 1, 2))
+        assert np.linalg.norm(pts - witness, axis=1).max() <= radius * (1 + 1e-9)
+
+
 def test_loose_triple_has_no_degree3_edge():
     graph = build_conflict_graph(triangle_dataset(), 0.55)
     graph = extend_hyperedges(graph, 3)
@@ -158,8 +190,7 @@ def test_downward_closure_of_stored_edges():
                 continue
             for sub in itertools.combinations(e, k - 1):
                 assert sub in edge_sets
-                ok, _ = neighborhoods_intersect(ds.points[list(sub)], eps)
-                assert ok
+                assert oracle_meb_radius(ds.points[list(sub)]) <= eps * (1 + REL_TOL)
 
 
 def edges_by_degree(graph, max_degree):
@@ -268,7 +299,7 @@ def test_incidence_dedupe_drops_dominated_rows():
     full = incidence(graph, dedupe_dominated=False)
     assert deduped.matrix.shape[0] == 1
     assert full.matrix.shape[0] == 4
-    assert graph.edge_list()[deduped.edge_ids[0]] == (0, 1, 2)
+    assert deduped.matrix.toarray().tolist() == [[1.0, 1.0, 1.0]]
 
 
 def test_incidence_empty_edges_yields_full_packing():
@@ -329,7 +360,24 @@ def test_ten_class_clique_among_a_thousand_vertices():
     graph = extend_hyperedges(build_conflict_graph(ds, 0.5), 10, batch_size=7)
     assert graph.edge_counts() == {k: math.comb(10, k) for k in range(2, 11)}
     assert graph.edge_list()[-1] == tuple(range(10))
-    assert incidence(graph).edge_ids.tolist() == [len(graph.edge_list()) - 1]
+    # dedupe keeps the 10-clique alone
+    kept = incidence(graph).matrix
+    assert kept.shape == (1, 1000)
+    assert kept.indices.tolist() == list(range(10))
+
+
+@pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+def test_budget_must_be_finite_and_nonnegative(eps):
+    # NaN passes an "eps < 0" test and would give a certified loss of 0
+    ds = triangle_dataset()
+    with pytest.raises(ValueError, match="epsilon"):
+        vertex_graph(ds, eps)
+    with pytest.raises(ValueError, match="epsilon"):
+        build_conflict_graph(ds, eps)
+    doc = json.loads(graph_to_json(build_conflict_graph(ds, 0.6)))
+    doc["epsilon"] = eps
+    with pytest.raises(ValueError, match="epsilon"):
+        graph_from_json(json.dumps(doc))
 
 
 def test_json_round_trip():

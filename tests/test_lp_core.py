@@ -1,4 +1,4 @@
-"""Packing LP solves, duality certificates, determinism, export."""
+"""Packing LP solves, duality certificates, determinism."""
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -19,7 +19,6 @@ from optloss.lp_core import (
     LpNonConvergenceError,
     PackingLp,
     Tolerances,
-    export_lp_text,
     solve_packing,
     verify_certificates,
 )
@@ -37,7 +36,7 @@ def make_lp(rows, masses):
         matrix = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
     else:
         matrix = sp.csr_matrix((0, n))
-    return PackingLp(np.asarray(masses, float), IncidenceMatrix(matrix, list(range(len(rows)))))
+    return PackingLp(np.asarray(masses, float), IncidenceMatrix(matrix))
 
 
 def random_lp(rng, n=12, k=3):
@@ -86,6 +85,7 @@ def test_no_edges_full_packing():
     assert sol.edge_cover.size == 0
     assert np.allclose(sol.singleton_cover, [0.25, 0.75])
     assert sol.duality_gap == pytest.approx(0.0, abs=1e-12)
+    assert verify_certificates(lp, sol).ok
 
 
 def test_certificates_clean_solution():
@@ -205,25 +205,16 @@ def test_zero_mass_vertices_get_unit_packing():
     assert verify_certificates(lp_zero, sol).ok
 
 
-def test_lp_text_export_structure():
-    lp = make_lp([(0, 1), (1, 2)], [0.2, 0.3, 0.5])
-    text = export_lp_text(lp)
-    lines = text.splitlines()
-    assert lines[1] == "Maximize"
-    assert "Subject To" in lines
-    assert " e0: q0 + q1 <= 1" in lines
-    assert " e1: q1 + q2 <= 1" in lines
-    assert sum(1 for line in lines if line.startswith(" 0 <= q")) == 3
-    assert lines[-1] == "End"
-    # deterministic output
-    assert text == export_lp_text(lp)
-
-
 def test_tolerances_validation():
     with pytest.raises(ValueError):
         Tolerances(feasibility_abs=0.0)
     with pytest.raises(ValueError):
         Tolerances(max_iterations=0)
+    # NaN fails every later "gap > bound" test, so it would certify anything
+    for field in ("feasibility_abs", "gap_rel", "max_iterations"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                Tolerances(**{field: bad})
 
 
 # ------------------------------------------------------------ flow backend

@@ -1,4 +1,5 @@
-"""Property tests: hyperedge extension against the subset oracles.
+"""Property tests: hyperedge extension against the subset oracles, and the
+bound chain under label renaming and growing budgets and degrees.
 
 Needs ``hypothesis``; the module is skipped without it. Runs are
 derandomized and keep no example database, so they are reproducible.
@@ -14,6 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from optloss.bounds import bound_report, optimal_loss  # noqa: E402
 from optloss.data import from_arrays  # noqa: E402
 from optloss.hypergraph import build_conflict_graph, extend_hyperedges  # noqa: E402
 
@@ -84,3 +86,43 @@ def test_extension_matches_oracle_and_is_isometry_invariant(instance, data):
     assert sorted(relabelled) == sorted(edges)
     for ids, radius in relabelled.items():
         assert radius == pytest.approx(edges[ids], rel=1e-9, abs=1e-12)
+
+
+def report_values(report):
+    return (report.losses, report.caro_wei, report.hard_bruteforce, report.edge_counts)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(instance=instances(), data=st.data())
+def test_renaming_labels_leaves_the_bound_report_unchanged(instance, data):
+    points, labels, epsilon = instance
+    k = int(labels.max()) + 1
+    # distinct raw names in any order: the loader maps them back to 0..K-1
+    names = np.array(data.draw(st.lists(st.integers(-50, 50), min_size=k, max_size=k,
+                                        unique=True)))
+    reports = [bound_report(from_arrays(points, raw, merge_duplicates=False), epsilon,
+                            m_max=k)
+               for raw in (labels, names[labels])]
+    # the same vertices in the same order: every LP is the same LP
+    assert report_values(reports[1]) == report_values(reports[0])
+    assert reports[1].class_only_2 == pytest.approx(reports[0].class_only_2, abs=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(instance=instances(), grow=st.floats(1.0, 2.0))
+def test_optimal_loss_nondecreasing_in_epsilon(instance, grow):
+    points, labels, epsilon = instance
+    ds = from_arrays(points, labels, merge_duplicates=False)
+    for m in range(2, int(labels.max()) + 2):
+        small = optimal_loss(ds, epsilon, m)[0]
+        assert small <= optimal_loss(ds, epsilon * grow, m)[0] + 1e-9
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(instance=instances())
+def test_optimal_loss_nondecreasing_in_degree(instance):
+    points, labels, epsilon = instance
+    ds = from_arrays(points, labels, merge_duplicates=False)
+    losses = [optimal_loss(ds, epsilon, m)[0] for m in range(1, int(labels.max()) + 2)]
+    assert losses[0] == pytest.approx(0.0, abs=1e-12)
+    assert all(a <= b + 1e-9 for a, b in zip(losses, losses[1:]))
