@@ -19,11 +19,6 @@ from .bounds import (
     randomized_independent_set,
 )
 from .data import LabeledDataset, gen_gaussian, load_csv, load_idx, subset
-from .geometry import (
-    BallWitness,
-    GeometryError,
-    min_enclosing_ball,
-)
 from .hypergraph import (
     ConflictHypergraph,
     IncidenceMatrix,

@@ -29,6 +29,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .data import LabeledDataset
 from .hypergraph import (
+    REL_TOL,
     SWEEP_BLOCK,
     ConflictHypergraph,
     build_conflict_graph,
@@ -58,9 +59,6 @@ __all__ = [
     "bound_report",
     "BOUND_CSV_HEADER",
 ]
-
-_NEIGHBOR_TOL = 1e-9
-
 
 class InstanceTooLargeError(ValueError):
     """Exact exponential search refused; the instance exceeds the cap."""
@@ -259,23 +257,24 @@ def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
 
     best_w = -1.0
     best_set = 0
-
-    def expand(cand: int, cur: float, cur_set: int) -> None:
-        nonlocal best_w, best_set
+    # depth-first, include branch first, on an explicit stack: the search
+    # can nest once per vertex, past Python's recursion limit
+    stack = [((1 << n) - 1 if n else 0, 0.0, 0)]
+    while stack:
+        cand, cur, cur_set = stack.pop()
         if cur > best_w:
             best_w, best_set = cur, cur_set
         if not cand:
-            return
+            continue
         if cur + cover_bound(cand) <= best_w:
-            return
+            continue
         for v in order:
             if cand & (1 << v):
                 break
         bit = 1 << v
-        expand(cand & ~adj[v] & ~bit, cur + float(w[v]), cur_set | bit)
-        expand(cand & ~bit, cur, cur_set)
+        stack.append((cand & ~bit, cur, cur_set))
+        stack.append((cand & ~adj[v] & ~bit, cur + float(w[v]), cur_set | bit))
 
-    expand((1 << n) - 1 if n else 0, 0.0, 0)
     ids = frozenset(i for i in range(n) if best_set >> i & 1)
     return 1.0 - best_w, ids
 
@@ -401,7 +400,7 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
     points whose epsilon-neighborhood contains the query (zero when there is
     none); leftover probability is spread uniformly over all classes. With
     ``side_info`` (a set of candidate classes) only those classes compete for
-    packing values.
+    packing values; a class outside 0..K-1 there raises a ValueError.
     """
     query = np.asarray(query, dtype=float)
     if query.shape != (table.points.shape[1],):
@@ -410,9 +409,13 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
             f"({table.points.shape[1]},)"
         )
     k = table.num_classes
-    allowed = set(range(k)) if side_info is None else {int(c) for c in side_info}
+    classes = set(range(k))
+    allowed = classes if side_info is None else {int(c) for c in side_info}
+    if not allowed <= classes:
+        raise ValueError(f"side_info names classes outside 0..{k - 1}: "
+                         f"{sorted(allowed - classes)}")
     dist = np.linalg.norm(table.points - query, axis=1)
-    near = dist <= table.epsilon * (1.0 + _NEIGHBOR_TOL) + 1e-12
+    near = dist <= table.epsilon * (1.0 + REL_TOL) + 1e-12
     g = np.zeros(k)
     for y in allowed:
         sel = near & (table.labels == y)
@@ -435,15 +438,21 @@ def class_distance_stats(dataset: LabeledDataset) -> np.ndarray:
     labels = dataset.labels
     n = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
+    # the Gram form only screens, with the pair sweep's slack; each row's
+    # minimum is decided from coordinate differences of its screened pairs
+    slack = 1e-10 * sq.max()
     nearest = np.full(n, np.inf)
+    step = max(1, 8192 // points.shape[1])  # difference chunks of 64 KB
     for i0 in range(0, n, SWEEP_BLOCK):
         i1 = min(i0 + SWEEP_BLOCK, n)
-        block = points[i0:i1]
-        d2 = sq[i0:i1, None] + sq[None, :] - 2.0 * (block @ points.T)
-        np.maximum(d2, 0.0, out=d2)
-        same = labels[i0:i1, None] == labels[None, :]
-        d2[same] = np.inf
-        nearest[i0:i1] = np.minimum(nearest[i0:i1], d2.min(axis=1))
+        d2 = sq[i0:i1, None] + sq[None, :] - 2.0 * (points[i0:i1] @ points.T)
+        other = labels[i0:i1, None] != labels[None, :]
+        d2[~other] = np.inf
+        ii, jj = np.nonzero(other & (d2 <= d2.min(axis=1, keepdims=True) + slack))
+        ii += i0
+        for s in range(0, len(ii), step):
+            diff = points[ii[s:s + step]] - points[jj[s:s + step]]
+            np.minimum.at(nearest, ii[s:s + step], np.einsum("ij,ij->i", diff, diff))
     nearest = np.sqrt(nearest)
     out = np.zeros(k)
     for c in range(k):

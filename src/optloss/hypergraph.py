@@ -12,7 +12,8 @@ downward closed, which drives the candidate enumeration: a k-set is only
 tested when all of its (k-1)-subsets are already edges. The same closure
 decides every degree k >= 3 by one rule: the ball of k points is their
 circumball when the circumcentre has nonnegative weights, and otherwise the
-ball of their largest (k-1)-face.
+ball of their largest (k-1)-face. The same rule gives each edge's witness,
+the centre of that ball (``edge_witness``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import REL_TOL, circumradius_batch, min_enclosing_ball
+# relative slack of every closed-ball test: a radius <= eps * (1 + REL_TOL) passes
+REL_TOL = 1e-9
 
 # points per block of the blocked all-pairs distance sweeps
 SWEEP_BLOCK = 2048
@@ -193,6 +195,58 @@ def build_conflict_graph(dataset, epsilon: float) -> ConflictHypergraph:
     return replace(graph, edges={2: pairs[order]}, radii={2: radii}, max_degree=2)
 
 
+def circumradius_batch(d2_stack: np.ndarray):
+    """Vectorized circumradius over a stack of (k x k) squared-distance matrices.
+
+    For points with squared-distance matrix D, the circumcenter is
+    ``X @ alpha`` with ``alpha = D^-1 1 / (1^T D^-1 1)`` and the radius is
+    ``1 / sqrt(2 * 1^T D^-1 1)``. Returns (radii, alphas, ok) where ``ok[i]``
+    is False for matrices the formula could not certify (singular,
+    ill-conditioned, or no real circumsphere); those entries hold NaN.
+    """
+    d2_stack = np.asarray(d2_stack, dtype=float)
+    batch, k, _ = d2_stack.shape
+    radii = np.full(batch, np.nan)
+    alphas = np.full((batch, k), np.nan)
+    ok = np.zeros(batch, dtype=bool)
+    ones = np.ones((batch, k))
+    try:
+        x = np.linalg.solve(d2_stack, ones[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # at least one singular matrix in the batch: solve one by one
+        x = np.full((batch, k), np.nan)
+        for i in range(batch):
+            try:
+                x[i] = np.linalg.solve(d2_stack[i], ones[i])
+            except np.linalg.LinAlgError:
+                pass
+    # a residual screen stands in for an explicit (expensive) condition number
+    resid = np.abs(np.einsum("bij,bj->bi", d2_stack, x) - 1.0).max(axis=1)
+    scale = 1.0 + np.abs(d2_stack).max(axis=(1, 2))
+    denom = x.sum(axis=1)
+    good = (
+        np.isfinite(x).all(axis=1)
+        & np.isfinite(denom)
+        & (denom > 0.0)
+        & (resid <= 1e-9 * scale)
+    )
+    idx = np.nonzero(good)[0]
+    if idx.size:
+        radii[idx] = np.sqrt(0.5 / denom[idx])
+        alphas[idx] = x[idx] / denom[idx, None]
+        ok[idx] = True
+    return radii, alphas, ok
+
+
+def _circumball(d2_stack: np.ndarray):
+    """``circumradius_batch`` plus, per matrix, whether the circumball is the
+    minimum enclosing ball: certified, with every circumcentre weight >= 0."""
+    radii, alphas, ok = circumradius_batch(d2_stack)
+    with np.errstate(invalid="ignore"):
+        inside = ok & (alphas.min(axis=1) >= -1e-12)
+    return radii, alphas, inside
+
+
 def _area4(x, y, z):
     """Four times the area of a triangle with side lengths x >= y >= z.
 
@@ -229,9 +283,7 @@ def _ball_radius(cands: np.ndarray, pair_index: _RowIndex, pair_d2: np.ndarray,
     d2 = np.zeros((count, k, k))
     for i, j in itertools.combinations(range(k), 2):
         d2[:, i, j] = d2[:, j, i] = pair_d2[pair_index.find(cands[:, [i, j]])]
-    radii, alphas, ok = circumradius_batch(d2)
-    with np.errstate(invalid="ignore"):
-        inside = ok & (alphas.min(axis=1) >= -1e-12)
+    radii, _, inside = _circumball(d2)
     return np.where(inside, radii, face_radii.max(axis=1))
 
 
@@ -366,17 +418,45 @@ def _triangle_centre(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarr
     return o + ((v @ v) * (u @ w) * u - (u @ u) * (v @ w) * v) / (2.0 * twice_area ** 2)
 
 
+def _ball(points: np.ndarray, ids: tuple[int, ...], memo: dict):
+    """(centre, radius) of the minimum enclosing ball of k >= 3 points.
+
+    The extension's rule: the closed forms for a triangle; for k >= 4 the
+    circumball when ``_circumball`` accepts it, its centre taken relative
+    to the first point, and otherwise the ball of the largest (k-1)-face.
+    ``memo`` holds the balls of the id subsets already seen, so k points
+    cost at most 2^k ball evaluations.
+    """
+    if ids in memo:
+        return memo[ids]
+    pts = points[list(ids)]
+    diff = pts[:, None] - pts[None]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    if len(ids) == 3:
+        ball = _triangle_centre(*pts), float(_triangle_radius(d2[1, 2], d2[0, 2], d2[0, 1]))
+    else:
+        radii, alphas, inside = _circumball(d2[None])
+        if inside[0]:
+            ball = pts[0] + alphas[0] @ (pts - pts[0]), float(radii[0])
+        else:
+            faces = itertools.combinations(ids, len(ids) - 1)
+            ball = max((_ball(points, face, memo) for face in faces), key=lambda b: b[1])
+    memo[ids] = ball
+    return ball
+
+
 def edge_witness(points: np.ndarray, ids) -> np.ndarray:
     """A point within epsilon of every member of a hyperedge.
 
-    The midpoint for a pair, the closed-form enclosing-ball centre for a
-    triangle, the minimum-enclosing-ball centre for k >= 4.
+    The centre of the members' minimum enclosing ball, by the rule that
+    decided the edge: the midpoint for a pair (a single point is its own
+    witness), ``_triangle_centre`` for a triangle, ``_ball`` beyond.
     """
-    if len(ids) == 2:
-        return (points[ids[0]] + points[ids[1]]) / 2.0
+    if len(ids) <= 2:
+        return (points[ids[0]] + points[ids[-1]]) / 2.0
     if len(ids) == 3:
         return _triangle_centre(*points[list(ids)])
-    return min_enclosing_ball(points[list(ids)]).center
+    return _ball(points, tuple(ids), {})[0]
 
 
 def graph_to_json(graph: ConflictHypergraph) -> str:

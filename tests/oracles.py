@@ -40,12 +40,12 @@ def ball_through_subset(points, subset):
     return center, float(dist.max())
 
 
-def oracle_meb_radius(points):
-    """Smallest radius over all candidate boundary subsets whose ball
-    contains every point."""
+def oracle_meb(points):
+    """(centre, radius) of the smallest candidate ball, over all boundary
+    subsets, that contains every point."""
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    best = np.inf
+    best = None, np.inf
     for size in range(1, min(n, d + 1) + 1):
         for subset in itertools.combinations(range(n), size):
             cand = ball_through_subset(points, subset)
@@ -53,8 +53,14 @@ def oracle_meb_radius(points):
                 continue
             center, radius = cand
             if np.linalg.norm(points - center, axis=1).max() <= radius * (1 + 1e-12) + 1e-12:
-                best = min(best, radius)
+                if radius < best[1]:
+                    best = center, radius
     return best
+
+
+def oracle_meb_radius(points):
+    """Radius of ``oracle_meb``."""
+    return oracle_meb(points)[1]
 
 
 def exact_triangle_radius(points):

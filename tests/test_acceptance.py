@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import oracle_meb_radius
+from oracles import oracle_meb
 
 from optloss.bounds import (
     InstanceTooLargeError,
@@ -23,10 +23,10 @@ from optloss.bounds import (
     randomized_independent_set,
 )
 from optloss.data import from_arrays, gen_gaussian, load_idx, subset
-from optloss.geometry import min_enclosing_ball
 from optloss.hypergraph import (
     ConflictHypergraph,
     build_conflict_graph,
+    edge_witness,
     extend_hyperedges,
     incidence,
 )
@@ -150,15 +150,24 @@ def test_a4_bipartite_collapse():
 
 
 def test_a5_enclosing_ball_matches_exhaustive_oracle():
-    """200 random point sets: ball radius matches the subset oracle to 1e-9."""
+    """200 random point sets: the stored radius of the set as one hyperedge,
+    and its witness's distance to the farthest point, match the subset
+    oracle's radius to 1e-9; the witness is its centre to 1e-9 * radius."""
     rng = np.random.default_rng(505)
     for _ in range(200):
         n = int(rng.integers(1, 7))
         d = int(rng.integers(1, 11))
         pts = rng.normal(size=(n, d)) * float(rng.uniform(0.2, 5.0))
-        ball = min_enclosing_ball(pts)
-        expected = oracle_meb_radius(pts)
-        assert ball.radius == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        centre, expected = oracle_meb(pts)
+        if n > 1:
+            graph = build_conflict_graph(from_arrays(pts, range(n)), 2.0 * expected)
+            graph = extend_hyperedges(graph, n)
+            assert graph.edge_counts()[n] == 1
+            assert graph.radii[n][0] == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        witness = edge_witness(pts, range(n))
+        radius = np.linalg.norm(pts - witness, axis=1).max()
+        assert radius == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        assert np.linalg.norm(witness - centre) <= 1e-9 * expected + 1e-12
     announce("[PASS] A5 enclosing-ball oracle equivalence on 200 point sets")
 
 

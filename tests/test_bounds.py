@@ -1,6 +1,7 @@
 """Bound chain, strategy extraction, classifier evaluation, reports."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -353,6 +354,24 @@ def test_hard_loss_refuses_large_instances():
         hard_loss_bruteforce(graph, cap=30)
 
 
+def test_hard_loss_deep_search_needs_no_recursion():
+    # 120 isolated vertices: the include branches nest 120 deep, past the
+    # lowered limit below, which a recursive search would hit
+    ds = from_arrays(10.0 * np.arange(120.0)[:, None], np.arange(120) % 3)
+    graph = build_conflict_graph(ds, 0.5)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        loss, chosen = hard_loss_bruteforce(graph, cap=120)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert loss == pytest.approx(0.0, abs=1e-12)
+    assert chosen == frozenset(range(120))
+
+
 # ------------------------------------------------------------------- strategy
 
 
@@ -469,6 +488,15 @@ def test_classifier_side_information_restricts_classes():
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_classifier_side_information_outside_classes_raises():
+    ds = triangle_dataset()
+    loss, sol, graph = optimal_loss(ds, 0.6, 3)
+    table = SoftClassifierTable.from_solution(ds, 0.6, sol)
+    for bad in (7, -1):
+        with pytest.raises(ValueError, match=rf"outside 0\.\.2: \[{bad}\]"):
+            evaluate_classifier(table, np.zeros(2), side_info={0, bad})
+
+
 def test_classifier_guarantee_on_neighborhood_queries():
     rng = np.random.default_rng(15)
     for _ in range(5):
@@ -521,6 +549,17 @@ def test_class_distance_stats_translation_invariant():
     moved = LabeledDataset(ds.points + 1e7, ds.labels, ds.masses)
     assert np.allclose(class_distance_stats(moved), class_distance_stats(ds),
                        rtol=0.0, atol=1e-8)
+
+
+def test_class_distance_stats_coincident_points_are_at_zero():
+    # the Gram form puts coincident points about 1e-8 |p| apart; the minimum
+    # is decided from coordinate differences
+    rng = np.random.default_rng(71)
+    direction = rng.normal(size=(200, 3))
+    pts = direction / np.linalg.norm(direction, axis=1, keepdims=True)
+    pts *= rng.uniform(100.0, 300.0, size=(200, 1))
+    ds = from_arrays(np.vstack([pts, pts]), [0] * 200 + [1] * 200, merge_duplicates=False)
+    assert class_distance_stats(ds).tolist() == [0.0, 0.0]
 
 
 def test_class_distance_stats_matches_double_loop():

@@ -1,14 +1,19 @@
-"""Geometry primitives against brute-force candidate-ball oracles."""
+"""Geometry primitives of the hypergraph module against brute-force
+candidate-ball oracles."""
 
 import itertools
 
 import numpy as np
 import pytest
-from oracles import ball_through_subset, oracle_meb_radius
+from oracles import ball_through_subset, oracle_meb, oracle_meb_radius
 
 from optloss.data import from_arrays
-from optloss.geometry import REL_TOL, GeometryError, circumradius_batch, min_enclosing_ball
-from optloss.hypergraph import build_conflict_graph, edge_witness, extend_hyperedges
+from optloss.hypergraph import (
+    build_conflict_graph,
+    circumradius_batch,
+    edge_witness,
+    extend_hyperedges,
+)
 
 
 def d2(points):
@@ -85,44 +90,39 @@ def test_circumradius_batch_flags_singular_items():
     assert np.isnan(radii[1])
 
 
-def test_meb_rejects_bad_input():
-    with pytest.raises(GeometryError):
-        min_enclosing_ball([(0.0, 0.0), (1.0,)])
-    with pytest.raises(GeometryError):
-        min_enclosing_ball([(0.0, np.nan)])
+def witness_ball(points):
+    """``edge_witness`` of all the points, with its largest distance to them."""
+    pts = np.asarray(points, dtype=float)
+    centre = edge_witness(pts, range(len(pts)))
+    return centre, float(np.linalg.norm(pts - centre, axis=1).max())
 
 
 def test_meb_single_point():
-    ball = min_enclosing_ball([(0.0, 0.0)])
-    assert ball.radius == 0.0
-    assert np.array_equal(ball.center, [0.0, 0.0])
-    assert np.array_equal(ball.support_weights, [1.0])
+    centre, radius = witness_ball([(0.0, 0.0)])
+    assert radius == 0.0
+    assert np.array_equal(centre, [0.0, 0.0])
 
 
 def test_meb_obtuse_triangle_diameter_ball():
     pts = [(0.0, 0.0), (2.0, 0.0), (1.0, 0.1)]
-    ball = min_enclosing_ball(pts)
+    centre, radius = witness_ball(pts)
     assert oracle_meb_radius(pts) == pytest.approx(1.0, rel=1e-12)
-    assert ball.radius == pytest.approx(1.0, rel=1e-9)
-    assert np.allclose(ball.center, [1.0, 0.0], atol=1e-9)
-    assert ball.support_weights[2] == pytest.approx(0.0, abs=1e-12)
+    assert radius == pytest.approx(1.0, rel=1e-9)
+    assert np.allclose(centre, [1.0, 0.0], atol=1e-9)
 
 
 def test_meb_equilateral_triangle():
     pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2)])
-    ball = min_enclosing_ball(pts)
-    assert ball.radius == pytest.approx(1 / np.sqrt(3), rel=1e-9)
-    assert np.allclose(ball.support_weights, [1 / 3] * 3, atol=1e-9)
+    centre, radius = witness_ball(pts)
+    assert radius == pytest.approx(1 / np.sqrt(3), rel=1e-9)
+    assert np.allclose(centre, pts.mean(axis=0), atol=1e-9)
 
 
 def test_meb_handles_duplicates_and_collinear():
     pts = [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
-    ball = min_enclosing_ball(pts)
-    assert ball.radius == pytest.approx(1.0, rel=1e-9)
-    assert np.allclose(ball.center, [1.0, 0.0], atol=1e-9)
-    w = ball.support_weights
-    assert w.sum() == pytest.approx(1.0, abs=1e-9)
-    assert (w >= -1e-12).all()
+    centre, radius = witness_ball(pts)
+    assert radius == pytest.approx(1.0, rel=1e-9)
+    assert np.allclose(centre, [1.0, 0.0], atol=1e-9)
 
 
 def test_meb_witness_invariants_random():
@@ -131,50 +131,35 @@ def test_meb_witness_invariants_random():
         n = int(rng.integers(1, 7))
         d = int(rng.integers(1, 11))
         pts = rng.normal(size=(n, d)) * rng.uniform(0.1, 10)
-        ball = min_enclosing_ball(pts)
-        dist = np.linalg.norm(pts - ball.center, axis=1)
-        assert dist.max() <= ball.radius * (1 + 1e-9) + 1e-12
-        w = ball.support_weights
-        assert w.sum() == pytest.approx(1.0, abs=1e-9)
-        assert (w >= -1e-12).all()
-        assert np.allclose(w @ pts, ball.center, atol=1e-8)
+        centre, radius = witness_ball(pts)
+        expected_centre, expected = oracle_meb(pts)
+        assert radius <= expected * (1 + 1e-9) + 1e-12
+        assert np.linalg.norm(centre - expected_centre) <= 1e-9 * expected + 1e-12
         # never larger than any containing candidate ball through pairs/triples
         for size in (2, 3):
             for subset in itertools.combinations(range(n), size):
                 cand = ball_through_subset(pts, subset)
                 if cand is None:
                     continue
-                center, radius = cand
-                if np.linalg.norm(pts - center, axis=1).max() <= radius * (1 + 1e-12) + 1e-12:
-                    assert ball.radius <= radius + 1e-9
+                center, cand_radius = cand
+                if np.linalg.norm(pts - center, axis=1).max() <= cand_radius * (1 + 1e-12) + 1e-12:
+                    assert radius <= cand_radius + 1e-9
 
 
 def test_meb_agrees_with_circumradius_when_weights_nonnegative():
+    # three points in 3-D (closed form) and four in 4-D (the circumball rule)
     rng = np.random.default_rng(3)
-    found = 0
-    while found < 20:
-        pts = rng.normal(size=(3, 3))
-        found_ball = one_item(pts)
-        if found_ball is None or found_ball[1].min() < 0:
-            continue
-        radius = found_ball[0]
-        ball = min_enclosing_ball(pts)
-        assert ball.radius == pytest.approx(radius, rel=1e-9)
-        found += 1
-
-
-def test_meb_many_points_no_recursion_error():
-    # the support-set search must not nest once per point
-    pts = np.random.default_rng(3000).normal(size=(3000, 3))
-    ball = min_enclosing_ball(pts)
-    dist = np.linalg.norm(pts - ball.center, axis=1)
-    assert dist.max() <= ball.radius * (1 + REL_TOL)
-    # optimality certificate: the center is a convex combination of points
-    # on the sphere
-    w = ball.support_weights
-    assert (w >= 0).all() and w.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(w @ pts, ball.center, atol=1e-9)
-    assert np.allclose(dist[w > 0], ball.radius, rtol=1e-9)
+    for k in (3, 4):
+        found = 0
+        while found < 20:
+            pts = rng.normal(size=(k, k))
+            found_ball = one_item(pts)
+            if found_ball is None or found_ball[1].min() < 0:
+                continue
+            centre, radius = witness_ball(pts)
+            assert radius == pytest.approx(found_ball[0], rel=1e-9)
+            assert np.allclose(centre, found_ball[1] @ pts, atol=1e-9)
+            found += 1
 
 
 def test_meb_isometry_invariance():
@@ -185,10 +170,23 @@ def test_meb_isometry_invariance():
         rot, _ = np.linalg.qr(rng.normal(size=(d, d)))
         shift = rng.normal(size=d)
         moved = pts @ rot.T + shift
-        b1 = min_enclosing_ball(pts)
-        b2 = min_enclosing_ball(moved)
-        assert b2.radius == pytest.approx(b1.radius, rel=1e-9, abs=1e-12)
-        assert np.allclose(b1.center @ rot.T + shift, b2.center, atol=1e-8)
+        c1, r1 = witness_ball(pts)
+        c2, r2 = witness_ball(moved)
+        assert r2 == pytest.approx(r1, rel=1e-9, abs=1e-12)
+        assert np.allclose(c1 @ rot.T + shift, c2, atol=1e-8)
+
+
+def test_meb_ten_point_edge():
+    # ten planar points: the largest 9-face, down to a triangle, gives the ball
+    rng = np.random.default_rng(10)
+    pts = rng.normal(size=(10, 2))
+    eps = oracle_meb_radius(pts)
+    graph = extend_hyperedges(build_conflict_graph(from_arrays(pts, range(10)), eps), 10)
+    assert graph.edge_counts()[10] == 1
+    assert graph.radii[10][0] == pytest.approx(eps, rel=1e-9)
+    centre, radius = witness_ball(pts)
+    assert np.linalg.norm(centre - oracle_meb(pts)[0]) <= 1e-9 * eps
+    assert radius <= eps * (1 + 1e-9)
 
 
 def pair_conflicts(a, b, eps):

@@ -6,11 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from oracles import exact_triangle_radius, oracle_hyperedges, oracle_meb_radius
+from oracles import exact_triangle_radius, oracle_hyperedges, oracle_meb, oracle_meb_radius
 
 from optloss.data import from_arrays, gen_gaussian
-from optloss.geometry import REL_TOL, min_enclosing_ball
 from optloss.hypergraph import (
+    REL_TOL,
     build_conflict_graph,
     edge_witness,
     extend_hyperedges,
@@ -107,11 +107,10 @@ def test_triangle_witness_matches_enclosing_ball(name, d):
     pts[:, :2] = TRIANGLES_2D[name]
     if d > 2:
         pts[:, 2:] = np.arange(d - 2) % 5  # a shared offset in the other axes
-    ball = min_enclosing_ball(pts)
-    eps = ball.radius
+    centre, eps = oracle_meb(pts)
     for order in itertools.permutations(range(3)):
         witness = edge_witness(pts, order)
-        assert np.linalg.norm(witness - ball.center) <= 1e-9 * eps
+        assert np.linalg.norm(witness - centre) <= 1e-9 * eps
         assert np.linalg.norm(pts - witness, axis=1).max() <= eps * (1 + 1e-9)
 
 
@@ -125,10 +124,10 @@ def test_triangle_witness_matches_enclosing_ball_random(d):
         # stay clear of right angles, where the reference ball flips branch
         if abs(sides[2] - sides[0] - sides[1]) < 1e-3 * sides[2]:
             continue
-        ball = min_enclosing_ball(pts)
+        centre, radius = oracle_meb(pts)
         witness = edge_witness(pts, (0, 1, 2))
-        assert np.linalg.norm(witness - ball.center) <= 1e-9 * ball.radius
-        assert np.linalg.norm(pts - witness, axis=1).max() <= ball.radius * (1 + 1e-9)
+        assert np.linalg.norm(witness - centre) <= 1e-9 * radius
+        assert np.linalg.norm(pts - witness, axis=1).max() <= radius * (1 + 1e-9)
         checked += 1
 
 

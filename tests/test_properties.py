@@ -1,5 +1,6 @@
-"""Property tests: hyperedge extension against the subset oracles, and the
-bound chain under label renaming and growing budgets and degrees.
+"""Property tests: hyperedge extension and witnesses against the subset
+oracles, and the bound chain under label renaming and growing budgets and
+degrees.
 
 Needs ``hypothesis``; the module is skipped without it. Runs are
 derandomized and keep no example database, so they are reproducible.
@@ -9,7 +10,7 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import oracle_hyperedges, oracle_meb_radius
+from oracles import oracle_hyperedges, oracle_meb, oracle_meb_radius
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -17,7 +18,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from optloss.bounds import bound_report, optimal_loss  # noqa: E402
 from optloss.data import from_arrays  # noqa: E402
-from optloss.hypergraph import build_conflict_graph, extend_hyperedges  # noqa: E402
+from optloss.hypergraph import (  # noqa: E402
+    build_conflict_graph,
+    edge_witness,
+    extend_hyperedges,
+)
 
 # coordinates on a grid of eighths, exact in binary: duplicates, collinear and
 # cospherical sets and right angles come out exactly degenerate
@@ -76,8 +81,12 @@ def test_extension_matches_oracle_and_is_isometry_invariant(instance, data):
     expected = oracle_hyperedges(points, labels, epsilon, k)
     assert sorted(edges) == sorted(e for rows in expected.values() for e in rows)
     for ids, radius in edges.items():
-        assert radius == pytest.approx(oracle_meb_radius(points[list(ids)]),
-                                       rel=1e-9, abs=1e-12)
+        centre, expected = oracle_meb(points[list(ids)])
+        assert radius == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        # the witness is the ball's centre, within the radius of every member
+        witness = edge_witness(points, ids)
+        assert np.linalg.norm(points[list(ids)] - witness, axis=1).max() <= radius * (1 + 1e-9)
+        assert np.linalg.norm(witness - centre) <= 1e-9 * epsilon
 
     q, shift, perm = data.draw(isometries(n, d))
     # moved vertex i is vertex perm[i]
