@@ -20,6 +20,7 @@ instance; the test suite exercises it on random data.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +30,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .data import LabeledDataset
 from .hypergraph import (
+    GRAM_SLACK,
     REL_TOL,
     SWEEP_BLOCK,
     ConflictHypergraph,
@@ -262,6 +264,14 @@ def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
     stack = [((1 << n) - 1 if n else 0, 0.0, 0)]
     while stack:
         cand, cur, cur_set = stack.pop()
+        # a candidate with no neighbour among the candidates belongs to some
+        # best extension of this node, so take it without branching
+        for v in order:
+            bit = 1 << v
+            if cand & bit and not adj[v] & cand:
+                cand &= ~bit
+                cur += float(w[v])
+                cur_set |= bit
         if cur > best_w:
             best_w, best_set = cur, cur_set
         if not cand:
@@ -371,15 +381,53 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
     return AdversarialStrategy(per_vertex, cover_cost=float(z.sum() + y.sum()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SoftClassifierTable:
-    """Optimal packing vector plus the support needed to evaluate it anywhere."""
+    """Optimal packing vector plus the support needed to evaluate it anywhere.
+
+    Construction checks the support: ``points`` a nonempty finite (n, d)
+    float array, ``labels`` n integers in 0..num_classes-1, ``q`` n values
+    in [0, 1] and ``epsilon`` finite and >= 0; anything else raises a
+    ValueError. It also computes, once, the centred support and its row
+    norms that ``evaluate_classifier`` screens with. The table is frozen
+    and keeps read-only copies of its arrays, so neither a reassigned
+    field nor a write to the caller's arrays can leave that screen stale.
+    """
 
     points: np.ndarray
     labels: np.ndarray
     num_classes: int
     epsilon: float
     q: np.ndarray
+    _centre: np.ndarray = field(init=False, repr=False, compare=False)
+    _centred: np.ndarray = field(init=False, repr=False, compare=False)
+    _sq: np.ndarray = field(init=False, repr=False, compare=False)
+    _sq_max: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        points = np.array(self.points, dtype=float)
+        labels = np.array(self.labels)
+        q = np.array(self.q, dtype=float)
+        if points.ndim != 2 or not len(points) or not np.isfinite(points).all():
+            raise ValueError("points must be a nonempty finite (n, d) array")
+        n = len(points)
+        if (labels.shape != (n,) or labels.dtype.kind not in "iu"
+                or labels.min() < 0 or labels.max() >= self.num_classes):
+            raise ValueError(f"labels must be {n} integers in 0..{self.num_classes - 1}")
+        if q.shape != (n,) or not ((q >= 0.0) & (q <= 1.0)).all():
+            raise ValueError(f"q must be {n} values in [0, 1]")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        centre = points.mean(axis=0)
+        centred = points - centre
+        sq = np.einsum("ij,ij->i", centred, centred)
+        for array in (points, labels, q):
+            array.flags.writeable = False
+        for name, value in (("points", points), ("labels", labels), ("q", q),
+                            ("epsilon", float(self.epsilon)), ("_centre", centre),
+                            ("_centred", centred), ("_sq", sq),
+                            ("_sq_max", float(sq.max()))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_solution(cls, dataset: LabeledDataset, epsilon: float,
@@ -397,10 +445,16 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
     """Class probabilities the optimal classifier assigns at a query point.
 
     Each class y receives the largest packing value among class-y support
-    points whose epsilon-neighborhood contains the query (zero when there is
-    none); leftover probability is spread uniformly over all classes. With
-    ``side_info`` (a set of candidate classes) only those classes compete for
-    packing values; a class outside 0..K-1 there raises a ValueError.
+    points whose closed ball of radius eps * (1 + REL_TOL) + 1e-12 contains
+    the query (zero when there is none); leftover probability is spread
+    uniformly over all classes. With ``side_info`` (a set of candidate
+    classes) only those classes compete for packing values; a class outside
+    0..K-1 there raises a ValueError, as does a non-finite query.
+
+    One matrix-vector product in Gram form on the table's centred support
+    screens the rows, with the pair sweep's slack; each screened row is
+    decided by the norm of its coordinate difference from the query, so the
+    answer is the one a full scan of those norms gives.
     """
     query = np.asarray(query, dtype=float)
     if query.shape != (table.points.shape[1],):
@@ -414,13 +468,20 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
     if not allowed <= classes:
         raise ValueError(f"side_info names classes outside 0..{k - 1}: "
                          f"{sorted(allowed - classes)}")
-    dist = np.linalg.norm(table.points - query, axis=1)
-    near = dist <= table.epsilon * (1.0 + REL_TOL) + 1e-12
+    radius = table.epsilon * (1.0 + REL_TOL) + 1e-12
+    x = query - table._centre
+    xx = float(x @ x)
+    # x @ x is finite for every finite query short of overflow
+    if not math.isfinite(xx) and not np.isfinite(query).all():
+        raise ValueError("query must be finite")
+    # the query is not one of the centred points, so its norm joins the slack
+    d2 = table._sq - 2.0 * (table._centred @ x) + xx
+    cand = np.flatnonzero(d2 <= radius * radius + GRAM_SLACK * (table._sq_max + xx))
+    near = cand[np.linalg.norm(table.points[cand] - query, axis=1) <= radius]
     g = np.zeros(k)
-    for y in allowed:
-        sel = near & (table.labels == y)
-        if sel.any():
-            g[y] = float(table.q[sel].max())
+    np.maximum.at(g, table.labels[near], table.q[near])  # q >= 0: empty class gets 0
+    if allowed != classes:
+        g[sorted(classes - allowed)] = 0.0
     total = g.sum()
     if total > 1.0:
         g /= total
@@ -440,7 +501,7 @@ def class_distance_stats(dataset: LabeledDataset) -> np.ndarray:
     sq = np.einsum("ij,ij->i", points, points)
     # the Gram form only screens, with the pair sweep's slack; each row's
     # minimum is decided from coordinate differences of its screened pairs
-    slack = 1e-10 * sq.max()
+    slack = GRAM_SLACK * sq.max()
     nearest = np.full(n, np.inf)
     step = max(1, 8192 // points.shape[1])  # difference chunks of 64 KB
     for i0 in range(0, n, SWEEP_BLOCK):

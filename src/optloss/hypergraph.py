@@ -29,6 +29,10 @@ import scipy.sparse as sp
 # relative slack of every closed-ball test: a radius <= eps * (1 + REL_TOL) passes
 REL_TOL = 1e-9
 
+# slack of every Gram-form screen, relative to the largest |x|^2 involved:
+# the Gram form of a squared distance is off by a few ulps of that norm
+GRAM_SLACK = 1e-10
+
 # points per block of the blocked all-pairs distance sweeps
 SWEEP_BLOCK = 2048
 
@@ -170,7 +174,7 @@ def build_conflict_graph(dataset, epsilon: float) -> ConflictHypergraph:
     n = points.shape[0]
     threshold = (2.0 * graph.epsilon * (1.0 + REL_TOL)) ** 2
     sq = np.einsum("ij,ij->i", points, points)
-    screen = threshold + 1e-10 * sq.max()
+    screen = threshold + GRAM_SLACK * sq.max()
 
     found: list[np.ndarray] = [np.zeros((0, 2), dtype=np.int64)]
     for i0 in range(0, n, SWEEP_BLOCK):

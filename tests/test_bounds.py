@@ -1,7 +1,9 @@
 """Bound chain, strategy extraction, classifier evaluation, reports."""
 
+import dataclasses
 import itertools
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from optloss.bounds import (
     randomized_independent_set,
 )
 from optloss.data import LabeledDataset, from_arrays, gen_gaussian
-from optloss.hypergraph import build_conflict_graph, edge_witness, incidence
+from optloss.hypergraph import REL_TOL, build_conflict_graph, edge_witness, incidence
 from optloss.lp_core import PackingLp, solve_packing
 
 
@@ -336,6 +338,32 @@ def test_hard_loss_matches_exhaustive_oracle():
         assert loss == pytest.approx(oracle_mwis(ds, eps), abs=1e-12)
 
 
+def test_hard_loss_sparse_graphs_match_exhaustive_oracle():
+    # small budgets leave isolated vertices, and vertices that become isolated
+    # deeper in the search, which the search takes without branching
+    rng = np.random.default_rng(84)
+    for _ in range(40):
+        n, k = int(rng.integers(4, 13)), int(rng.integers(2, 5))
+        base = random_dataset(rng, n, k, 2)
+        ds = from_arrays(base.points, base.labels, masses=rng.dirichlet(np.ones(n)),
+                         merge_duplicates=False)
+        eps = float(rng.uniform(0.05, 0.5))
+        loss, chosen = hard_loss_bruteforce(build_conflict_graph(ds, eps))
+        assert loss == pytest.approx(oracle_mwis(ds, eps), abs=1e-12)
+        assert loss == pytest.approx(1.0 - ds.masses[sorted(chosen)].sum(), abs=1e-12)
+
+
+def test_hard_loss_takes_isolated_vertices_without_branching():
+    n = 2000
+    ds = from_arrays(10.0 * np.arange(float(n))[:, None], np.arange(n) % 3)
+    graph = build_conflict_graph(ds, 0.5)
+    start = time.perf_counter()
+    loss, chosen = hard_loss_bruteforce(graph, cap=n)
+    assert time.perf_counter() - start < 10.0  # about 5 ms; a branching search takes minutes
+    assert loss == pytest.approx(0.0, abs=1e-12)
+    assert chosen == frozenset(range(n))
+
+
 def test_hard_loss_bipartite_equals_lp():
     rng = np.random.default_rng(97)
     for _ in range(15):
@@ -355,9 +383,10 @@ def test_hard_loss_refuses_large_instances():
 
 
 def test_hard_loss_deep_search_needs_no_recursion():
-    # 120 isolated vertices: the include branches nest 120 deep, past the
-    # lowered limit below, which a recursive search would hit
-    ds = from_arrays(10.0 * np.arange(120.0)[:, None], np.arange(120) % 3)
+    # 100 disjoint conflicting pairs: the include branches nest 100 deep,
+    # past the lowered limit below, which a recursive search would hit
+    x = 10.0 * np.repeat(np.arange(100.0), 2) + np.tile([0.0, 0.5], 100)
+    ds = from_arrays(x[:, None], np.tile([0, 1], 100))
     graph = build_conflict_graph(ds, 0.5)
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -365,11 +394,11 @@ def test_hard_loss_deep_search_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 60)
     try:
-        loss, chosen = hard_loss_bruteforce(graph, cap=120)
+        loss, chosen = hard_loss_bruteforce(graph, cap=200)
     finally:
         sys.setrecursionlimit(limit)
-    assert loss == pytest.approx(0.0, abs=1e-12)
-    assert chosen == frozenset(range(120))
+    assert loss == pytest.approx(0.5, abs=1e-12)
+    assert sorted(v // 2 for v in chosen) == list(range(100))  # one of each pair
 
 
 # ------------------------------------------------------------------- strategy
@@ -495,6 +524,114 @@ def test_classifier_side_information_outside_classes_raises():
     for bad in (7, -1):
         with pytest.raises(ValueError, match=rf"outside 0\.\.2: \[{bad}\]"):
             evaluate_classifier(table, np.zeros(2), side_info={0, bad})
+
+
+def full_scan_classifier(table, query, side_info=None):
+    """The classifier's rule over every support point, without a screen."""
+    radius = table.epsilon * (1.0 + REL_TOL) + 1e-12
+    near = np.linalg.norm(table.points - query, axis=1) <= radius
+    k = table.num_classes
+    g = np.zeros(k)
+    for y in range(k) if side_info is None else side_info:
+        sel = near & (table.labels == y)
+        if sel.any():
+            g[y] = float(table.q[sel].max())
+    total = g.sum()
+    return g / total if total > 1.0 else g + (1.0 - total) / k
+
+
+def boundary_queries(rng, points, rows, radius):
+    """Queries radius * (1 + j ulp) away from support points, j = -4..4, and 1e6 away."""
+    axis = np.eye(1, points.shape[1])[0]
+    queries = []
+    for v in rows:
+        u = rng.normal(size=len(axis))
+        u /= np.linalg.norm(u)
+        t = radius
+        for _ in range(4):
+            t = np.nextafter(t, 0.0)
+        for _ in range(9):
+            queries += [points[v] + t * u, points[v] + t * axis]
+            t = np.nextafter(t, np.inf)
+        queries.append(points[v] + 1e6 * u)
+    return queries
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 784])
+@pytest.mark.parametrize("shift", [0.0, 1e7])
+@pytest.mark.parametrize("spread", [0.5, 1e-6])  # 1e-6: the query's norm sets the slack
+def test_classifier_screen_matches_full_scan(d, shift, spread):
+    rng = np.random.default_rng(d)
+    n = 40
+    pts = rng.normal(size=(n, d)) * spread
+    labels = rng.integers(0, 3, size=n)
+    labels[:3] = np.arange(3)
+    rows = [5, *rng.choice(np.arange(7, n), size=7, replace=False)]
+    # from a zero coordinate, the query along that axis is exactly t away
+    pts[rows[:4], 0] = 0.0
+    pts[6] = pts[5]  # coincident support points under two labels
+    labels[5], labels[6] = 0, 1
+    pts += shift
+    eps = float(rng.uniform(0.2, 0.6)) * np.sqrt(d)
+    radius = eps * (1.0 + REL_TOL) + 1e-12
+    queries = boundary_queries(rng, pts, rows, radius)
+    queries += list(pts[:4] + rng.normal(size=(4, d)) * radius)
+    if shift == 0.0:
+        assert any((np.linalg.norm(pts - x, axis=1) == radius).any() for x in queries)
+    table = SoftClassifierTable(pts, labels, 3, eps, rng.uniform(0.0, 1.0, size=n))
+    for query in queries:
+        for side in (None, {0}, {0, 1}, {1, 2}):
+            got = evaluate_classifier(table, query, side_info=side)
+            assert np.array_equal(got, full_scan_classifier(table, query, side))
+
+
+def classifier_fields():
+    return dict(points=np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 0.8)]),
+                labels=np.array([0, 1, 2]), num_classes=3, epsilon=0.6,
+                q=np.array([0.5, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("points", np.array([(0.0, 0.0), (np.nan, 0.0), (0.5, 0.8)])),
+    ("points", np.array([(0.0, 0.0), (1.0, np.inf), (0.5, 0.8)])),
+    ("points", np.array([0.0, 1.0, 0.5])),
+    ("points", np.zeros((0, 2))),
+    ("labels", np.array([0, 1, 3])),
+    ("labels", np.array([0, -1, 2])),
+    ("labels", np.array([0, 1])),
+    ("labels", np.array([0.0, 1.0, 2.0])),
+    ("q", np.array([0.5, 0.5])),
+    ("q", np.array([0.5, 0.5, 1.0, 1.0])),
+    ("q", np.array([0.5, np.nan, 1.0])),
+    ("q", np.array([0.5, -0.1, 1.0])),
+    ("epsilon", np.nan),
+    ("epsilon", np.inf),
+    ("epsilon", -0.1),
+])
+def test_classifier_table_rejects_invalid_fields(field, value):
+    fields = classifier_fields()
+    fields[field] = value
+    with pytest.raises(ValueError):
+        SoftClassifierTable(**fields)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classifier_rejects_non_finite_query(bad):
+    table = SoftClassifierTable(**classifier_fields())
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_classifier(table, np.array([0.5, bad]))
+
+
+def test_classifier_table_is_frozen():
+    fields = classifier_fields()
+    table = SoftClassifierTable(**fields)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.epsilon = 5.0
+    with pytest.raises(ValueError):
+        table.points[0] = (5.0, 5.0)
+    before = evaluate_classifier(table, np.zeros(2))
+    fields["points"][0] += 100.0  # the caller's array, not the table's
+    assert np.array_equal(evaluate_classifier(table, np.zeros(2)), before)
 
 
 def test_classifier_guarantee_on_neighborhood_queries():
