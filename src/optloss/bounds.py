@@ -26,7 +26,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from .data import LabeledDataset
 from .hypergraph import (
@@ -34,6 +36,7 @@ from .hypergraph import (
     REL_TOL,
     SWEEP_BLOCK,
     ConflictHypergraph,
+    _incidence_of,
     build_conflict_graph,
     edge_witness,
     extend_hyperedges,
@@ -60,7 +63,13 @@ __all__ = [
     "class_distance_stats",
     "bound_report",
     "BOUND_CSV_HEADER",
+    "PAIRWISE_NOTE",
+    "SCHEMA_VERSION",
 ]
+
+SCHEMA_VERSION = 1  # of every JSON and CSV document the library and CLI write
+PAIRWISE_NOTE = "entry (i,j) conditions on Y in {i,j} with prior-weighted masses"
+
 
 class InstanceTooLargeError(ValueError):
     """Exact exponential search refused; the instance exceeds the cap."""
@@ -68,7 +77,7 @@ class InstanceTooLargeError(ValueError):
 
 def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
                  tol: Tolerances = Tolerances(), dedupe: bool = True,
-                 jobs: int = 1, progress=None):
+                 jobs: int = 1):
     """Optimal loss against hyperedges of degree at most m.
 
     Returns ``(loss, solution, graph)``. With m equal to the number of
@@ -83,7 +92,7 @@ def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
     else:
         graph = build_conflict_graph(dataset, epsilon)
         if m > 2:
-            graph = extend_hyperedges(graph, m, progress=progress)
+            graph = extend_hyperedges(graph, m)
     sol = solve_packing(PackingLp(graph.masses, incidence(graph, dedupe)), tol)
     return sol.loss, sol, graph
 
@@ -98,7 +107,6 @@ class PairwiseLossMatrix:
 
     losses: np.ndarray
     class_names: list[str] | None = None
-    note: str = "entry (i,j) conditions on Y in {i,j} with prior-weighted masses"
     backends: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -130,7 +138,7 @@ def _pairwise_losses(graph: ConflictHypergraph, tol: Tolerances,
     sorted. A two-class conflict hypergraph is bipartite, so ``solve_packing``
     takes its min-cut backend whenever the masses scale to integers.
     """
-    labels, masses, pairs = graph.labels, graph.masses, graph.edges[2]
+    labels, masses, pairs = graph.labels, graph.masses, graph.pairs
     k = int(labels.max()) + 1
     if k < 2:
         raise ValueError("need at least two classes")
@@ -145,10 +153,8 @@ def _pairwise_losses(graph: ConflictHypergraph, tol: Tolerances,
             keep = (labels == i) | (labels == j)
             local = np.cumsum(keep) - 1  # graph id -> id among the kept vertices
             cond_mass = masses[keep] / masses[keep].sum()
-            sub = ConflictHypergraph(labels[keep], cond_mass, None,
-                                     {2: local[pairs[(lo == i) & (hi == j)]]},
-                                     max_degree=2, epsilon=graph.epsilon)
-            sol = solve_packing(PackingLp(cond_mass, incidence(sub)), tol)
+            rows = local[pairs[(lo == i) & (hi == j)]]
+            sol = solve_packing(PackingLp(cond_mass, _incidence_of([rows], keep.sum())), tol)
             a[i, j] = a[j, i] = max(0.0, sol.loss)
             backends.append(sol.backend)
     return PairwiseLossMatrix(a, class_names=class_names, backends=backends)
@@ -191,12 +197,11 @@ def caro_wei_bound(graph: ConflictHypergraph, weights) -> float:
         raise ValueError("weights length must match vertex count")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    adjacency = graph.adjacency_matrix()
-    denom = adjacency @ w + w
+    # (A + I) w, each vertex summing its neighbours in increasing id order
+    u, v = graph.pairs.T
+    denom = np.bincount(np.concatenate([v, u]), np.concatenate([w[u], w[v]]), n) + w
     mask = w > 0
-    p = graph.masses
-    covered = float(np.sum(p[mask] * w[mask] / denom[mask])) if mask.any() else 0.0
-    return 1.0 - covered
+    return 1.0 - float(np.sum(graph.masses[mask] * w[mask] / denom[mask]))
 
 
 def randomized_independent_set(graph: ConflictHypergraph, weights, seed: int = 0) -> np.ndarray:
@@ -213,32 +218,51 @@ def randomized_independent_set(graph: ConflictHypergraph, weights, seed: int = 0
     if np.any(w < 0) or not np.any(w > 0):
         raise ValueError("weights must be nonnegative and not all zero")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    with np.errstate(divide="ignore"):
-        arrival = rng.exponential(size=n) / w  # inf where w == 0
-    adj = graph.adjacency_sets()
-    chosen = [
-        v
-        for v in range(n)
-        if w[v] > 0 and all(arrival[v] < arrival[u] for u in adj[v])
-    ]
-    return np.array(sorted(chosen), dtype=int)
+    with np.errstate(divide="ignore", over="ignore"):
+        arrival = rng.exponential(size=n) / w  # inf where w == 0 or the quotient overflows
+    # a neighbor arriving no later blocks a vertex
+    u, v = graph.pairs.T
+    blocked = np.zeros(n, dtype=bool)
+    blocked[v[arrival[u] <= arrival[v]]] = True
+    blocked[u[arrival[v] <= arrival[u]]] = True
+    return np.flatnonzero((w > 0) & ~blocked)
 
 
 def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
     """Exact optimal hard-classifier loss by branch and bound.
 
-    The optimum equals one minus the maximum probability of an independent
-    set in the pair graph. Refuses instances above ``cap`` vertices rather
-    than approximating. Returns ``(loss, frozenset_of_vertex_ids)``.
+    One minus the maximum probability of an independent set in the pair
+    graph, searched one connected component at a time. The components'
+    weights are summed exactly (``math.fsum``) and the loss clamped at 0.
+    Refuses instances above ``cap`` vertices rather than approximating.
+    Returns ``(loss, frozenset_of_vertex_ids)``.
     """
     n = graph.num_vertices
     if n > cap:
         raise InstanceTooLargeError(
             f"{n} vertices exceeds the exact-search cap of {cap}"
         )
-    w = graph.masses
-    adj = [sum(1 << u for u in neighbors) for neighbors in graph.adjacency_sets()]
-    order = sorted(range(n), key=lambda v: -w[v])
+    u, v = graph.pairs.T
+    count, comp = connected_components(
+        sp.csr_matrix((np.ones(u.size), (u, v)), shape=(n, n)), directed=False)
+    adj = [0] * n
+    for a, b in zip(u.tolist(), v.tolist()):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    # by component, then by decreasing mass (ties by id)
+    order = np.lexsort((-graph.masses, comp))
+    first = np.searchsorted(comp[order], np.arange(count + 1)).tolist()
+    w, order = graph.masses.tolist(), order.tolist()
+    parts = [_heaviest_independent_set(adj, w, order[lo:hi])
+             for lo, hi in zip(first, first[1:])]
+    best = sum(chosen for _, chosen in parts)  # disjoint bitmasks: the sum is their union
+    loss = max(0.0, 1.0 - math.fsum(weight for weight, _ in parts))
+    return loss, frozenset(i for i in range(n) if best >> i & 1)
+
+
+def _heaviest_independent_set(adj: list[int], w: list[float], order: list[int]):
+    """(weight, bitmask) of a heaviest independent subset of the vertices
+    ``order``, listed by decreasing weight ``w``; ``adj[v]`` masks v's neighbours."""
 
     def cover_bound(mask: int) -> float:
         # greedy clique cover: each clique contributes at most its top weight
@@ -257,11 +281,10 @@ def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
                 ub += w[v]  # first member has the largest weight in its clique
         return ub
 
-    best_w = -1.0
-    best_set = 0
+    best_w, best_set = -1.0, 0
     # depth-first, include branch first, on an explicit stack: the search
     # can nest once per vertex, past Python's recursion limit
-    stack = [((1 << n) - 1 if n else 0, 0.0, 0)]
+    stack = [(sum(1 << v for v in order), 0.0, 0)]
     while stack:
         cand, cur, cur_set = stack.pop()
         # a candidate with no neighbour among the candidates belongs to some
@@ -270,7 +293,7 @@ def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
             bit = 1 << v
             if cand & bit and not adj[v] & cand:
                 cand &= ~bit
-                cur += float(w[v])
+                cur += w[v]
                 cur_set |= bit
         if cur > best_w:
             best_w, best_set = cur, cur_set
@@ -283,10 +306,8 @@ def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
                 break
         bit = 1 << v
         stack.append((cand & ~bit, cur, cur_set))
-        stack.append((cand & ~adj[v] & ~bit, cur + float(w[v]), cur_set | bit))
-
-    ids = frozenset(i for i in range(n) if best_set >> i & 1)
-    return 1.0 - best_w, ids
+        stack.append((cand & ~adj[v] & ~bit, cur + w[v], cur_set | bit))
+    return best_w, best_set
 
 
 @dataclass
@@ -537,15 +558,13 @@ class BoundReport:
     boundary_tight_edges: int
     q_histograms: dict[int, dict]
     runtimes: dict[str, float]
-    notes: list[str] = field(default_factory=list)
-    schema_version: int = 1
     # keyed like runtimes: "solve_<m>" and "pairwise" -> "flow" or "highs"
     # ("flow+highs" when the pairwise solves used both)
     solver_backends: dict[str, str] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "epsilon": self.epsilon,
             "max_degree": self.max_degree,
             "losses": {str(m): v for m, v in self.losses.items()},
@@ -556,7 +575,7 @@ class BoundReport:
             "boundary_tight_edges": self.boundary_tight_edges,
             "q_histograms": {str(m): h for m, h in self.q_histograms.items()},
             "runtimes": self.runtimes,
-            "notes": self.notes,
+            "notes": list(_REPORT_NOTES),
             "certified": True,  # an uncertified solve raises instead
             "solver_backends": self.solver_backends,
         }
@@ -567,7 +586,7 @@ class BoundReport:
 
         def row(name, value, runtime):
             rows.append(
-                [self.schema_version, self.epsilon, name,
+                [SCHEMA_VERSION, self.epsilon, name,
                  "" if value is None else value,
                  "" if runtime is None else runtime, counts]
             )
@@ -585,11 +604,11 @@ BOUND_CSV_HEADER = [
     "schema_version", "epsilon", "bound", "value", "runtime_seconds", "edge_counts",
 ]
 
-_REPORT_NOTES = [
+_REPORT_NOTES = (
     "edge counts include dominated hyperedges (all edges of each exact degree)",
     "caro_wei weights come from the deduplicated degree-2 packing solution",
     "pairwise losses condition on prior-weighted masses within each pair",
-]
+)
 
 
 def _histogram(q: np.ndarray) -> dict:
@@ -666,6 +685,5 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
         boundary_tight_edges=graph.boundary_tight_count(),
         q_histograms=q_histograms,
         runtimes=runtimes,
-        notes=list(_REPORT_NOTES),
         solver_backends=backends,
     )

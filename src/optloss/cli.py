@@ -27,7 +27,7 @@ from . import data as dt
 from . import hypergraph as hg
 from .lp_core import Tolerances
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = bd.SCHEMA_VERSION
 PROGRESS_EVERY = 1_000_000
 
 
@@ -56,6 +56,21 @@ def _csv_text(header: list, rows: list[list]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _write_formats(outdir: Path, stem: str, fmt: str, doc: dict, header: list,
+                   rows: list[list]) -> list[str]:
+    """Write ``stem``.json and/or ``stem``.csv as ``fmt`` asks; the paths written."""
+    written = []
+    if fmt in ("json", "both"):
+        path = outdir / f"{stem}.json"
+        _write_atomic(path, json.dumps(doc, indent=2))
+        written.append(str(path))
+    if fmt in ("csv", "both"):
+        path = outdir / f"{stem}.csv"
+        _write_atomic(path, _csv_text(header, rows))
+        written.append(str(path))
+    return written
 
 
 def _progress_printer(label: str):
@@ -192,16 +207,9 @@ def cmd_bound(args) -> int:
             dedupe=(args.dedupe == "on"), hard_cap=args.hard_cap,
             caro_wei_weights=weights, progress=_progress_printer(f"eps={eps:g}"),
         )
-        written = []
-        if args.format in ("json", "both"):
-            path = outdir / f"bound_eps{eps:g}.json"
-            _write_atomic(path, json.dumps(report.to_json_dict(), indent=2))
-            written.append(str(path))
-        if args.format in ("csv", "both"):
-            path = outdir / f"bound_eps{eps:g}.csv"
-            _write_atomic(path, _csv_text(bd.BOUND_CSV_HEADER, report.to_csv_rows()))
-            written.append(str(path))
-        return report, written
+        return report, _write_formats(outdir, f"bound_eps{eps:g}", args.format,
+                                      report.to_json_dict(), bd.BOUND_CSV_HEADER,
+                                      report.to_csv_rows())
 
     if args.jobs > 1 and len(epsilons) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -227,21 +235,12 @@ def cmd_pairwise(args) -> int:
     eps = args.epsilon[0]
     matrix = bd.pairwise_binary_losses(ds, eps, tol)
     names = matrix.class_names or [str(i) for i in range(matrix.losses.shape[0])]
-    outdir = _out_dir(args)
-    written = []
-    if args.format in ("csv", "both"):
-        rows = [[names[i]] + [repr(float(v)) for v in matrix.losses[i]]
-                for i in range(len(names))]
-        path = outdir / f"pairwise_eps{eps:g}.csv"
-        _write_atomic(path, _csv_text(["class"] + names, rows))
-        written.append(str(path))
-    if args.format in ("json", "both"):
-        doc = {"schema_version": SCHEMA_VERSION, "epsilon": eps,
-               "classes": names, "losses": matrix.losses.tolist(),
-               "note": matrix.note}
-        path = outdir / f"pairwise_eps{eps:g}.json"
-        _write_atomic(path, json.dumps(doc, indent=2))
-        written.append(str(path))
+    doc = {"schema_version": SCHEMA_VERSION, "epsilon": eps,
+           "classes": names, "losses": matrix.losses.tolist(), "note": bd.PAIRWISE_NOTE}
+    rows = [[names[i]] + [repr(float(v)) for v in matrix.losses[i]]
+            for i in range(len(names))]
+    written = _write_formats(_out_dir(args), f"pairwise_eps{eps:g}", args.format, doc,
+                             ["class"] + names, rows)
     _emit({"command": "pairwise", "outputs": written,
            "max_entry": float(matrix.losses.max())})
     return 0
@@ -280,19 +279,11 @@ def cmd_stats(args) -> int:
     ds = _load_dataset(args)
     stats = bd.class_distance_stats(ds)
     names = ds.class_names or [str(i) for i in range(ds.num_classes)]
-    outdir = _out_dir(args)
-    written = []
-    if args.format in ("csv", "both"):
-        rows = [[names[c], repr(float(stats[c]))] for c in range(len(stats))]
-        path = outdir / "class_stats.csv"
-        _write_atomic(path, _csv_text(["class", "mean_nearest_other_class_distance"], rows))
-        written.append(str(path))
-    if args.format in ("json", "both"):
-        doc = {"schema_version": SCHEMA_VERSION, "classes": names,
-               "mean_nearest_other_class_distance": stats.tolist()}
-        path = outdir / "class_stats.json"
-        _write_atomic(path, json.dumps(doc, indent=2))
-        written.append(str(path))
+    doc = {"schema_version": SCHEMA_VERSION, "classes": names,
+           "mean_nearest_other_class_distance": stats.tolist()}
+    rows = [[names[c], repr(float(stats[c]))] for c in range(len(stats))]
+    written = _write_formats(_out_dir(args), "class_stats", args.format, doc,
+                             ["class", "mean_nearest_other_class_distance"], rows)
     _emit({"command": "stats", "outputs": written, "values": stats.tolist()})
     return 0
 

@@ -120,8 +120,8 @@ def _detect_scale(points: np.ndarray) -> str:
     return "unit" if top <= 1.0 + 1e-12 else f"raw(max={top:g})"
 
 
-def load_csv(path, label_column: int = 0, normalization: str = "none") -> LabeledDataset:
-    """Read a numeric CSV of one label column plus feature columns.
+def load_csv(path, normalization: str = "none") -> LabeledDataset:
+    """Read a numeric CSV of a label column (the first) plus feature columns.
 
     ``normalization`` is "none" or "divide-255". Masses are uniform over the
     file rows before duplicate merging, so a row appearing twice yields one
@@ -139,18 +139,17 @@ def load_csv(path, label_column: int = 0, normalization: str = "none") -> Labele
         raise ValueError(f"empty CSV file: {path}")
     if table.shape[1] < 2:
         raise ValueError("CSV needs a label column and at least one feature column")
-    labels_raw = table[:, label_column]
+    labels_raw = table[:, 0]
     if not np.allclose(labels_raw, np.round(labels_raw)):
         raise ValueError("label column must contain integers")
-    features = np.delete(table, label_column, axis=1)
+    features = table[:, 1:]
     if normalization == "divide-255":
         features = features / 255.0
-    ds = from_arrays(
+    return from_arrays(
         features,
         labels_raw.astype(int),
         provenance=f"csv:{path}(normalization={normalization},scale={_detect_scale(features)})",
     )
-    return ds
 
 
 def _read_idx(path) -> np.ndarray:

@@ -76,31 +76,17 @@ class ConflictHypergraph:
         """
         return [tuple(row) for k in sorted(self.edges) for row in self.edges[k].tolist()]
 
-    def _pairs(self) -> np.ndarray:
+    @property
+    def pairs(self) -> np.ndarray:
+        """The (E_2, 2) sorted pair rows; (0, 2) when the graph has none."""
         return self.edges.get(2, np.zeros((0, 2), dtype=np.int64))
 
-    def adjacency_sets(self) -> list[set[int]]:
-        """Neighbor sets in the degree-2 graph."""
-        adj: list[set[int]] = [set() for _ in range(self.num_vertices)]
-        for u, v in self._pairs().tolist():
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    def adjacency_matrix(self) -> sp.csr_matrix:
-        """0/1 adjacency matrix of the degree-2 graph."""
-        u, v = self._pairs().T
-        n = self.num_vertices
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        return sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-
-    def boundary_tight_count(self, rel_tol: float = 1e-9) -> int:
-        """Edges whose enclosing-ball radius sits within rel_tol of epsilon."""
+    def boundary_tight_count(self) -> int:
+        """Edges whose enclosing-ball radius sits within REL_TOL of epsilon."""
         radii = np.concatenate([np.zeros(0), *self.radii.values()])
         if self.epsilon == 0:
             return int(np.count_nonzero(radii == 0.0))
-        return int(np.count_nonzero(np.abs(radii - self.epsilon) <= rel_tol * self.epsilon))
+        return int(np.count_nonzero(np.abs(radii - self.epsilon) <= REL_TOL * self.epsilon))
 
 
 @dataclass
@@ -318,7 +304,7 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
         raise ValueError("hypergraph has no point coordinates (imported from JSON?)")
     n = graph.num_vertices
     eps_tol = graph.epsilon * (1.0 + REL_TOL)
-    pairs = graph.edges[2]
+    pairs = graph.pairs
     pair_index = _RowIndex(pairs, n)
     pair_d2 = (2.0 * graph.radii[2]) ** 2
     # forward CSR over the sorted pair array: v's forward neighbors are
@@ -329,7 +315,7 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
     tested = 0
     for k in range(graph.max_degree + 1, m + 1):
         prev = edges[k - 1]
-        prev_index = _RowIndex(prev, n)
+        prev_index = pair_index if k == 3 else _RowIndex(prev, n)
         # candidate c extends the (k-1)-edge src with its (c - starts[src])-th
         # forward neighbor
         counts = first[prev[:, -1] + 1] - first[prev[:, -1]]
@@ -378,26 +364,30 @@ def incidence(graph: ConflictHypergraph, dedupe_dominated: bool = True) -> Incid
     of another edge's is dropped: its packing constraint is implied by the
     superset row, so the LP optimum is unchanged.
     """
-    n = graph.num_vertices
     degrees = sorted(graph.edges)
     kept: list[np.ndarray] = []
     for k in degrees:
         rows = graph.edges[k]
         keep = np.ones(len(rows), dtype=bool)
-        if dedupe_dominated and len(rows):
-            index = _RowIndex(rows, n)
-            for big in degrees[degrees.index(k) + 1:]:
+        bigger = [big for big in degrees if big > k and len(graph.edges[big])]
+        if dedupe_dominated and len(rows) and bigger:
+            index = _RowIndex(rows, graph.num_vertices)
+            for big in bigger:
                 for cols in itertools.combinations(range(big), k):
                     found = index.find(graph.edges[big][:, list(cols)])
                     keep[found[found >= 0]] = False
         kept.append(rows[keep])
-    widths = np.concatenate([np.zeros(0, dtype=np.int64)]
-                            + [np.full(len(rows), rows.shape[1]) for rows in kept])
+    return _incidence_of(kept, graph.num_vertices)
+
+
+def _incidence_of(blocks: list[np.ndarray], n: int) -> IncidenceMatrix:
+    """n-column incidence, one row per id row of the (E, k) ``blocks``, in order."""
+    empty = [np.zeros(0, dtype=np.int64)]
+    widths = np.concatenate(empty + [np.full(len(rows), rows.shape[1]) for rows in blocks])
+    indices = np.concatenate(empty + [rows.ravel() for rows in blocks])
     indptr = np.concatenate([[0], np.cumsum(widths)])
-    indices = np.concatenate([np.zeros(0, dtype=np.int64)] + [rows.ravel() for rows in kept])
-    matrix = sp.csr_matrix((np.ones(indices.size), indices, indptr),
-                           shape=(widths.size, n))
-    return IncidenceMatrix(matrix)
+    return IncidenceMatrix(sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                                         shape=(widths.size, n)))
 
 
 def _triangle_centre(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:

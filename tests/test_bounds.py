@@ -27,7 +27,14 @@ from optloss.bounds import (
     randomized_independent_set,
 )
 from optloss.data import LabeledDataset, from_arrays, gen_gaussian
-from optloss.hypergraph import REL_TOL, build_conflict_graph, edge_witness, incidence
+from optloss.hypergraph import (
+    REL_TOL,
+    ConflictHypergraph,
+    build_conflict_graph,
+    edge_witness,
+    incidence,
+    vertex_graph,
+)
 from optloss.lp_core import PackingLp, solve_packing
 
 
@@ -310,6 +317,52 @@ def test_rounding_output_is_independent():
             assert (u, v) not in pairs
 
 
+def dense_rule_graph(rng, n):
+    """A random pair graph and its dense 0/1 adjacency matrix."""
+    adjacency = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.6), 1)
+    pairs = np.argwhere(adjacency).astype(np.int64)  # row-major: sorted rows
+    adjacency = adjacency | adjacency.T
+    return ConflictHypergraph(np.arange(n), rng.dirichlet(np.ones(n)), None, {2: pairs},
+                              max_degree=2, epsilon=0.0), adjacency
+
+
+def test_caro_wei_and_rounding_match_dense_adjacency_rule():
+    # exact equality: the pair-array paths add each vertex's neighbours in
+    # increasing id order and compare arrivals as the rule below does
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        n = int(rng.integers(1, 30))
+        graph, adjacency = dense_rule_graph(rng, n)
+        w = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.8)
+        w[rng.random(n) < 0.1] = 5e-324  # its arrival overflows to inf
+        denom = np.zeros(n)
+        for v in range(n):
+            for u in np.flatnonzero(adjacency[v]):
+                denom[v] += w[u]
+        denom += w
+        mask = w > 0
+        expected = 1.0 - float(np.sum(graph.masses[mask] * w[mask] / denom[mask]))
+        assert caro_wei_bound(graph, w) == expected
+        if not mask.any():
+            continue
+        for seed in range(5):
+            rng_arrival = np.random.Generator(np.random.Philox(key=seed))
+            with np.errstate(divide="ignore", over="ignore"):
+                arrival = rng_arrival.exponential(size=n) / w
+            chosen = [v for v in range(n) if w[v] > 0 and all(
+                arrival[v] < arrival[u] for u in np.flatnonzero(adjacency[v]))]
+            assert np.array_equal(randomized_independent_set(graph, w, seed), chosen)
+
+
+def test_pair_graph_consumers_accept_a_graph_without_pairs():
+    ds = from_arrays([(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)], [0, 1, 2])
+    graph = vertex_graph(ds, 1.0)
+    assert graph.pairs.shape == (0, 2)
+    assert caro_wei_bound(graph, np.ones(3)) == pytest.approx(0.0, abs=1e-12)
+    assert np.array_equal(randomized_independent_set(graph, np.ones(3)), [0, 1, 2])
+    assert hard_loss_bruteforce(graph) == (0.0, frozenset({0, 1, 2}))
+
+
 # ------------------------------------------------------------------ hard loss
 
 
@@ -364,6 +417,29 @@ def test_hard_loss_takes_isolated_vertices_without_branching():
     assert chosen == frozenset(range(n))
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_hard_loss_never_below_zero(n):
+    # the best set holds all the mass, whose float sum can exceed 1
+    ds = from_arrays(10.0 * np.arange(float(n))[:, None], np.arange(n) % 3)
+    loss, chosen = hard_loss_bruteforce(build_conflict_graph(ds, 0.5), cap=n)
+    assert loss >= 0.0
+    assert chosen == frozenset(range(n))
+
+
+def test_hard_loss_searches_components_separately():
+    # 400 disjoint conflicting pairs: one search over all 800 vertices does
+    # not finish in minutes, one search per pair takes milliseconds
+    x = 10.0 * np.repeat(np.arange(400.0), 2) + np.tile([0.0, 0.5], 400)
+    ds = from_arrays(x[:, None], np.tile([0, 1], 400))
+    graph = build_conflict_graph(ds, 0.5)
+    start = time.perf_counter()
+    loss, chosen = hard_loss_bruteforce(graph, cap=800)
+    assert time.perf_counter() - start < 10.0  # a few milliseconds
+    assert loss == pytest.approx(0.5, abs=1e-12)
+    assert len(chosen) == 400 and not any(2 * i in chosen and 2 * i + 1 in chosen
+                                          for i in range(400))
+
+
 def test_hard_loss_bipartite_equals_lp():
     rng = np.random.default_rng(97)
     for _ in range(15):
@@ -383,10 +459,9 @@ def test_hard_loss_refuses_large_instances():
 
 
 def test_hard_loss_deep_search_needs_no_recursion():
-    # 100 disjoint conflicting pairs: the include branches nest 100 deep,
-    # past the lowered limit below, which a recursive search would hit
-    x = 10.0 * np.repeat(np.arange(100.0), 2) + np.tile([0.0, 0.5], 100)
-    ds = from_arrays(x[:, None], np.tile([0, 1], 100))
+    # a 200-vertex path is one component, whose include branches nest about
+    # 100 deep, past the lowered limit below, which a recursive search would hit
+    ds = from_arrays(0.9 * np.arange(200.0)[:, None], np.arange(200) % 2)
     graph = build_conflict_graph(ds, 0.5)
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -398,7 +473,7 @@ def test_hard_loss_deep_search_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert loss == pytest.approx(0.5, abs=1e-12)
-    assert sorted(v // 2 for v in chosen) == list(range(100))  # one of each pair
+    assert chosen == frozenset(range(0, 200, 2))
 
 
 # ------------------------------------------------------------------- strategy

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from oracles import exact_triangle_radius, oracle_hyperedges, oracle_meb, oracle_meb_radius
 
+from optloss import hypergraph
 from optloss.data import from_arrays, gen_gaussian
 from optloss.hypergraph import (
     REL_TOL,
@@ -309,6 +310,25 @@ def test_incidence_empty_edges_yields_full_packing():
     sol = solve_packing(PackingLp(graph.masses, inc))
     assert np.allclose(sol.q, 1.0)
     assert sol.loss == pytest.approx(0.0, abs=1e-12)
+
+
+def test_row_indexes_are_built_only_where_read(monkeypatch):
+    built = []
+
+    class CountingIndex(hypergraph._RowIndex):
+        def __init__(self, rows, n):
+            built.append(rows.shape[1])
+            super().__init__(rows, n)
+
+    monkeypatch.setattr(hypergraph, "_RowIndex", CountingIndex)
+    graph = build_conflict_graph(triangle_dataset(), 0.6)
+    incidence(graph)
+    assert built == []  # no larger degree to look pairs up in
+    graph = extend_hyperedges(graph, 4)
+    assert built == [2, 3]  # the pair index also serves as the k = 3 edge index
+    built.clear()
+    incidence(graph)
+    assert built == [2]  # the triangles have no degree-4 rows to be found in
 
 
 def test_dedupe_does_not_change_lp_optimum():
