@@ -26,9 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse.csgraph import connected_components
 
 from .data import LabeledDataset
 from .hypergraph import (
@@ -242,19 +240,29 @@ def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
         raise InstanceTooLargeError(
             f"{n} vertices exceeds the exact-search cap of {cap}"
         )
-    u, v = graph.pairs.T
-    count, comp = connected_components(
-        sp.csr_matrix((np.ones(u.size), (u, v)), shape=(n, n)), directed=False)
     adj = [0] * n
-    for a, b in zip(u.tolist(), v.tolist()):
+    for a, b in graph.pairs.tolist():
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    # by component, then by decreasing mass (ties by id)
-    order = np.lexsort((-graph.masses, comp))
-    first = np.searchsorted(comp[order], np.arange(count + 1)).tolist()
-    w, order = graph.masses.tolist(), order.tolist()
-    parts = [_heaviest_independent_set(adj, w, order[lo:hi])
-             for lo, hi in zip(first, first[1:])]
+    w = graph.masses.tolist()
+    parts = []
+    left = (1 << n) - 1
+    while left:
+        # flood fill from the lowest vertex not yet in a component
+        comp = frontier = left & -left
+        members = []
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            v = bit.bit_length() - 1
+            members.append(v)
+            new = adj[v] & ~comp
+            comp |= new
+            frontier |= new
+        left &= ~comp
+        # by decreasing mass, ties by id
+        members.sort(key=lambda v: (-w[v], v))
+        parts.append(_heaviest_independent_set(adj, w, members))
     best = sum(chosen for _, chosen in parts)  # disjoint bitmasks: the sum is their union
     loss = max(0.0, 1.0 - math.fsum(weight for weight, _ in parts))
     return loss, frozenset(i for i in range(n) if best >> i & 1)
@@ -327,24 +335,30 @@ class AdversarialStrategy:
     cover_cost: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "cover_cost": self.cover_cost,
-            "vertices": [
-                {
-                    "vertex": vs.vertex_id,
-                    "over_covered": vs.over_covered,
-                    "plays": [
-                        {
-                            "edge": list(e) if e is not None else None,
-                            "probability": float(pr),
-                            "witness": (wit.tolist() if wit is not None else None),
-                        }
-                        for e, pr, wit in zip(vs.edges, vs.probabilities, vs.witnesses)
-                    ],
-                }
-                for vs in self.per_vertex
-            ],
-        }
+        """The strategy with each coordinate written once.
+
+        ``witnesses`` holds one coordinate list per played edge, in order of
+        first play, and a play's ``witness`` is its index there. ``None``
+        marks the unperturbed point (dataset row ``vertex``), and every play
+        of a graph without coordinates.
+        """
+        index: dict[tuple[int, ...], int] = {}
+        witnesses: list[list[float]] = []
+        vertices = []
+        for vs in self.per_vertex:
+            plays = []
+            for e, pr, wit in zip(vs.edges, vs.probabilities, vs.witnesses):
+                i = None
+                if e is not None and wit is not None:
+                    i = index.get(e)
+                    if i is None:
+                        i = index[e] = len(witnesses)
+                        witnesses.append(wit.tolist())
+                plays.append({"edge": None if e is None else list(e),
+                              "probability": float(pr), "witness": i})
+            vertices.append({"vertex": vs.vertex_id, "over_covered": vs.over_covered,
+                             "plays": plays})
+        return {"cover_cost": self.cover_cost, "witnesses": witnesses, "vertices": vertices}
 
 
 def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
@@ -498,9 +512,10 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
     # the query is not one of the centred points, so its norm joins the slack
     d2 = table._sq - 2.0 * (table._centred @ x) + xx
     cand = np.flatnonzero(d2 <= radius * radius + GRAM_SLACK * (table._sq_max + xx))
-    near = cand[np.linalg.norm(table.points[cand] - query, axis=1) <= radius]
     g = np.zeros(k)
-    np.maximum.at(g, table.labels[near], table.q[near])  # q >= 0: empty class gets 0
+    if cand.size:
+        near = cand[np.linalg.norm(table.points[cand] - query, axis=1) <= radius]
+        np.maximum.at(g, table.labels[near], table.q[near])  # q >= 0: empty class gets 0
     if allowed != classes:
         g[sorted(classes - allowed)] = 0.0
     total = g.sum()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import sys
 import time
 
@@ -32,6 +33,8 @@ from optloss.hypergraph import (
     ConflictHypergraph,
     build_conflict_graph,
     edge_witness,
+    graph_from_json,
+    graph_to_json,
     incidence,
     vertex_graph,
 )
@@ -540,6 +543,54 @@ def test_strategy_zero_budget_plays_unperturbed_points():
         assert np.array_equal(vs.witnesses[0], ds.points[vs.vertex_id])
 
 
+def strategy_case(name):
+    """(strategy, graph) of one case of the strategy JSON layout."""
+    if name == "zero-budget":
+        ds = random_dataset(np.random.default_rng(55), 8, 3, 2)
+        _, sol, graph = optimal_loss(ds, 0.0, 3)
+        return extract_strategy(sol, graph), graph
+    masses = [0.5, 0.3, 0.2] if name.startswith("triple") else None
+    m = 2 if name == "triangle-pairs" else 3
+    _, sol, graph = optimal_loss(triangle_dataset(masses=masses), 0.6, m)
+    if name == "triple-from-json":
+        graph = graph_from_json(graph_to_json(graph))  # no coordinates
+        sol = solve_packing(PackingLp(graph.masses, incidence(graph)))
+    return extract_strategy(sol, graph), graph
+
+
+@pytest.mark.parametrize("name", ["triple", "triangle-pairs", "zero-budget",
+                                  "triple-from-json"])
+def test_strategy_json_writes_each_witness_once(name):
+    strategy, graph = strategy_case(name)
+    doc = json.loads(json.dumps(strategy.to_json_dict()))
+    table = doc["witnesses"]
+    first_index = {}
+    for vs, entry in zip(strategy.per_vertex, doc["vertices"], strict=True):
+        assert entry["vertex"] == vs.vertex_id
+        for edge, wit, play in zip(vs.edges, vs.witnesses, entry["plays"], strict=True):
+            assert play["edge"] == (None if edge is None else list(edge))
+            if graph.points is None or edge is None:
+                assert play["witness"] is None
+                if edge is None and graph.points is not None:
+                    assert np.array_equal(graph.points[vs.vertex_id], wit)
+                continue
+            i = play["witness"]
+            assert isinstance(i, int) and 0 <= i < len(table)
+            assert first_index.setdefault(tuple(edge), i) == i
+            assert np.array_equal(np.array(table[i]), wit)
+    # one entry per played edge, numbered in order of first play
+    assert list(first_index.values()) == list(range(len(table)))
+    plays = [tuple(e) for vs in strategy.per_vertex for e in vs.edges if e is not None]
+    if name == "triple":
+        assert plays.count((0, 1, 2)) == 3 and len(table) == 1
+    if name == "triangle-pairs":
+        assert len(plays) == 6 and len(table) == 3
+    if name == "zero-budget":
+        assert not plays and not table
+    if name == "triple-from-json":
+        assert plays and not table
+
+
 def test_strategy_rejects_uncovered_vertex():
     loss, sol, graph = optimal_loss(triangle_dataset(), 0.55, 2)
     sol.edge_cover = np.zeros_like(sol.edge_cover)
@@ -635,7 +686,7 @@ def boundary_queries(rng, points, rows, radius):
 @pytest.mark.parametrize("d", [1, 2, 5, 784])
 @pytest.mark.parametrize("shift", [0.0, 1e7])
 @pytest.mark.parametrize("spread", [0.5, 1e-6])  # 1e-6: the query's norm sets the slack
-def test_classifier_screen_matches_full_scan(d, shift, spread):
+def test_classifier_screen_matches_full_scan(d, shift, spread, monkeypatch):
     rng = np.random.default_rng(d)
     n = 40
     pts = rng.normal(size=(n, d)) * spread
@@ -654,10 +705,26 @@ def test_classifier_screen_matches_full_scan(d, shift, spread):
     if shift == 0.0:
         assert any((np.linalg.norm(pts - x, axis=1) == radius).any() for x in queries)
     table = SoftClassifierTable(pts, labels, 3, eps, rng.uniform(0.0, 1.0, size=n))
+    norm_calls = []
+    norm = np.linalg.norm
+
+    def counting_norm(*args, **kwargs):
+        norm_calls.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    far_queries = 0
     for query in queries:
+        far = norm(pts - query, axis=1).min() > 1e5
+        far_queries += far
         for side in (None, {0}, {0, 1}, {1, 2}):
+            want = full_scan_classifier(table, query, side)
+            norm_calls.clear()
             got = evaluate_classifier(table, query, side_info=side)
-            assert np.array_equal(got, full_scan_classifier(table, query, side))
+            assert np.array_equal(got, want)
+            # the screen passes no row 1e6 away, so no coordinate difference is taken
+            assert not (far and norm_calls)
+    assert far_queries == len(rows)
 
 
 def classifier_fields():

@@ -158,9 +158,18 @@ def test_strategy_outputs(tmp_path, capsys, gaussian_file):
     assert out["loss"] == pytest.approx(loss, abs=1e-9)
     strat = json.loads((tmp_path / "strategy_eps2.4_m3.json").read_text())
     assert len(strat["vertices"]) == ds.num_points
+    assert strat["witnesses"]  # some edge is played
     for entry in strat["vertices"]:
         total = sum(play["probability"] for play in entry["plays"])
         assert total == pytest.approx(1.0, abs=1e-8)
+        for play in entry["plays"]:
+            # null is the unperturbed point, the vertex's own dataset row
+            members = play["edge"] or [entry["vertex"]]
+            assert (play["witness"] is None) == (play["edge"] is None)
+            witness = (ds.points[entry["vertex"]] if play["witness"] is None
+                       else np.array(strat["witnesses"][play["witness"]]))
+            dists = np.linalg.norm(ds.points[members] - witness, axis=1)
+            assert dists.max() <= 2.4 * (1 + 1e-9)
     qdoc = json.loads((tmp_path / "classifier_eps2.4_m3.json").read_text())
     assert np.allclose(qdoc["q"], sol.q, atol=1e-9)
 
