@@ -34,6 +34,7 @@ from .hypergraph import (
     REL_TOL,
     SWEEP_BLOCK,
     ConflictHypergraph,
+    _budget,
     _incidence_of,
     build_conflict_graph,
     edge_witness,
@@ -394,13 +395,13 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
         if y[v] > 0.0:
             entries.append((None, float(y[v]), point))
         total = sum(weight for _, weight, _ in entries)
-        if p[v] > 0 and total < p[v] - tol.feasibility_abs:
+        if total < p[v] - tol.feasibility_abs:
             raise ValueError(
                 f"vertex {v} is under-covered ({total!r} < mass {p[v]!r}); "
                 "the solution is not a certified cover"
             )
         if not entries:
-            # zero-mass or unconstrained vertex: play the point itself
+            # only a vertex lighter than feasibility_abs gets here: play the point
             entries.append((None, 1.0, point))
             total = 1.0
         probs = np.array([weight for _, weight, _ in entries]) / total
@@ -451,15 +452,14 @@ class SoftClassifierTable:
             raise ValueError(f"labels must be {n} integers in 0..{self.num_classes - 1}")
         if q.shape != (n,) or not ((q >= 0.0) & (q <= 1.0)).all():
             raise ValueError(f"q must be {n} values in [0, 1]")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon!r}")
+        epsilon = _budget(self.epsilon)
         centre = points.mean(axis=0)
         centred = points - centre
         sq = np.einsum("ij,ij->i", centred, centred)
         for array in (points, labels, q):
             array.flags.writeable = False
         for name, value in (("points", points), ("labels", labels), ("q", q),
-                            ("epsilon", float(self.epsilon)), ("_centre", centre),
+                            ("epsilon", epsilon), ("_centre", centre),
                             ("_centred", centred), ("_sq", sq),
                             ("_sq_max", float(sq.max()))):
             object.__setattr__(self, name, value)

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -195,9 +194,7 @@ def cmd_bound(args) -> int:
     ds = _load_dataset(args)
     _check_max_degree(args, ds)
     tol = _tolerances(args)
-    epsilons = sorted(args.epsilon)
-    if not all(math.isfinite(e) and e >= 0 for e in epsilons):
-        raise ValueError("epsilon values must be finite and nonnegative")
+    epsilons = sorted(hg._budget(e) for e in args.epsilon)
     outdir = _out_dir(args)
     weights = _caro_wei_weights(args, ds)
 

@@ -29,6 +29,16 @@ __all__ = [
 _MASS_TOL = 1e-9
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """``labels`` as an int array; a ValueError unless each one is an integer."""
+    labels = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, rejected below
+        ints = labels.astype(int)
+    if not np.array_equal(ints, labels):
+        raise ValueError("labels must be integers")
+    return ints
+
+
 @dataclass
 class LabeledDataset:
     points: np.ndarray
@@ -39,7 +49,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = _integer_labels(self.labels)
         self.masses = np.asarray(self.masses, dtype=float)
         n = self.points.shape[0]
         if n < 1 or self.points.shape[1] < 1:
@@ -48,12 +58,12 @@ class LabeledDataset:
             raise ValueError("points, labels and masses must agree in length")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("points contain non-finite values")
-        if np.any(self.masses <= 0):
-            raise ValueError("masses must be positive (drop zero-mass points first)")
+        # NaN would pass a "<= 0" test and the sum test alike
+        if not np.all(np.isfinite(self.masses) & (self.masses > 0)):
+            raise ValueError("masses must be finite and positive")
         if abs(self.masses.sum() - 1.0) > _MASS_TOL:
             raise ValueError(f"masses sum to {self.masses.sum()!r}, expected 1")
-        k = self.num_classes
-        if self.labels.min() < 0 or self.labels.max() >= k:
+        if self.labels.min() < 0:
             raise ValueError("labels must be contiguous integers starting at 0")
 
     @property
@@ -139,15 +149,12 @@ def load_csv(path, normalization: str = "none") -> LabeledDataset:
         raise ValueError(f"empty CSV file: {path}")
     if table.shape[1] < 2:
         raise ValueError("CSV needs a label column and at least one feature column")
-    labels_raw = table[:, 0]
-    if not np.allclose(labels_raw, np.round(labels_raw)):
-        raise ValueError("label column must contain integers")
     features = table[:, 1:]
     if normalization == "divide-255":
         features = features / 255.0
     return from_arrays(
         features,
-        labels_raw.astype(int),
+        _integer_labels(table[:, 0]),
         provenance=f"csv:{path}(normalization={normalization},scale={_detect_scale(features)})",
     )
 
@@ -197,15 +204,17 @@ def subset(dataset: LabeledDataset, classes, per_class_cap: int | None = None) -
     """Restrict to the given classes, keeping the first ``per_class_cap``
     vertices of each class in file order; masses become uniform.
 
-    ``classes`` refer to the dataset's label ids (0..K-1).
+    ``classes`` refer to the dataset's label ids (0..K-1), each listed once.
     """
     classes = list(classes)
     if not classes:
         raise ValueError("empty class list")
     k = dataset.num_classes
-    for c in classes:
+    for i, c in enumerate(classes):
         if c < 0 or c >= k:
             raise ValueError(f"class {c} not present (dataset has {k} classes)")
+        if c in classes[:i]:
+            raise ValueError(f"class {c} is listed more than once")
     keep: list[int] = []
     for c in classes:
         idx = np.nonzero(dataset.labels == c)[0]
@@ -221,7 +230,7 @@ def subset(dataset: LabeledDataset, classes, per_class_cap: int | None = None) -
     keep.sort()
     names = None
     if dataset.class_names is not None:
-        names = [dataset.class_names[c] for c in sorted(set(classes))]
+        names = [dataset.class_names[c] for c in sorted(classes)]
     return from_arrays(
         dataset.points[keep],
         dataset.labels[keep],
@@ -277,10 +286,5 @@ def dataset_to_json(dataset: LabeledDataset) -> str:
 
 def dataset_from_json(text: str) -> LabeledDataset:
     doc = json.loads(text)
-    return LabeledDataset(
-        points=np.array(doc["points"], dtype=float),
-        labels=np.array(doc["labels"], dtype=int),
-        masses=np.array(doc["masses"], dtype=float),
-        class_names=doc.get("class_names"),
-        provenance=doc.get("provenance", ""),
-    )
+    return LabeledDataset(doc["points"], doc["labels"], doc["masses"],
+                          doc.get("class_names"), doc.get("provenance", ""))

@@ -362,20 +362,19 @@ def incidence(graph: ConflictHypergraph, dedupe_dominated: bool = True) -> Incid
 
     With ``dedupe_dominated`` every edge whose vertex set is a proper subset
     of another edge's is dropped: its packing constraint is implied by the
-    superset row, so the LP optimum is unchanged.
+    superset row, so the LP optimum is unchanged. The edge set is downward
+    closed, so only the k + 1 faces of each (k+1)-edge need looking up.
     """
-    degrees = sorted(graph.edges)
     kept: list[np.ndarray] = []
-    for k in degrees:
+    for k in sorted(graph.edges):
         rows = graph.edges[k]
         keep = np.ones(len(rows), dtype=bool)
-        bigger = [big for big in degrees if big > k and len(graph.edges[big])]
-        if dedupe_dominated and len(rows) and bigger:
+        bigger = graph.edges.get(k + 1, rows[:0])
+        if dedupe_dominated and len(rows) and len(bigger):
             index = _RowIndex(rows, graph.num_vertices)
-            for big in bigger:
-                for cols in itertools.combinations(range(big), k):
-                    found = index.find(graph.edges[big][:, list(cols)])
-                    keep[found[found >= 0]] = False
+            for p in range(k + 1):
+                found = index.find(np.delete(bigger, p, axis=1))
+                keep[found[found >= 0]] = False
         kept.append(rows[keep])
     return _incidence_of(kept, graph.num_vertices)
 
@@ -472,11 +471,12 @@ def graph_to_json(graph: ConflictHypergraph) -> str:
 def graph_from_json(text: str) -> ConflictHypergraph:
     """Read a graph written by ``graph_to_json``, checking it on the way in.
 
-    Vertex ids must be 0..n-1 in order, masses nonnegative with sum 1,
+    Vertex ids must be 0..n-1 in order, masses positive with sum 1,
     ``epsilon`` finite and nonnegative, and ``max_degree`` in 1..n (it
     sizes one array per degree). Each edge's ids are sorted; an edge with a
-    repeated or out-of-range id, two vertices of one label, or a degree
-    outside 2..max_degree raises a ValueError that names it.
+    repeated or out-of-range id, two vertices of one label, a degree
+    outside 2..max_degree, or a (k-1)-face that is not an edge raises a
+    ValueError that names it.
     """
     doc = json.loads(text)
     epsilon = _budget(doc["epsilon"])
@@ -487,8 +487,8 @@ def graph_from_json(text: str) -> ConflictHypergraph:
         raise ValueError("vertex ids must be 0..n-1 in order")
     labels = np.array([int(v["label"]) for v in doc["vertices"]], dtype=np.int64)
     masses = np.array([float(v["mass"]) for v in doc["vertices"]])
-    if not (np.all(masses >= 0.0) and abs(masses.sum() - 1.0) <= 1e-9):
-        raise ValueError("vertex masses must be nonnegative and sum to 1")
+    if not (np.all(masses > 0.0) and abs(masses.sum() - 1.0) <= 1e-9):
+        raise ValueError("vertex masses must be positive and sum to 1")
     by_degree: dict[int, list[list[int]]] = {k: [] for k in range(2, max_degree + 1)}
     for edge in doc["edges"]:
         row = sorted(int(i) for i in edge)
@@ -506,5 +506,14 @@ def graph_from_json(text: str) -> ConflictHypergraph:
         raise ValueError(f"bad edge {edge}: {problem}")
     edges = {k: np.array(sorted(rows), dtype=np.int64).reshape(-1, k)
              for k, rows in by_degree.items()}
+    # downward closed as built: the dedupe reads only the next degree's faces
+    for k in range(3, max_degree + 1):
+        index = _RowIndex(edges[k - 1], n)
+        for p in range(k):
+            missing = np.flatnonzero(index.find(np.delete(edges[k], p, axis=1)) < 0)
+            if missing.size:
+                row = edges[k][missing[0]].tolist()
+                face = row[:p] + row[p + 1:]
+                raise ValueError(f"bad edge {row}: its face {face} is not an edge")
     radii = {k: np.full(len(rows), np.nan) for k, rows in edges.items()}
     return ConflictHypergraph(labels, masses, None, edges, max_degree, epsilon, radii)

@@ -70,8 +70,8 @@ class PackingLp:
                 f"incidence has {self.incidence.matrix.shape[1]} columns, "
                 f"masses has {self.masses.shape[0]} entries"
             )
-        if np.any(self.masses < 0):
-            raise ValueError("masses must be nonnegative")
+        if not np.all(np.isfinite(self.masses) & (self.masses > 0.0)):
+            raise ValueError("masses must be finite and positive")
 
 
 @dataclass
@@ -138,28 +138,25 @@ def _certificate(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray, z: np.ndarray,
     """(objective, dual objective, report) of a primal-dual pair.
 
     The one place that judges a solve: residuals and gap are recomputed from
-    the vectors, restricted to positive-mass vertices, and compared with the
-    tolerances (a NaN residual fails).
+    the vectors, over every vertex and row, and compared with the tolerances
+    (a NaN residual fails).
     """
-    active = p > 0.0
     primal = max(
-        float(np.max(-q[active], initial=0.0)),
-        float(np.max(q[active] - 1.0, initial=0.0)),
+        float(np.max(-q, initial=0.0)),
+        float(np.max(q - 1.0, initial=0.0)),
+        float(np.max(B @ q - 1.0, initial=0.0)),
     )
-    if B.shape[0]:
-        qa = np.where(active, q, 0.0)
-        primal = max(primal, float(np.max(B @ qa - 1.0, initial=0.0)))
     cover = B.T @ z + y
     dual = max(
         float(np.max(-z, initial=0.0)),
-        float(np.max(-y[active], initial=0.0)),
-        float(np.max((p - cover)[active], initial=0.0)),
+        float(np.max(-y, initial=0.0)),
+        float(np.max(p - cover, initial=0.0)),
     )
-    objective = float(p[active] @ q[active])
-    dual_objective = float(z.sum() + y[active].sum())
+    objective = float(p @ q)
+    dual_objective = float(z.sum() + y.sum())
     gap = abs(objective - dual_objective)
     gap_bound = tol.gap_rel * max(1.0, abs(objective))
-    over_covered = active & (q > tol.feasibility_abs) & (cover > p + tol.feasibility_abs)
+    over_covered = (q > tol.feasibility_abs) & (cover > p + tol.feasibility_abs)
     report = CertificateReport(
         primal_residual=primal,
         dual_residual=dual,
@@ -173,13 +170,13 @@ def _certificate(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray, z: np.ndarray,
 
 
 def _mass_scale(p: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """(D, integer masses D * p) for D = round(1 / min positive p), or None.
+    """(D, integer masses D * p) for D = round(1 / min p), or None.
 
     The loaders give masses in multiples of 1/n, so D = n makes them exact.
     None when some mass is not an integer under D, or when the flow network's
     capacities (up to twice the total plus one) would not fit in int32.
     """
-    scale = np.rint(1.0 / p[p > 0.0].min())
+    scale = np.rint(1.0 / p.min())
     if scale < 1.0:
         return None
     scaled = scale * p
@@ -220,10 +217,10 @@ def _flow_packing(p: np.ndarray, B: sp.csr_matrix):
     for sides A and B; the vertices on the source side of the residual cut,
     in A, and off it, in B, form a maximum-weight independent set, q is its
     0/1 indicator, z is the edge flow over the scale and y the uncovered
-    mass. Zero-mass vertices get q = 1.
+    mass.
     """
     B = B.tocsr()
-    if np.any(np.diff(B.indptr) != 2) or np.any(B.data != 1.0) or not np.any(p > 0.0):
+    if np.any(np.diff(B.indptr) != 2) or np.any(B.data != 1.0):
         return None
     ends = B.indices.reshape(-1, 2)
     u, v = ends[:, 0].astype(np.int64), ends[:, 1].astype(np.int64)
@@ -241,8 +238,8 @@ def _flow_packing(p: np.ndarray, B: sp.csr_matrix):
     a = np.where(side_a[u], u, v)
     b = np.where(side_a[u], v, u)
     big = int(w.sum()) + 1
-    src = np.flatnonzero(side_a & (w > 0))
-    snk = np.flatnonzero(~side_a & (w > 0))
+    src = np.flatnonzero(side_a)
+    snk = np.flatnonzero(~side_a)
     s, t = n, n + 1
     caps = sp.csr_matrix(
         (np.concatenate([w[src], np.full(a.shape[0], big), w[snk]]).astype(np.int64),
@@ -259,7 +256,6 @@ def _flow_packing(p: np.ndarray, B: sp.csr_matrix):
     reach = np.zeros(n + 2, dtype=bool)
     reach[breadth_first_order(residual, s, return_predecessors=False)] = True
     q = np.where(side_a, reach[:n], ~reach[:n]).astype(float)
-    q[p <= 0.0] = 1.0
 
     # a repeated row carries its pair's flow once, on its first occurrence
     _, first = np.unique(a * n + b, return_index=True)
@@ -272,8 +268,7 @@ def _flow_packing(p: np.ndarray, B: sp.csr_matrix):
 def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
     """Solve the packing LP and return a certified primal-dual pair.
 
-    Deterministic for a fixed instance and tolerance configuration. Vertices
-    with zero mass are excluded from the solve and reported with q = 1. A
+    Deterministic for a fixed instance and tolerance configuration. A
     bipartite pair LP with integer-scalable masses is solved by min cut,
     any other by HiGHS; both answers pass the same certificate check.
     Raises :class:`LpNonConvergenceError` if HiGHS hits its iteration limit
@@ -307,15 +302,11 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
 
 
 def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
-    """(q, z, y) from HiGHS on the positive-mass columns."""
-    n = p.shape[0]
-    active = p > 0.0
-    B_act, p_act = (B, p) if active.all() else (B[:, active], p[active])
-
+    """(q, z, y) from HiGHS."""
     res = linprog(
-        c=-p_act,
-        A_ub=B_act,
-        b_ub=np.ones(B_act.shape[0]),
+        c=-p,
+        A_ub=B,
+        b_ub=np.ones(B.shape[0]),
         bounds=(0.0, 1.0),
         method="highs",
         options={"maxiter": tol.max_iterations},
@@ -331,14 +322,9 @@ def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
             f"solver failed (status {res.status}): {res.message}", status=res.status
         )
 
-    q = np.ones(n)
-    q[active] = res.x
-    z = -np.asarray(res.ineqlin.marginals, dtype=float)
-    y = np.zeros(n)
-    y[active] = -np.asarray(res.upper.marginals, dtype=float)
-    np.maximum(z, 0.0, out=z)
-    np.maximum(y, 0.0, out=y)
-    return q, z, y
+    z = np.maximum(-np.asarray(res.ineqlin.marginals, dtype=float), 0.0)
+    y = np.maximum(-np.asarray(res.upper.marginals, dtype=float), 0.0)
+    return res.x, z, y
 
 
 def verify_certificates(lp: PackingLp, sol: LpSolution,

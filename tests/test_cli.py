@@ -226,6 +226,36 @@ def test_build_rejects_max_degree_outside_class_count(tmp_path, capsys, gaussian
     assert not list(tmp_path.glob("hypergraph_*.json"))
 
 
+def test_classes_flag_rejects_a_repeated_id(tmp_path, capsys, gaussian_file):
+    # --classes 0 0 2 used to list class 0's rows twice
+    path, _ = gaussian_file
+    code, out = run_cli(
+        capsys, "stats", "--data", str(path), "--classes", "0", "0", "2",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "class 0 is listed more than once" in out["error"]
+    assert not list(tmp_path.glob("class_stats*"))
+
+
+@pytest.mark.parametrize("command", ["strategy", "bound"])
+def test_a_nan_mass_is_rejected_at_load(tmp_path, capsys, command):
+    # strategy used to exit 0 and certify loss 0.25 without the NaN vertex;
+    # bound failed inside linprog
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({
+        "points": [[0.0, 0.0], [1.0, 0.0], [0.5, 0.8], [5.0, 5.0]],
+        "labels": [0, 1, 2, 0], "masses": [0.25, float("nan"), 0.5, 0.25],
+    }))
+    code, out = run_cli(
+        capsys, command, "--data", str(path), "--epsilon", "0.6", "--max-degree", "3",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert out["type"] == "ValueError" and "masses" in out["error"]
+    assert not list(tmp_path.glob("out/*"))
+
+
 def test_out_dir_from_environment(tmp_path, capsys, monkeypatch, gaussian_file):
     path, _ = gaussian_file
     monkeypatch.setenv("OPTLOSS_OUT", str(tmp_path / "envout"))

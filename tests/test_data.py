@@ -1,9 +1,12 @@
 """Loaders, subsetting, Gaussian generation, serialization round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from optloss.data import (
+    LabeledDataset,
     dataset_from_json,
     dataset_to_json,
     from_arrays,
@@ -95,6 +98,9 @@ def test_subset_errors_and_warning():
         subset(ds, [])
     with pytest.raises(ValueError):
         subset(ds, [5])
+    # [0, 0, 1] used to list class 0's rows twice: its prior became 2/3, not 1/2
+    with pytest.raises(ValueError, match="class 0 is listed more than once"):
+        subset(ds, [0, 0, 1])
     with pytest.warns(UserWarning):
         sub = subset(ds, [0], per_class_cap=10)
     assert sub.num_points == 1
@@ -180,6 +186,35 @@ def test_dataset_validation():
         from_arrays([(np.inf, 0.0)], [0])
     with pytest.raises(ValueError):
         from_arrays(np.zeros((0, 2)), [])
+
+
+def dataset_doc(labels, masses):
+    return json.dumps({"points": [[float(i)] for i in range(len(labels))],
+                       "labels": labels, "masses": masses})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_masses_rejected(bad):
+    # NaN passes a "<= 0" test and the sum test alike, so it used to load
+    masses = [0.25, bad, 0.5, 0.25]
+    with pytest.raises(ValueError, match="masses must be finite and positive"):
+        LabeledDataset(np.arange(4.0)[:, None], [0, 1, 2, 0], masses)
+    with pytest.raises(ValueError, match="masses must be finite and positive"):
+        dataset_from_json(dataset_doc([0, 1, 2, 0], masses))
+
+
+def test_non_integral_labels_rejected(tmp_path):
+    # a JSON label 1.7 used to load as class 1
+    with pytest.raises(ValueError, match="labels must be integers"):
+        LabeledDataset(np.arange(2.0)[:, None], [0, 1.7], [0.5, 0.5])
+    with pytest.raises(ValueError, match="labels must be integers"):
+        dataset_from_json(dataset_doc([0, 1.7], [0.5, 0.5]))
+    # 0.9999999 passed a closeness test and was truncated to class 0
+    with pytest.raises(ValueError, match="labels must be integers"):
+        load_csv(write(tmp_path, "near.csv", "0,1.0\n0.9999999,2.0\n"))
+    # integral floats are integers
+    assert dataset_from_json(dataset_doc([0, 1.0], [0.5, 0.5])).labels.tolist() == [0, 1]
+    assert load_csv(write(tmp_path, "whole.csv", "0.0,1.0\n1.0,2.0\n")).num_classes == 2
 
 
 def test_class_priors():

@@ -331,6 +331,26 @@ def test_row_indexes_are_built_only_where_read(monkeypatch):
     assert built == [2]  # the triangles have no degree-4 rows to be found in
 
 
+def superset_free_rows(graph):
+    """The edges no larger edge of any degree contains, in incidence row order."""
+    edges = graph.edge_list()
+    return [e for e in edges if not any(set(e) < set(f) for f in edges)]
+
+
+def test_dedupe_by_next_degree_faces_matches_the_all_supersets_rule():
+    rng = np.random.default_rng(83)
+    fours = 0
+    for _ in range(12):
+        ds = random_dataset(rng, n=int(rng.integers(8, 20)), k=4, d=3, spread=0.5)
+        graph = extend_hyperedges(build_conflict_graph(ds, float(rng.uniform(0.4, 0.9))), 4)
+        fours += len(graph.edges[4])
+        B = incidence(graph).matrix
+        rows = [tuple(B.indices[B.indptr[r]:B.indptr[r + 1]].tolist())
+                for r in range(B.shape[0])]
+        assert rows == superset_free_rows(graph)
+    assert fours  # some degree-4 edge dominates lower rows
+
+
 def test_dedupe_does_not_change_lp_optimum():
     rng = np.random.default_rng(77)
     for _ in range(10):
@@ -463,11 +483,24 @@ def test_json_import_requires_vertex_ids_in_order(ids):
         graph_from_json(graph_doc([0, 1], [[0, 1]], ids=ids))
 
 
-@pytest.mark.parametrize("masses", [[2.0, 0.5], [-0.5, 1.5], [float("nan"), 0.5]])
+@pytest.mark.parametrize("masses", [[2.0, 0.5], [-0.5, 1.5], [float("nan"), 0.5],
+                                    [1.0, 0.0]])
 def test_json_import_requires_a_distribution(masses):
     # masses (2.0, 0.5) used to give loss -1.0, NaN an integer-conversion error
     with pytest.raises(ValueError, match="masses"):
         graph_from_json(graph_doc([0, 1], [[0, 1]], masses=masses))
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([[0, 1], [0, 2], [0, 1, 2]], r"\[0, 1, 2\]: its face \[1, 2\] is not an edge"),
+    ([[0, 1], [1, 2], [0, 1, 2]], r"\[0, 1, 2\]: its face \[0, 2\] is not an edge"),
+    ([[0, 1, 2]], r"\[0, 1, 2\]: its face \[1, 2\] is not an edge"),
+])
+def test_json_import_requires_a_downward_closed_edge_set(edges, message):
+    # a triple without its pairs hides conflicts from Caro-Wei and the hard
+    # loss, and from the dedupe, which reads dominated rows off the next degree
+    with pytest.raises(ValueError, match=message):
+        graph_from_json(graph_doc([0, 1, 2], edges, max_degree=3))
 
 
 def test_imported_graph_cannot_extend_without_coordinates():
