@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,8 +99,8 @@ def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
 class PairwiseLossMatrix:
     """Symmetric zero-diagonal matrix of one-versus-one optimal losses.
 
-    ``backends`` names the solver of each pair solved, in (i, j) order
-    with i < j; pairs with an empty side are not solved and not listed.
+    ``backends`` names the solver of each class pair, one entry per pair,
+    in (i, j) order with i < j.
     """
 
     losses: np.ndarray
@@ -146,9 +145,6 @@ def _pairwise_losses(graph: ConflictHypergraph, tol: Tolerances,
     backends = []
     for i in range(k):
         for j in range(i + 1, k):
-            if not (labels == i).any() or not (labels == j).any():
-                warnings.warn(f"class pair ({i},{j}) has an empty side; loss set to 0")
-                continue
             keep = (labels == i) | (labels == j)
             local = np.cumsum(keep) - 1  # graph id -> id among the kept vertices
             cond_mass = masses[keep] / masses[keep].sum()
@@ -183,6 +179,17 @@ def class_only_bound(pairwise: PairwiseLossMatrix, priors) -> float:
     return max(0.0, float(weight[rows, cols].sum()) / 2.0)
 
 
+def _vertex_weights(graph: ConflictHypergraph, weights) -> np.ndarray:
+    """``weights`` as a float vector, one finite nonnegative value per vertex."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (graph.num_vertices,):
+        raise ValueError("weights length must match vertex count")
+    # NaN would pass a "< 0" test and then turn the bound into NaN
+    if not np.all(np.isfinite(w) & (w >= 0)):
+        raise ValueError("weights must be finite and nonnegative")
+    return w
+
+
 def caro_wei_bound(graph: ConflictHypergraph, weights) -> float:
     """Weighted Caro-Wei upper bound on the optimal hard-classifier loss.
 
@@ -190,12 +197,8 @@ def caro_wei_bound(graph: ConflictHypergraph, weights) -> float:
     pair graph with P(S) >= sum over {v : w_v > 0} of p_v w_v / ((A+I)w)_v;
     the bound returned is one minus that sum. w = 0 yields the vacuous 1.
     """
-    w = np.asarray(weights, dtype=float)
+    w = _vertex_weights(graph, weights)
     n = graph.num_vertices
-    if w.shape != (n,):
-        raise ValueError("weights length must match vertex count")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
     # (A + I) w, each vertex summing its neighbours in increasing id order
     u, v = graph.pairs.T
     denom = np.bincount(np.concatenate([v, u]), np.concatenate([w[u], w[v]]), n) + w
@@ -210,12 +213,10 @@ def randomized_independent_set(graph: ConflictHypergraph, weights, seed: int = 0
     to w: a vertex joins the set when it arrives before all of its neighbors.
     Zero-weight vertices never arrive. Returns sorted vertex ids.
     """
-    w = np.asarray(weights, dtype=float)
+    w = _vertex_weights(graph, weights)
     n = graph.num_vertices
-    if w.shape != (n,):
-        raise ValueError("weights length must match vertex count")
-    if np.any(w < 0) or not np.any(w > 0):
-        raise ValueError("weights must be nonnegative and not all zero")
+    if not np.any(w > 0):
+        raise ValueError("weights must not be all zero")
     rng = np.random.Generator(np.random.Philox(key=seed))
     with np.errstate(divide="ignore", over="ignore"):
         arrival = rng.exponential(size=n) / w  # inf where w == 0 or the quotient overflows
@@ -402,8 +403,8 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
             )
         if not entries:
             # only a vertex lighter than feasibility_abs gets here: play the point
-            entries.append((None, 1.0, point))
-            total = 1.0
+            entries.append((None, float(p[v]), point))
+            total = float(p[v])
         probs = np.array([weight for _, weight, _ in entries]) / total
         per_vertex.append(
             VertexStrategy(
@@ -540,8 +541,9 @@ def class_distance_stats(dataset: LabeledDataset) -> np.ndarray:
     slack = GRAM_SLACK * sq.max()
     nearest = np.full(n, np.inf)
     step = max(1, 8192 // points.shape[1])  # difference chunks of 64 KB
-    for i0 in range(0, n, SWEEP_BLOCK):
-        i1 = min(i0 + SWEEP_BLOCK, n)
+    rows = max(1, SWEEP_BLOCK**2 // n)  # Gram blocks of at most SWEEP_BLOCK**2 entries
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
         d2 = sq[i0:i1, None] + sq[None, :] - 2.0 * (points[i0:i1] @ points.T)
         other = labels[i0:i1, None] != labels[None, :]
         d2[~other] = np.inf
@@ -551,12 +553,7 @@ def class_distance_stats(dataset: LabeledDataset) -> np.ndarray:
             diff = points[ii[s:s + step]] - points[jj[s:s + step]]
             np.minimum.at(nearest, ii[s:s + step], np.einsum("ij,ij->i", diff, diff))
     nearest = np.sqrt(nearest)
-    out = np.zeros(k)
-    for c in range(k):
-        sel = labels == c
-        if sel.any():
-            out[c] = float(nearest[sel].mean())
-    return out
+    return np.array([nearest[labels == c].mean() for c in range(k)])
 
 
 @dataclass
@@ -675,8 +672,7 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
         pairwise = _pairwise_losses(graph, tol, dataset.class_names)
         class_only = class_only_bound(pairwise, dataset.class_priors())
         runtimes["class_only"] = time.perf_counter() - t0
-        if pairwise.backends:
-            backends["pairwise"] = "+".join(sorted(set(pairwise.backends)))
+        backends["pairwise"] = "+".join(sorted(set(pairwise.backends)))
 
     t0 = time.perf_counter()
     weights = sol2.q if caro_wei_weights is None else np.asarray(caro_wei_weights, float)

@@ -1,10 +1,11 @@
 """Dataset ingestion and synthetic generation.
 
 A labeled dataset is a finite-support distribution: points, integer class
-labels in [0, K), and positive probability masses summing to one. Loaders
-produce the empirical distribution of the file (uniform mass per row, exact
-duplicate rows merged), and the Gaussian generator uses a counter-based
-PRNG (Philox) with a documented sampling order so fixtures are portable.
+labels 0..K-1 with at least one point in every class, and positive
+probability masses summing to one. Loaders produce the empirical
+distribution of the file (uniform mass per row, exact duplicate rows
+merged), and the Gaussian generator uses a counter-based PRNG (Philox) with
+a documented sampling order so fixtures are portable.
 """
 
 from __future__ import annotations
@@ -63,8 +64,14 @@ class LabeledDataset:
             raise ValueError("masses must be finite and positive")
         if abs(self.masses.sum() - 1.0) > _MASS_TOL:
             raise ValueError(f"masses sum to {self.masses.sum()!r}, expected 1")
-        if self.labels.min() < 0:
-            raise ValueError("labels must be contiguous integers starting at 0")
+        # np.unique, not np.bincount: a label of 10**12 must not size an array
+        classes = np.unique(self.labels)
+        if classes[0] < 0:
+            raise ValueError("labels must be nonnegative")
+        missing = np.flatnonzero(classes != np.arange(classes.size))
+        if missing.size:
+            raise ValueError(f"labels must be 0..K-1 with a point in every class: "
+                             f"class {missing[0]} has none")
 
     @property
     def num_points(self) -> int:
@@ -79,9 +86,7 @@ class LabeledDataset:
         return int(self.labels.max()) + 1
 
     def class_priors(self) -> np.ndarray:
-        priors = np.zeros(self.num_classes)
-        np.add.at(priors, self.labels, self.masses)
-        return priors
+        return np.bincount(self.labels, self.masses)
 
 
 def from_arrays(points, labels, masses=None, class_names=None,
@@ -103,9 +108,9 @@ def from_arrays(points, labels, masses=None, class_names=None,
         masses = np.full(n, 1.0 / n)
     masses = np.asarray(masses, dtype=float)
 
-    raw_classes = np.unique(labels)
-    remap = {c: i for i, c in enumerate(raw_classes.tolist())}
-    labels = np.array([remap[c] for c in labels.tolist()], dtype=int)
+    raw_classes, labels = np.unique(labels, return_inverse=True)
+    if np.any(raw_classes != raw_classes):  # np.unique merges NaNs into one class
+        raise ValueError("labels must not be NaN")
     if class_names is None:
         class_names = [str(c) for c in raw_classes.tolist()]
 
@@ -218,8 +223,6 @@ def subset(dataset: LabeledDataset, classes, per_class_cap: int | None = None) -
     keep: list[int] = []
     for c in classes:
         idx = np.nonzero(dataset.labels == c)[0]
-        if idx.size == 0:
-            raise ValueError(f"class {c} has no samples")
         if per_class_cap is not None:
             if per_class_cap > idx.size:
                 warnings.warn(

@@ -256,6 +256,35 @@ def test_a_nan_mass_is_rejected_at_load(tmp_path, capsys, command):
     assert not list(tmp_path.glob("out/*"))
 
 
+def test_bound_rejects_a_dataset_missing_a_class(tmp_path, capsys):
+    # labels [0, 2, 2] used to load as three classes and warn "empty side"
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps({"points": [[0.0], [1.0], [2.0]], "labels": [0, 2, 2],
+                                "masses": [0.5, 0.25, 0.25]}))
+    code, out = run_cli(
+        capsys, "bound", "--data", str(path), "--epsilon", "0.6",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert out["type"] == "ValueError" and "class 1 has none" in out["error"]
+    assert not list(tmp_path.glob("out/*"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_bound_rejects_non_finite_caro_wei_weights(tmp_path, capsys, gaussian_file, bad):
+    # a NaN weight used to write "caro_wei": NaN into a certified report
+    path, ds = gaussian_file
+    weight_file = tmp_path / "w.json"
+    weight_file.write_text(json.dumps([bad] + [1.0] * (ds.num_points - 1)))
+    code, out = run_cli(
+        capsys, "bound", "--data", str(path), "--epsilon", "2.4",
+        "--caro-wei-weights", str(weight_file), "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert "weights must be finite and nonnegative" in out["error"]
+    assert not list(tmp_path.glob("out/*"))
+
+
 def test_out_dir_from_environment(tmp_path, capsys, monkeypatch, gaussian_file):
     path, _ = gaussian_file
     monkeypatch.setenv("OPTLOSS_OUT", str(tmp_path / "envout"))

@@ -74,6 +74,12 @@ def test_labels_remapped_to_contiguous_range(tmp_path):
     assert ds.labels.tolist() == [1, 0, 1]
 
 
+def test_from_arrays_rejects_a_nan_label():
+    # np.unique merges NaNs, so a NaN label would load as a class named "nan"
+    with pytest.raises(ValueError, match="labels must not be NaN"):
+        from_arrays([(0.0,), (1.0,)], [0.0, float("nan")])
+
+
 def test_subset_cap_and_order():
     pts = np.column_stack([np.arange(10.0), np.zeros(10)])
     labels = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
@@ -215,6 +221,26 @@ def test_non_integral_labels_rejected(tmp_path):
     # integral floats are integers
     assert dataset_from_json(dataset_doc([0, 1.0], [0.5, 0.5])).labels.tolist() == [0, 1]
     assert load_csv(write(tmp_path, "whole.csv", "0.0,1.0\n1.0,2.0\n")).num_classes == 2
+
+
+def test_labels_missing_a_class_rejected():
+    # [0, 2, 2] used to load as three classes with an empty class 1, whose
+    # one-versus-one problems bound_report then skipped with a warning
+    message = "every class: class 1 has none"
+    with pytest.raises(ValueError, match=message):
+        LabeledDataset(np.arange(3.0)[:, None], [0, 2, 2], [0.5, 0.25, 0.25])
+    with pytest.raises(ValueError, match=message):
+        dataset_from_json(dataset_doc([0, 2, 2], [0.5, 0.25, 0.25]))
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0, 10**12, 0], "class 1 has none"),  # must not size an array by the label
+    ([1, 2, 2], "class 0 has none"),
+    ([-1, 0, 1], "labels must be nonnegative"),
+])
+def test_labels_must_be_zero_to_k_minus_one(labels, message):
+    with pytest.raises(ValueError, match=message):
+        dataset_from_json(dataset_doc(labels, [0.5, 0.25, 0.25]))
 
 
 def test_class_priors():

@@ -56,6 +56,15 @@ def test_zero_epsilon_identical_points_different_labels_edge():
     assert graph.edge_list() == [(0, 1)]
 
 
+def test_zero_epsilon_every_edge_is_boundary_tight():
+    # at eps = 0 an edge is a coincident point set, whose radius is exactly 0
+    pts = [(0.5, 0.5)] * 3 + [(2.0, 0.0)]
+    ds = from_arrays(pts, [0, 1, 2, 0], merge_duplicates=False)
+    graph = extend_hyperedges(build_conflict_graph(ds, 0.0), 3)
+    assert graph.edge_counts() == {2: 3, 3: 1}
+    assert graph.boundary_tight_count() == 4
+
+
 def test_same_class_pair_never_an_edge():
     graph = build_conflict_graph(
         from_arrays([(0.0, 0.0), (0.05, 0.0)], [1, 1], merge_duplicates=False), 0.5

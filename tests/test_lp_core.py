@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from optloss import lp_core
 from optloss.data import from_arrays
 from optloss.hypergraph import (
     IncidenceMatrix,
@@ -19,6 +20,7 @@ from optloss.lp_core import (
     LpNonConvergenceError,
     PackingLp,
     Tolerances,
+    UncertifiedSolveError,
     solve_packing,
     verify_certificates,
 )
@@ -294,3 +296,40 @@ def test_unscalable_masses_take_highs():
         sol = solve_packing(dirichlet)
         assert sol.backend == "highs"
         assert sol.objective == pytest.approx(highs_objective(dirichlet), abs=1e-9)
+
+
+def repeated_vertex_lp():
+    # row 0 lists vertex 0 twice, which a csr built from indptr keeps as two entries
+    matrix = sp.csr_matrix((np.ones(4), np.array([0, 0, 0, 1]), np.array([0, 2, 4])),
+                           shape=(2, 2))
+    return PackingLp(np.array([0.5, 0.5]), IncidenceMatrix(matrix))
+
+
+@pytest.mark.parametrize("lp", [
+    make_lp([(0, 1)], [3.0, 3.0]),  # masses above 1: the scale 1 / min mass rounds to 0
+    make_lp([(0, 1)], [1e-10, 1.0 - 1e-10]),  # capacities past int32
+    repeated_vertex_lp(),
+], ids=["mass-above-one", "int32-overflow", "repeated-vertex"])
+def test_pair_lps_the_flow_backend_declines_go_to_highs(lp):
+    sol = solve_packing(lp)
+    assert sol.backend == "highs"
+    assert verify_certificates(lp, sol).ok
+    assert sol.objective == pytest.approx(highs_objective(lp), abs=1e-9)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda q: q + 0.5, "feasibility residuals too large"),
+    (lambda q: np.zeros_like(q), "duality gap"),  # feasible, so only the gap fails
+])
+def test_uncertified_highs_answer_raises(monkeypatch, corrupt, message):
+    highs = lp_core._highs_packing
+
+    def corrupted(p, B, tol):
+        q, z, y = highs(p, B, tol)
+        return corrupt(q), z, y
+
+    monkeypatch.setattr(lp_core, "_highs_packing", corrupted)
+    lp = make_lp([(0, 1), (0, 2), (1, 2)], [0.2, 0.3, 0.5])  # odd cycle: HiGHS
+    with pytest.raises(UncertifiedSolveError, match=message) as info:
+        solve_packing(lp)
+    assert info.value.solution.backend == "highs"
