@@ -74,8 +74,7 @@ class InstanceTooLargeError(ValueError):
 
 
 def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
-                 tol: Tolerances = Tolerances(), dedupe: bool = True,
-                 jobs: int = 1):
+                 tol: Tolerances = Tolerances(), jobs: int = 1):
     """Optimal loss against hyperedges of degree at most m.
 
     Returns ``(loss, solution, graph)``. With m equal to the number of
@@ -91,7 +90,7 @@ def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
         graph = build_conflict_graph(dataset, epsilon)
         if m > 2:
             graph = extend_hyperedges(graph, m)
-    sol = solve_packing(PackingLp(graph.masses, incidence(graph, dedupe)), tol)
+    sol = solve_packing(PackingLp(graph.masses, incidence(graph)), tol)
     return sol.loss, sol, graph
 
 
@@ -325,7 +324,7 @@ class VertexStrategy:
     vertex_id: int
     edges: list[tuple[int, ...] | None]  # None marks the unperturbed point
     probabilities: np.ndarray
-    witnesses: list[np.ndarray | None]
+    witnesses: list[np.ndarray]  # the vertex's own point for the unperturbed play
     over_covered: bool
 
 
@@ -340,9 +339,8 @@ class AdversarialStrategy:
         """The strategy with each coordinate written once.
 
         ``witnesses`` holds one coordinate list per played edge, in order of
-        first play, and a play's ``witness`` is its index there. ``None``
-        marks the unperturbed point (dataset row ``vertex``), and every play
-        of a graph without coordinates.
+        first play, and a play's ``witness`` is its index there, or ``None``
+        for the unperturbed point (dataset row ``vertex``).
         """
         index: dict[tuple[int, ...], int] = {}
         witnesses: list[list[float]] = []
@@ -351,7 +349,7 @@ class AdversarialStrategy:
             plays = []
             for e, pr, wit in zip(vs.edges, vs.probabilities, vs.witnesses):
                 i = None
-                if e is not None and wit is not None:
+                if e is not None:
                     i = index.get(e)
                     if i is None:
                         i = index[e] = len(witnesses)
@@ -371,7 +369,7 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
     z_e; the singleton cover plays the unperturbed point. Over-covered
     vertices (total cover above p_v) are normalized proportionally, which is
     one of the equally good feasible choices. Witnesses are computed here,
-    once per played edge (none when the graph has no coordinates).
+    once per played edge; the unperturbed play's witness is the point itself.
     """
     B = sol.lp.incidence.matrix
     B_cols = B.tocsc()
@@ -379,22 +377,20 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
     y = sol.singleton_cover
     p = sol.lp.masses
     points = graph.points
-    played: dict[int, tuple[tuple[int, ...], np.ndarray | None]] = {}
+    played: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
     per_vertex: list[VertexStrategy] = []
     for v in range(graph.num_vertices):
         row_ids = B_cols.indices[B_cols.indptr[v]:B_cols.indptr[v + 1]]
-        entries: list[tuple[tuple[int, ...] | None, float, np.ndarray | None]] = []
+        entries: list[tuple[tuple[int, ...] | None, float, np.ndarray]] = []
         for r in row_ids:
             if z[r] > 0.0:
                 if r not in played:
                     ids = tuple(B.indices[B.indptr[r]:B.indptr[r + 1]].tolist())
-                    witness = None if points is None else edge_witness(points, ids)
-                    played[r] = (ids, witness)
+                    played[r] = (ids, edge_witness(points, ids))
                 ids, witness = played[r]
                 entries.append((ids, float(z[r]), witness))
-        point = None if points is None else points[v]
         if y[v] > 0.0:
-            entries.append((None, float(y[v]), point))
+            entries.append((None, float(y[v]), points[v]))
         total = sum(weight for _, weight, _ in entries)
         if total < p[v] - tol.feasibility_abs:
             raise ValueError(
@@ -403,7 +399,7 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
             )
         if not entries:
             # only a vertex lighter than feasibility_abs gets here: play the point
-            entries.append((None, float(p[v]), point))
+            entries.append((None, float(p[v]), points[v]))
             total = float(p[v])
         probs = np.array([weight for _, weight, _ in entries]) / total
         per_vertex.append(
@@ -629,9 +625,8 @@ def _histogram(q: np.ndarray) -> dict:
 
 
 def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
-                 tol: Tolerances = Tolerances(), dedupe: bool = True,
-                 hard_cap: int = 30, caro_wei_weights=None, jobs: int = 1,
-                 progress=None) -> BoundReport:
+                 tol: Tolerances = Tolerances(), hard_cap: int = 30,
+                 caro_wei_weights=None, jobs: int = 1, progress=None) -> BoundReport:
     """Compute the full bound chain at one budget.
 
     Solves L*(m) for m = 2..m_max, the class-only coupling bound, the
@@ -658,7 +653,7 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
             graph = extend_hyperedges(graph, m, progress=progress)
             runtimes[f"extend_{m}"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        sol = solve_packing(PackingLp(graph.masses, incidence(graph, dedupe)), tol)
+        sol = solve_packing(PackingLp(graph.masses, incidence(graph)), tol)
         runtimes[f"solve_{m}"] = time.perf_counter() - t0
         backends[f"solve_{m}"] = sol.backend
         losses[m] = sol.loss
@@ -675,8 +670,9 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
         backends["pairwise"] = "+".join(sorted(set(pairwise.backends)))
 
     t0 = time.perf_counter()
-    weights = sol2.q if caro_wei_weights is None else np.asarray(caro_wei_weights, float)
-    caro_wei = caro_wei_bound(graph, np.clip(weights, 0.0, None))
+    # the solver can return q a few ulps below 0; a caller's weights are checked as given
+    weights = np.clip(sol2.q, 0.0, None) if caro_wei_weights is None else caro_wei_weights
+    caro_wei = caro_wei_bound(graph, weights)
     runtimes["caro_wei"] = time.perf_counter() - t0
 
     hard = None

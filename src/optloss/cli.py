@@ -114,8 +114,6 @@ def _add_dataset_args(sub) -> None:
 
 _FLAGS = {
     "--tol-gap": dict(type=float, default=1e-6, help="relative duality-gap bound"),
-    "--dedupe": dict(choices=["on", "off"], default="on",
-                     help="drop dominated incidence rows before solving"),
     "--jobs": dict(type=int, default=1, help="budgets of the sweep solved concurrently"),
     "--format": dict(choices=["json", "csv", "both"], default="json"),
 }
@@ -200,8 +198,7 @@ def cmd_bound(args) -> int:
 
     def run(eps: float):
         report = bd.bound_report(
-            ds, eps, m_max=args.max_degree, tol=tol,
-            dedupe=(args.dedupe == "on"), hard_cap=args.hard_cap,
+            ds, eps, m_max=args.max_degree, tol=tol, hard_cap=args.hard_cap,
             caro_wei_weights=weights, progress=_progress_printer(f"eps={eps:g}"),
         )
         return report, _write_formats(outdir, f"bound_eps{eps:g}", args.format,
@@ -248,9 +245,7 @@ def cmd_strategy(args) -> int:
     _check_max_degree(args, ds)
     tol = _tolerances(args)
     eps = args.epsilon[0]
-    loss, sol, graph = bd.optimal_loss(
-        ds, eps, args.max_degree, tol=tol, dedupe=(args.dedupe == "on"),
-    )
+    loss, sol, graph = bd.optimal_loss(ds, eps, args.max_degree, tol=tol)
     strategy = bd.extract_strategy(sol, graph, tol)
     outdir = _out_dir(args)
     strat_path = outdir / f"strategy_eps{eps:g}_m{args.max_degree}.json"
@@ -318,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--caro-wei-weights", default=None,
                        help="'uniform' or a JSON file of per-vertex weights "
                             "(default: the degree-2 packing solution)")
-    _add_flags(bound, "--tol-gap", "--dedupe", "--jobs", "--format")
+    _add_flags(bound, "--tol-gap", "--jobs", "--format")
     bound.set_defaults(func=cmd_bound)
 
     pair = subs.add_parser("pairwise", help="one-versus-one optimal losses (heatmap data)")
@@ -331,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(strat)
     strat.add_argument("--epsilon", type=float, nargs=1, required=True)
     strat.add_argument("--max-degree", type=int, default=2)
-    _add_flags(strat, "--tol-gap", "--dedupe")
+    _add_flags(strat, "--tol-gap")
     strat.set_defaults(func=cmd_strategy)
 
     stats = subs.add_parser("stats", help="per-class nearest other-class distances")

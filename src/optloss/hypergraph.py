@@ -45,7 +45,6 @@ __all__ = [
     "incidence",
     "edge_witness",
     "graph_to_json",
-    "graph_from_json",
 ]
 
 
@@ -54,11 +53,11 @@ class ConflictHypergraph:
     # vertex i is (labels[i], masses[i], points[i]); its id is i
     labels: np.ndarray  # (n,) int class ids
     masses: np.ndarray  # (n,) probability masses
-    points: np.ndarray | None  # (n, d) coordinates; None when read from JSON
+    points: np.ndarray  # (n, d) coordinates
     edges: dict[int, np.ndarray]  # degree k -> (E_k, k) sorted id rows
     max_degree: int
     epsilon: float
-    # degree k -> (E_k,) minimum-enclosing-ball radius; NaN when unknown (imported)
+    # degree k -> (E_k,) minimum-enclosing-ball radius
     radii: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
@@ -300,8 +299,6 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
         return graph
     if graph.max_degree < 2:
         raise ValueError("extension needs the pair edges: start from build_conflict_graph")
-    if graph.points is None:
-        raise ValueError("hypergraph has no point coordinates (imported from JSON?)")
     n = graph.num_vertices
     eps_tol = graph.epsilon * (1.0 + REL_TOL)
     pairs = graph.pairs
@@ -453,10 +450,11 @@ def edge_witness(points: np.ndarray, ids) -> np.ndarray:
 
 
 def graph_to_json(graph: ConflictHypergraph) -> str:
-    """Serialize structure (not coordinates) for reuse across bound runs.
+    """The graph's structure as a JSON document, for reading outside optloss.
 
-    ``max_degree`` is capped at the vertex count, the largest degree an
-    edge can have, which is all that ``graph_from_json`` accepts.
+    Vertices with their labels and masses, and every edge as its sorted id
+    list in ``edge_list`` order; no coordinates or radii. ``max_degree`` is
+    capped at the vertex count, the largest degree an edge can have.
     """
     doc = {
         "epsilon": graph.epsilon,
@@ -466,54 +464,3 @@ def graph_to_json(graph: ConflictHypergraph) -> str:
         "edges": [list(ids) for ids in graph.edge_list()],
     }
     return json.dumps(doc)
-
-
-def graph_from_json(text: str) -> ConflictHypergraph:
-    """Read a graph written by ``graph_to_json``, checking it on the way in.
-
-    Vertex ids must be 0..n-1 in order, masses positive with sum 1,
-    ``epsilon`` finite and nonnegative, and ``max_degree`` in 1..n (it
-    sizes one array per degree). Each edge's ids are sorted; an edge with a
-    repeated or out-of-range id, two vertices of one label, a degree
-    outside 2..max_degree, or a (k-1)-face that is not an edge raises a
-    ValueError that names it.
-    """
-    doc = json.loads(text)
-    epsilon = _budget(doc["epsilon"])
-    n, max_degree = len(doc["vertices"]), int(doc["max_degree"])
-    if not 1 <= max_degree <= n:
-        raise ValueError(f"max_degree {max_degree} is outside 1..{n}")
-    if [int(v["id"]) for v in doc["vertices"]] != list(range(n)):
-        raise ValueError("vertex ids must be 0..n-1 in order")
-    labels = np.array([int(v["label"]) for v in doc["vertices"]], dtype=np.int64)
-    masses = np.array([float(v["mass"]) for v in doc["vertices"]])
-    if not (np.all(masses > 0.0) and abs(masses.sum() - 1.0) <= 1e-9):
-        raise ValueError("vertex masses must be positive and sum to 1")
-    by_degree: dict[int, list[list[int]]] = {k: [] for k in range(2, max_degree + 1)}
-    for edge in doc["edges"]:
-        row = sorted(int(i) for i in edge)
-        if not 2 <= len(row) <= max_degree:
-            problem = f"degree {len(row)} is outside 2..{max_degree}"
-        elif row[0] < 0 or row[-1] >= n:
-            problem = f"an id is outside 0..{n - 1}"
-        elif len(set(row)) < len(row):
-            problem = "an id is repeated"
-        elif len(set(labels[row].tolist())) < len(row):
-            problem = "two vertices share a label"
-        else:
-            by_degree[len(row)].append(row)
-            continue
-        raise ValueError(f"bad edge {edge}: {problem}")
-    edges = {k: np.array(sorted(rows), dtype=np.int64).reshape(-1, k)
-             for k, rows in by_degree.items()}
-    # downward closed as built: the dedupe reads only the next degree's faces
-    for k in range(3, max_degree + 1):
-        index = _RowIndex(edges[k - 1], n)
-        for p in range(k):
-            missing = np.flatnonzero(index.find(np.delete(edges[k], p, axis=1)) < 0)
-            if missing.size:
-                row = edges[k][missing[0]].tolist()
-                face = row[:p] + row[p + 1:]
-                raise ValueError(f"bad edge {row}: its face {face} is not an edge")
-    radii = {k: np.full(len(rows), np.nan) for k, rows in edges.items()}
-    return ConflictHypergraph(labels, masses, None, edges, max_degree, epsilon, radii)

@@ -270,9 +270,10 @@ def test_bound_rejects_a_dataset_missing_a_class(tmp_path, capsys):
     assert not list(tmp_path.glob("out/*"))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
 def test_bound_rejects_non_finite_caro_wei_weights(tmp_path, capsys, gaussian_file, bad):
-    # a NaN weight used to write "caro_wei": NaN into a certified report
+    # a NaN weight used to write "caro_wei": NaN into a certified report,
+    # and a negative one was read as 0
     path, ds = gaussian_file
     weight_file = tmp_path / "w.json"
     weight_file.write_text(json.dumps([bad] + [1.0] * (ds.num_points - 1)))
@@ -313,9 +314,9 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
                          "--seed", "--name", "--out"},
         "build": dataset | {"--epsilon", "--max-degree", "--out"},
         "bound": dataset | {"--epsilon", "--max-degree", "--hard-cap", "--caro-wei-weights",
-                            "--tol-gap", "--dedupe", "--jobs", "--format", "--out"},
+                            "--tol-gap", "--jobs", "--format", "--out"},
         "pairwise": dataset | {"--epsilon", "--tol-gap", "--format", "--out"},
-        "strategy": dataset | {"--epsilon", "--max-degree", "--tol-gap", "--dedupe", "--out"},
+        "strategy": dataset | {"--epsilon", "--max-degree", "--tol-gap", "--out"},
         "stats": dataset | {"--format", "--out"},
     }
     for name, flags in expected.items():
