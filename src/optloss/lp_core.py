@@ -11,7 +11,10 @@ optimal soft-classification loss for the hypergraph.
 Two backends solve it. An LP whose rows are all pairs of a bipartite graph,
 with masses that are integers under one scale, is a minimum-weight vertex
 cover: a max-flow min cut solves it exactly (backend ``"flow"``). Every
-other LP goes to HiGHS (backend ``"highs"``). The choice depends only on the
+other LP goes to HiGHS (backend ``"highs"``), called through scipy's binding
+with the options ``linprog(method="highs")`` sets: the answers are linprog's
+bit for bit, without its per-call input cleaning and option checks, which
+took about two thirds of a 30-vertex solve. The choice depends only on the
 LP itself. Every solve is certified the same way whatever the backend:
 feasibility residuals and the duality gap are recomputed from the returned
 vectors, and a solve that cannot be certified raises instead of returning
@@ -25,7 +28,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highspy
 from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
 
 from .hypergraph import IncidenceMatrix
@@ -117,12 +120,11 @@ class CertificateReport:
 
 
 class LpNonConvergenceError(RuntimeError):
-    """Solver stopped before optimality; carries whatever bounds it reached."""
+    """HiGHS stopped without an optimum; ``status`` is its model status."""
 
-    def __init__(self, message: str, status: int, best_objective: float | None = None):
+    def __init__(self, message: str, status):
         super().__init__(message)
         self.status = status
-        self.best_objective = best_objective
 
 
 class UncertifiedSolveError(RuntimeError):
@@ -141,17 +143,18 @@ def _certificate(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray, z: np.ndarray,
     the vectors, over every vertex and row, and compared with the tolerances
     (a NaN residual fails).
     """
-    primal = max(
-        float(np.max(-q, initial=0.0)),
-        float(np.max(q - 1.0, initial=0.0)),
-        float(np.max(B @ q - 1.0, initial=0.0)),
-    )
+    # np.max, not max: a NaN anywhere makes the residual NaN
+    primal = float(np.max([
+        np.max(-q, initial=0.0),
+        np.max(q - 1.0, initial=0.0),
+        np.max(B @ q - 1.0, initial=0.0),
+    ]))
     cover = B.T @ z + y
-    dual = max(
-        float(np.max(-z, initial=0.0)),
-        float(np.max(-y, initial=0.0)),
-        float(np.max(p - cover, initial=0.0)),
-    )
+    dual = float(np.max([
+        np.max(-z, initial=0.0),
+        np.max(-y, initial=0.0),
+        np.max(p - cover, initial=0.0),
+    ]))
     objective = float(p @ q)
     dual_objective = float(z.sum() + y.sum())
     gap = abs(objective - dual_objective)
@@ -271,8 +274,10 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
     Deterministic for a fixed instance and tolerance configuration. A
     bipartite pair LP with integer-scalable masses is solved by min cut,
     any other by HiGHS; both answers pass the same certificate check.
-    Raises :class:`LpNonConvergenceError` if HiGHS hits its iteration limit
-    and :class:`UncertifiedSolveError` if the certificates fail.
+    Raises :class:`LpNonConvergenceError` if HiGHS ends with any model
+    status other than optimal (its iteration limit, say), ``ValueError`` if
+    HiGHS rejects the model or an option, and :class:`UncertifiedSolveError`
+    if the certificates fail.
     """
     p = lp.masses
     B = lp.incidence.matrix
@@ -302,29 +307,50 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
 
 
 def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
-    """(q, z, y) from HiGHS."""
-    res = linprog(
-        c=-p,
-        A_ub=B,
-        b_ub=np.ones(B.shape[0]),
-        bounds=(0.0, 1.0),
-        method="highs",
-        options={"maxiter": tol.max_iterations},
-    )
-    if res.status == 1:
+    """(q, z, y) from HiGHS, called through scipy's binding.
+
+    HiGHS gets the model and the options that ``linprog(method="highs")``
+    passes it: presolve on, the dual simplex strategy, both iteration limits
+    at ``tol.max_iterations`` and no output. So it returns linprog's vertex.
+    z and y are linprog's marginals negated and clipped at 0: the row duals,
+    and the column duals of the columns HiGHS leaves at their upper bound 1.
+    """
+    m, n = B.shape
+    A = B.tocsc()
+    A.sum_duplicates()  # a row listing a vertex twice gives it coefficient 2
+    # pybind11 copies a list into the model's vectors faster than an array
+    lp = highspy.HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_ = (-p).tolist()
+    lp.col_lower_, lp.col_upper_ = [0.0] * n, [1.0] * n
+    lp.row_lower_, lp.row_upper_ = [-math.inf] * m, [1.0] * m
+    matrix = lp.a_matrix_
+    matrix.format_ = highspy.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = n, m
+    matrix.start_, matrix.index_ = A.indptr.tolist(), A.indices.tolist()
+    matrix.value_ = A.data.tolist()
+
+    highs = highspy._Highs()
+    for name, value in (("output_flag", False), ("log_to_console", False),
+                        ("presolve", "on"), ("simplex_strategy", 1),  # 1: dual simplex
+                        ("simplex_iteration_limit", tol.max_iterations),
+                        ("ipm_iteration_limit", tol.max_iterations)):
+        if highs.setOptionValue(name, value) == highspy.HighsStatus.kError:
+            raise ValueError(f"HiGHS rejects {name} = {value!r}")
+    if highs.passModel(lp) == highspy.HighsStatus.kError:
+        raise ValueError("HiGHS rejects the packing LP: an incidence entry is inf or huge")
+    highs.run()
+    status = highs.getModelStatus()
+    if status != highspy.HighsModelStatus.kOptimal:
         raise LpNonConvergenceError(
-            f"iteration limit reached: {res.message}",
-            status=res.status,
-            best_objective=(-res.fun if res.fun is not None else None),
-        )
-    if res.status != 0:
-        raise LpNonConvergenceError(
-            f"solver failed (status {res.status}): {res.message}", status=res.status
+            f"HiGHS stopped without an optimum: {highs.modelStatusToString(status)}", status
         )
 
-    z = np.maximum(-np.asarray(res.ineqlin.marginals, dtype=float), 0.0)
-    y = np.maximum(-np.asarray(res.upper.marginals, dtype=float), 0.0)
-    return res.x, z, y
+    solution = highs.getSolution()
+    at_upper = np.asarray(highs.getBasis().col_status) == highspy.HighsBasisStatus.kUpper
+    z = np.maximum(-np.asarray(solution.row_dual), 0.0)
+    y = np.maximum(-np.where(at_upper, solution.col_dual, 0.0), 0.0)
+    return np.asarray(solution.col_value), z, y
 
 
 def verify_certificates(lp: PackingLp, sol: LpSolution,

@@ -123,6 +123,28 @@ def test_certificates_flag_zero_dual():
     assert report.dual_residual >= 0.5 - 1e-12
 
 
+def test_certificates_flag_a_nan_in_any_vector():
+    lp = make_lp([(0, 1)], [0.5, 0.5])
+    sol = solve_packing(lp)
+    for name in ("q", "edge_cover", "singleton_cover"):
+        vec = getattr(sol, name).copy()
+        vec[-1] = np.nan
+        report = verify_certificates(lp, replace(sol, **{name: vec}))
+        assert not report.feasible, name
+
+
+@pytest.mark.parametrize("entry, error, message", [
+    (np.nan, UncertifiedSolveError, "primal=nan"),  # HiGHS loads it; the certificate fails
+    (np.inf, ValueError, "HiGHS rejects the packing LP"),
+    (1e300, ValueError, "HiGHS rejects the packing LP"),
+])
+def test_incidence_entry_highs_cannot_use_raises(entry, error, message):
+    matrix = sp.csr_matrix(np.array([[1.0, entry], [1.0, 1.0]]))
+    lp = PackingLp(np.array([0.5, 0.5]), IncidenceMatrix(matrix))
+    with pytest.raises(error, match=message):
+        solve_packing(lp)
+
+
 def test_certificates_flag_overcovered_positive_q():
     lp = make_lp([(0, 1)], [0.5, 0.5])
     sol = solve_packing(lp)
@@ -193,8 +215,16 @@ def test_concurrent_solves_match_sequential():
 def test_iteration_limit_raises_nonconvergence():
     rng = np.random.default_rng(29)
     lp = random_lp(rng, n=15)
-    with pytest.raises(LpNonConvergenceError):
+    with pytest.raises(LpNonConvergenceError, match="Iteration limit reached") as info:
         solve_packing(lp, Tolerances(max_iterations=1))
+    assert info.value.status == lp_core.highspy.HighsModelStatus.kIterationLimit
+
+
+@pytest.mark.parametrize("limit", [2**31, 1.5])
+def test_iteration_limit_highs_cannot_take_raises(limit):
+    lp = make_lp([(0, 1), (0, 2), (1, 2)], [0.2, 0.3, 0.5])  # odd cycle: HiGHS
+    with pytest.raises(ValueError, match="HiGHS rejects simplex_iteration_limit"):
+        solve_packing(lp, Tolerances(max_iterations=limit))
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
@@ -296,6 +326,45 @@ def test_unscalable_masses_take_highs():
         sol = solve_packing(dirichlet)
         assert sol.backend == "highs"
         assert sol.objective == pytest.approx(highs_objective(dirichlet), abs=1e-9)
+
+
+def linprog_packing(p, B):
+    """(q, z, y) as ``linprog(method="highs")`` gives them, with its marginals."""
+    res = linprog(c=-p, A_ub=B, b_ub=np.ones(B.shape[0]), bounds=(0.0, 1.0), method="highs",
+                  options={"maxiter": Tolerances().max_iterations})
+    assert res.status == 0
+    return (res.x, np.maximum(-res.ineqlin.marginals, 0.0),
+            np.maximum(-res.upper.marginals, 0.0))
+
+
+def test_highs_binding_matches_linprog_bit_for_bit():
+    rng = np.random.default_rng(73)
+    lps = [random_lp(rng, n=int(rng.integers(6, 30))) for _ in range(20)]
+    lps += [PackingLp(rng.dirichlet(np.ones(lp.masses.shape[0])), lp.incidence)
+            for lp in lps[:10]]
+    for lp in lps[:5]:
+        B = lp.incidence.matrix
+        repeated = sp.vstack([B, B[: B.shape[0] // 2]], format="csr")
+        lps.append(PackingLp(lp.masses, IncidenceMatrix(repeated)))
+    lps += [
+        make_lp([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], [0.2] * 5),  # degenerate odd cycle
+        make_lp([(0, 1), (0, 2), (1, 2)], [0.6, 0.2, 0.2]),  # vertex 0 at q = 1
+        make_lp([(0, 1), (1, 2, 3)], [0.25] * 4),
+        repeated_vertex_lp(),
+    ]
+    widths = set()
+    y_paid = 0
+    for lp in lps:
+        p, B = lp.masses, lp.incidence.matrix
+        widths |= set(np.diff(B.indptr).tolist())
+        got = lp_core._highs_packing(p, B, Tolerances())
+        want = linprog_packing(p, B)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        y_paid += int(np.any(got[2] > 0))
+    # pairs and triples both occur, and the q <= 1 duals are read off some columns
+    assert {2, 3} <= widths
+    assert y_paid > 0
 
 
 def repeated_vertex_lp():
