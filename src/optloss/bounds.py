@@ -25,7 +25,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from .data import LabeledDataset
 from .hypergraph import (
@@ -132,8 +134,9 @@ def _pairwise_losses(graph: ConflictHypergraph, tol: Tolerances,
 
     The edges of problem {i, j} are the graph's pairs with labels i and j,
     renumbered to local ids; the renumbering is monotone, so their rows stay
-    sorted. A two-class conflict hypergraph is bipartite, so ``solve_packing``
-    takes its min-cut backend whenever the masses scale to integers.
+    sorted. The incidence carries the kept vertices' labels, and every row
+    joins class i to class j, so ``solve_packing`` takes its min-cut backend
+    whenever the masses scale to integers.
     """
     labels, masses, pairs = graph.labels, graph.masses, graph.pairs
     k = int(labels.max()) + 1
@@ -148,7 +151,7 @@ def _pairwise_losses(graph: ConflictHypergraph, tol: Tolerances,
             local = np.cumsum(keep) - 1  # graph id -> id among the kept vertices
             cond_mass = masses[keep] / masses[keep].sum()
             rows = local[pairs[(lo == i) & (hi == j)]]
-            sol = solve_packing(PackingLp(cond_mass, _incidence_of([rows], keep.sum())), tol)
+            sol = solve_packing(PackingLp(cond_mass, _incidence_of([rows], labels[keep])), tol)
             a[i, j] = a[j, i] = max(0.0, sol.loss)
             backends.append(sol.backend)
     return PairwiseLossMatrix(a, class_names=class_names, backends=backends)
@@ -246,24 +249,13 @@ def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     w = graph.masses.tolist()
-    parts = []
-    left = (1 << n) - 1
-    while left:
-        # flood fill from the lowest vertex not yet in a component
-        comp = frontier = left & -left
-        members = []
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            v = bit.bit_length() - 1
-            members.append(v)
-            new = adj[v] & ~comp
-            comp |= new
-            frontier |= new
-        left &= ~comp
-        # by decreasing mass, ties by id
-        members.sort(key=lambda v: (-w[v], v))
-        parts.append(_heaviest_independent_set(adj, w, members))
+    u, v = graph.pairs.T
+    _, comp = connected_components(sp.csr_matrix((np.ones(u.size), (u, v)), shape=(n, n)),
+                                   directed=False)
+    # each component's vertices by decreasing mass, ties by id
+    order = np.lexsort((np.arange(n), -graph.masses, comp))
+    members = np.split(order, np.cumsum(np.bincount(comp))[:-1])
+    parts = [_heaviest_independent_set(adj, w, ids.tolist()) for ids in members]
     best = sum(chosen for _, chosen in parts)  # disjoint bitmasks: the sum is their union
     loss = max(0.0, 1.0 - math.fsum(weight for weight, _ in parts))
     return loss, frozenset(i for i in range(n) if best >> i & 1)

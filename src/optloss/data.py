@@ -214,6 +214,8 @@ def subset(dataset: LabeledDataset, classes, per_class_cap: int | None = None) -
     classes = list(classes)
     if not classes:
         raise ValueError("empty class list")
+    if per_class_cap is not None and per_class_cap < 1:
+        raise ValueError(f"per-class cap must be at least 1, got {per_class_cap}")
     k = dataset.num_classes
     for i, c in enumerate(classes):
         if c < 0 or c >= k:

@@ -90,9 +90,19 @@ class ConflictHypergraph:
 
 @dataclass
 class IncidenceMatrix:
-    """Sparse hyperedge-vertex incidence: one row per retained hyperedge."""
+    """Sparse hyperedge-vertex incidence: one row per retained hyperedge.
+
+    ``labels`` holds each column's (vertex's) integer class; the packing
+    solver reads the two sides of a pair LP off it.
+    """
 
     matrix: sp.csr_matrix
+    labels: np.ndarray
+
+    def __post_init__(self):
+        self.labels = np.asarray(self.labels)
+        if self.labels.shape != (self.matrix.shape[1],) or self.labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be {self.matrix.shape[1]} integers, one per column")
 
 
 class _RowIndex:
@@ -373,17 +383,18 @@ def incidence(graph: ConflictHypergraph, dedupe_dominated: bool = True) -> Incid
                 found = index.find(np.delete(bigger, p, axis=1))
                 keep[found[found >= 0]] = False
         kept.append(rows[keep])
-    return _incidence_of(kept, graph.num_vertices)
+    return _incidence_of(kept, graph.labels)
 
 
-def _incidence_of(blocks: list[np.ndarray], n: int) -> IncidenceMatrix:
-    """n-column incidence, one row per id row of the (E, k) ``blocks``, in order."""
+def _incidence_of(blocks: list[np.ndarray], labels: np.ndarray) -> IncidenceMatrix:
+    """Incidence with one column per entry of ``labels``, one row per id row
+    of the (E, k) ``blocks``, in order."""
     empty = [np.zeros(0, dtype=np.int64)]
     widths = np.concatenate(empty + [np.full(len(rows), rows.shape[1]) for rows in blocks])
     indices = np.concatenate(empty + [rows.ravel() for rows in blocks])
     indptr = np.concatenate([[0], np.cumsum(widths)])
     return IncidenceMatrix(sp.csr_matrix((np.ones(indices.size), indices, indptr),
-                                         shape=(widths.size, n)))
+                                         shape=(widths.size, len(labels))), labels)
 
 
 def _triangle_centre(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:

@@ -8,17 +8,18 @@ role of the degree-1 (singleton) hyperedges, so the full fractional cover
 of the vertices is ``B^T z + y``. One minus the primal optimum is the
 optimal soft-classification loss for the hypergraph.
 
-Two backends solve it. An LP whose rows are all pairs of a bipartite graph,
-with masses that are integers under one scale, is a minimum-weight vertex
-cover: a max-flow min cut solves it exactly (backend ``"flow"``). Every
+Two backends solve it. An LP whose rows all pair a vertex of one class with
+a vertex of another, over two classes in all, is bipartite by its labels;
+with masses that are integers under one scale it is a minimum-weight vertex
+cover, and a max-flow min cut solves it exactly (backend ``"flow"``). Every
 other LP goes to HiGHS (backend ``"highs"``), called through scipy's binding
 with the options ``linprog(method="highs")`` sets: the answers are linprog's
 bit for bit, without its per-call input cleaning and option checks, which
 took about two thirds of a 30-vertex solve. The choice depends only on the
-LP itself. Every solve is certified the same way whatever the backend:
-feasibility residuals and the duality gap are recomputed from the returned
-vectors, and a solve that cannot be certified raises instead of returning
-silently.
+LP itself: its rows, masses and labels. Every solve is certified the same
+way whatever the backend: feasibility residuals and the duality gap are
+recomputed from the returned vectors, and a solve that cannot be certified
+raises instead of returning silently.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize._highspy import _core as highspy
-from scipy.sparse.csgraph import breadth_first_order, connected_components, maximum_flow
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .hypergraph import IncidenceMatrix
 
@@ -191,53 +192,33 @@ def _mass_scale(p: np.ndarray) -> tuple[float, np.ndarray] | None:
     return scale, w
 
 
-def _bipartite_sides(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """Side-A mask of a 2-colouring of the pair graph, or None if it has an odd cycle.
+def _flow_packing(p: np.ndarray, B: sp.csr_matrix, labels: np.ndarray):
+    """(q, z, y) of a two-class pair LP from a max-flow min cut, or None.
 
-    In the bipartite double cover (vertex x becomes x and x + n, edge (u, v)
-    becomes (u, v + n) and (v, u + n)) the two copies of x are connected iff
-    x's component has an odd cycle. Otherwise each copy lies in one of the
-    two components that split x's component by colour.
-    """
-    edges = u.shape[0]
-    cover = sp.csr_matrix(
-        (np.ones(2 * edges, dtype=np.int8),
-         (np.concatenate([u, v]), np.concatenate([v + n, u + n]))),
-        shape=(2 * n, 2 * n),
-    )
-    _, comp = connected_components(cover, directed=False)
-    if np.any(comp[:n] == comp[n:]):
-        return None
-    return comp[:n] < comp[n:]
-
-
-def _flow_packing(p: np.ndarray, B: sp.csr_matrix):
-    """(q, z, y) of a bipartite pair LP from a max-flow min cut, or None.
-
-    Qualifies when every row holds two distinct vertices with coefficient 1,
-    the pair graph is bipartite and the masses scale to integers w. The
-    network is s -> a (cap w_a), a -> b (cap sum(w) + 1), b -> t (cap w_b)
-    for sides A and B; the vertices on the source side of the residual cut,
-    in A, and off it, in B, form a maximum-weight independent set, q is its
-    0/1 indicator, z is the edge flow over the scale and y the uncovered
-    mass.
+    Qualifies when every row is a pair with coefficient 1 whose two vertices
+    have different labels, the rows together use exactly two labels and the
+    masses scale to integers w. Side A is every vertex with the label of the
+    first row's first vertex, side B every other vertex. The network is
+    s -> a (cap w_a), a -> b (cap sum(w) + 1), b -> t (cap w_b); the vertices
+    on the source side of the residual cut, in A, and off it, in B, form a
+    maximum-weight independent set, q is its 0/1 indicator, z is the edge
+    flow over the scale and y the uncovered mass.
     """
     B = B.tocsr()
     if np.any(np.diff(B.indptr) != 2) or np.any(B.data != 1.0):
         return None
-    ends = B.indices.reshape(-1, 2)
-    u, v = ends[:, 0].astype(np.int64), ends[:, 1].astype(np.int64)
-    if np.any(u == v):
+    ends = B.indices.reshape(-1, 2).astype(np.int64)
+    classes = labels[ends]
+    if np.any(classes[:, 0] == classes[:, 1]) or not np.isin(classes, classes[0]).all():
         return None
     integer = _mass_scale(p)
     if integer is None:
         return None
     scale, w = integer
     n = p.shape[0]
-    side_a = _bipartite_sides(n, u, v)
-    if side_a is None:
-        return None
+    side_a = labels == classes[0, 0]
 
+    u, v = ends.T
     a = np.where(side_a[u], u, v)
     b = np.where(side_a[u], v, u)
     big = int(w.sum()) + 1
@@ -271,9 +252,10 @@ def _flow_packing(p: np.ndarray, B: sp.csr_matrix):
 def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
     """Solve the packing LP and return a certified primal-dual pair.
 
-    Deterministic for a fixed instance and tolerance configuration. A
-    bipartite pair LP with integer-scalable masses is solved by min cut,
-    any other by HiGHS; both answers pass the same certificate check.
+    Deterministic for a fixed instance and tolerance configuration. A pair
+    LP whose rows join two classes of ``lp.incidence.labels``, with
+    integer-scalable masses, is solved by min cut, any other by HiGHS; both
+    answers pass the same certificate check.
     Raises :class:`LpNonConvergenceError` if HiGHS ends with any model
     status other than optimal (its iteration limit, say), ``ValueError`` if
     HiGHS rejects the model or an option, and :class:`UncertifiedSolveError`
@@ -285,7 +267,7 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
         # no constraints beyond the box: q = 1 and the singleton cover pays p
         found = np.ones(p.shape[0]), np.zeros(0), p.copy()
     else:
-        found = _flow_packing(p, B)
+        found = _flow_packing(p, B, lp.incidence.labels)
     if found is not None:
         (q, z, y), backend = found, "flow"
     else:

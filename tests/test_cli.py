@@ -306,6 +306,18 @@ def test_csv_subset_flags(tmp_path, capsys):
     assert len(out["values"]) == 2
 
 
+def test_a_per_class_cap_below_one_is_rejected(tmp_path, capsys, gaussian_file):
+    # --per-class -1 used to keep all but the last point of each class and exit 0
+    path, _ = gaussian_file
+    code, out = run_cli(
+        capsys, "stats", "--data", str(path), "--per-class", "-1",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert out["type"] == "ValueError" and "per-class cap must be at least 1" in out["error"]
+    assert not list(tmp_path.glob("out/*"))
+
+
 def test_each_command_takes_only_the_flags_it_reads(capsys):
     dataset = {"--data", "--idx-images", "--idx-labels", "--normalize", "--classes",
                "--per-class"}

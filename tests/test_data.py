@@ -112,6 +112,14 @@ def test_subset_errors_and_warning():
     assert sub.num_points == 1
 
 
+@pytest.mark.parametrize("cap", [-1, 0])
+def test_subset_rejects_a_cap_below_one(cap):
+    # -1 used to slice idx[:-1], silently dropping each class's last point
+    ds = from_arrays([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [0, 1, 0, 1])
+    with pytest.raises(ValueError, match=f"per-class cap must be at least 1, got {cap}"):
+        subset(ds, [0, 1], per_class_cap=cap)
+
+
 def test_gen_gaussian_reproducible_and_shaped():
     a = gen_gaussian(num_classes=3, per_class=50, variance=0.05, seed=9)
     b = gen_gaussian(num_classes=3, per_class=50, variance=0.05, seed=9)

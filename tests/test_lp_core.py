@@ -26,7 +26,8 @@ from optloss.lp_core import (
 )
 
 
-def make_lp(rows, masses):
+def make_lp(rows, masses, labels=None):
+    """Packing LP over the id ``rows``; by default every vertex is its own class."""
     n = len(masses)
     if rows:
         data, ri, ci = [], [], []
@@ -38,7 +39,8 @@ def make_lp(rows, masses):
         matrix = sp.csr_matrix((data, (ri, ci)), shape=(len(rows), n))
     else:
         matrix = sp.csr_matrix((0, n))
-    return PackingLp(np.asarray(masses, float), IncidenceMatrix(matrix))
+    labels = np.arange(n) if labels is None else labels
+    return PackingLp(np.asarray(masses, float), IncidenceMatrix(matrix, labels))
 
 
 def random_lp(rng, n=12, k=3):
@@ -140,7 +142,7 @@ def test_certificates_flag_a_nan_in_any_vector():
 ])
 def test_incidence_entry_highs_cannot_use_raises(entry, error, message):
     matrix = sp.csr_matrix(np.array([[1.0, entry], [1.0, 1.0]]))
-    lp = PackingLp(np.array([0.5, 0.5]), IncidenceMatrix(matrix))
+    lp = PackingLp(np.array([0.5, 0.5]), IncidenceMatrix(matrix, np.arange(2)))
     with pytest.raises(error, match=message):
         solve_packing(lp)
 
@@ -277,7 +279,7 @@ def random_bipartite_lp(rng):
         rows.append(rows[int(rng.integers(len(rows)))])
     counts = rng.integers(1, 4, size=n).astype(float)
     counts[int(rng.integers(n))] = 1.0  # the scale 1 / min mass is then the total
-    return make_lp(rows, counts / counts.sum())
+    return make_lp(rows, counts / counts.sum(), side.astype(np.int64))
 
 
 def test_flow_backend_matches_highs_on_bipartite_pair_lps():
@@ -302,6 +304,43 @@ def test_pair_lps_from_two_class_data_take_the_flow_backend():
         sol = solve_packing(lp)
         assert sol.backend == "flow"
         assert sol.objective == pytest.approx(highs_objective(lp), abs=1e-12)
+
+
+def test_three_class_data_with_conflicts_between_two_classes_takes_flow():
+    # classes 0 and 1 interleave on a line; class 2 sits far from both
+    pts = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.5, 0.0], [9.0, 0.0], [9.5, 0.0]])
+    ds = from_arrays(pts, [0, 1, 0, 1, 2, 2], merge_duplicates=False)
+    graph = build_conflict_graph(ds, 0.3)
+    assert set(graph.labels[graph.pairs].ravel().tolist()) == {0, 1}
+    lp = PackingLp(graph.masses, incidence(graph))
+    sol = solve_packing(lp)
+    assert sol.backend == "flow"
+    assert sol.objective == pytest.approx(highs_objective(lp), abs=1e-12)
+
+
+def test_a_path_over_three_classes_takes_highs_with_the_min_cut_loss():
+    masses = [0.5, 0.25, 0.25]
+    three = solve_packing(make_lp([(0, 1), (1, 2)], masses, [0, 1, 2]))
+    two = solve_packing(make_lp([(0, 1), (1, 2)], masses, [0, 1, 0]))
+    assert (three.backend, two.backend) == ("highs", "flow")
+    assert three.loss == pytest.approx(two.loss, abs=1e-12)
+
+
+def test_swapping_the_two_labels_leaves_the_min_cut_unchanged():
+    # two components, each a pair of equal masses: either side is a min cut,
+    # and the side is chosen by the first row's first vertex, not by its label
+    rows, masses = [(0, 1), (2, 3)], [0.25] * 4
+    a = solve_packing(make_lp(rows, masses, [0, 1, 1, 0]))
+    b = solve_packing(make_lp(rows, masses, [1, 0, 0, 1]))
+    assert a.backend == b.backend == "flow"
+    for name in ("q", "edge_cover", "singleton_cover"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("labels", [np.arange(3), np.zeros(2)], ids=["length", "float"])
+def test_incidence_rejects_labels_that_are_not_one_integer_per_column(labels):
+    with pytest.raises(ValueError, match="labels must be 2 integers"):
+        IncidenceMatrix(sp.csr_matrix((1, 2)), labels)
 
 
 @pytest.mark.parametrize("rows, masses", [
@@ -345,7 +384,7 @@ def test_highs_binding_matches_linprog_bit_for_bit():
     for lp in lps[:5]:
         B = lp.incidence.matrix
         repeated = sp.vstack([B, B[: B.shape[0] // 2]], format="csr")
-        lps.append(PackingLp(lp.masses, IncidenceMatrix(repeated)))
+        lps.append(PackingLp(lp.masses, IncidenceMatrix(repeated, lp.incidence.labels)))
     lps += [
         make_lp([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], [0.2] * 5),  # degenerate odd cycle
         make_lp([(0, 1), (0, 2), (1, 2)], [0.6, 0.2, 0.2]),  # vertex 0 at q = 1
@@ -368,10 +407,11 @@ def test_highs_binding_matches_linprog_bit_for_bit():
 
 
 def repeated_vertex_lp():
-    # row 0 lists vertex 0 twice, which a csr built from indptr keeps as two entries
+    # row 0 lists vertex 0 twice, which a csr built from indptr keeps as two
+    # entries; the two vertices have different labels, row 0's are equal
     matrix = sp.csr_matrix((np.ones(4), np.array([0, 0, 0, 1]), np.array([0, 2, 4])),
                            shape=(2, 2))
-    return PackingLp(np.array([0.5, 0.5]), IncidenceMatrix(matrix))
+    return PackingLp(np.array([0.5, 0.5]), IncidenceMatrix(matrix, np.array([0, 1])))
 
 
 @pytest.mark.parametrize("lp", [
