@@ -244,70 +244,72 @@ def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
         raise InstanceTooLargeError(
             f"{n} vertices exceeds the exact-search cap of {cap}"
         )
-    adj = [0] * n
-    for a, b in graph.pairs.tolist():
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    w = graph.masses.tolist()
     u, v = graph.pairs.T
     _, comp = connected_components(sp.csr_matrix((np.ones(u.size), (u, v)), shape=(n, n)),
                                    directed=False)
-    # each component's vertices by decreasing mass, ties by id
+    # search bit r is vertex order[r]: by component, then decreasing mass, then id
     order = np.lexsort((np.arange(n), -graph.masses, comp))
-    members = np.split(order, np.cumsum(np.bincount(comp))[:-1])
-    parts = [_heaviest_independent_set(adj, w, ids.tolist()) for ids in members]
+    rank = np.argsort(order)  # vertex -> search bit
+    adj = [0] * n
+    for a, b in rank[graph.pairs].tolist():
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    w = graph.masses[order].tolist()
+    ends = np.cumsum(np.bincount(comp)).tolist()
+    parts = [_heaviest_independent_set(adj, w, lo, hi) for lo, hi in zip([0] + ends[:-1], ends)]
     best = sum(chosen for _, chosen in parts)  # disjoint bitmasks: the sum is their union
     loss = max(0.0, 1.0 - math.fsum(weight for weight, _ in parts))
-    return loss, frozenset(i for i in range(n) if best >> i & 1)
+    return loss, frozenset(i for r, i in enumerate(order.tolist()) if best >> r & 1)
 
 
-def _heaviest_independent_set(adj: list[int], w: list[float], order: list[int]):
-    """(weight, bitmask) of a heaviest independent subset of the vertices
-    ``order``, listed by decreasing weight ``w``; ``adj[v]`` masks v's neighbours."""
-
-    def cover_bound(mask: int) -> float:
-        # greedy clique cover: each clique contributes at most its top weight
-        ub = 0.0
-        cliques: list[int] = []
-        for v in order:
-            bit = 1 << v
-            if not mask & bit:
-                continue
-            for ci, cm in enumerate(cliques):
-                if cm & ~adj[v] == 0:
-                    cliques[ci] = cm | bit
-                    break
-            else:
-                cliques.append(bit)
-                ub += w[v]  # first member has the largest weight in its clique
-        return ub
+def _heaviest_independent_set(adj: list[int], w: list[float], lo: int, hi: int):
+    """(weight, bitmask) of a heaviest independent subset of the component
+    on bits lo..hi-1, whose weights ``w`` decrease with the bit;
+    ``adj[r]`` masks bit r's neighbours."""
+    # greedy clique cover, built once: restricted to a node's candidates it
+    # still covers them, and each clique contributes at most the weight of
+    # its lowest candidate bit
+    cliques: list[int] = []
+    for r in range(lo, hi):
+        for ci, cm in enumerate(cliques):
+            if cm & ~adj[r] == 0:
+                cliques[ci] = cm | 1 << r
+                break
+        else:
+            cliques.append(1 << r)
 
     best_w, best_set = -1.0, 0
     # depth-first, include branch first, on an explicit stack: the search
     # can nest once per vertex, past Python's recursion limit
-    stack = [(sum(1 << v for v in order), 0.0, 0)]
+    stack = [((1 << hi) - (1 << lo), 0.0, 0)]
     while stack:
         cand, cur, cur_set = stack.pop()
         # a candidate with no neighbour among the candidates belongs to some
         # best extension of this node, so take it without branching
-        for v in order:
-            bit = 1 << v
-            if cand & bit and not adj[v] & cand:
-                cand &= ~bit
-                cur += w[v]
+        rest = cand
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            r = bit.bit_length() - 1
+            if not adj[r] & cand:
+                cand ^= bit
+                cur += w[r]
                 cur_set |= bit
         if cur > best_w:
             best_w, best_set = cur, cur_set
         if not cand:
             continue
-        if cur + cover_bound(cand) <= best_w:
+        bound = 0.0
+        for cm in cliques:
+            top = cm & cand
+            if top:
+                bound += w[(top & -top).bit_length() - 1]
+        if cur + bound <= best_w:
             continue
-        for v in order:
-            if cand & (1 << v):
-                break
-        bit = 1 << v
-        stack.append((cand & ~bit, cur, cur_set))
-        stack.append((cand & ~adj[v] & ~bit, cur + w[v], cur_set | bit))
+        bit = cand & -cand  # the heaviest candidate
+        r = bit.bit_length() - 1
+        stack.append((cand ^ bit, cur, cur_set))
+        stack.append((cand & ~(adj[r] | bit), cur + w[r], cur_set | bit))
     return best_w, best_set
 
 

@@ -36,6 +36,9 @@ GRAM_SLACK = 1e-10
 # points per block of the blocked all-pairs distance sweeps
 SWEEP_BLOCK = 2048
 
+# candidates per batch of the hyperedge extension
+EXTEND_BATCH = 65536
+
 __all__ = [
     "ConflictHypergraph",
     "IncidenceMatrix",
@@ -287,7 +290,7 @@ def _ball_radius(cands: np.ndarray, pair_index: _RowIndex, pair_d2: np.ndarray,
 
 
 def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
-                      progress=None, batch_size: int = 65536) -> ConflictHypergraph:
+                      progress=None) -> ConflictHypergraph:
     """Add all hyperedges of degree up to m to a graph holding lower degrees.
 
     A degree-k candidate extends a (k-1)-edge by a forward neighbor w of its
@@ -297,7 +300,7 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
     distances; larger candidates by ``circumradius_batch`` and the radii of
     their (k-1)-faces, which that lookup has found. Every stored radius is
     the edge's minimum-enclosing-ball radius. Candidates are enumerated
-    ``batch_size`` at a time, and ``progress`` is called after each batch
+    ``EXTEND_BATCH`` at a time, and ``progress`` is called after each batch
     with the cumulative count of tested candidates. ``jobs`` is ignored:
     extension runs in one thread. It, like the ``jobs`` of ``optimal_loss``,
     ``pairwise_binary_losses`` and ``bound_report``, is accepted only
@@ -331,8 +334,8 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
         total = int(ends[-1]) if ends.size else 0
         new_rows = [np.zeros((0, k), dtype=np.int64)]
         new_radii = [np.zeros(0)]
-        for c0 in range(0, total, batch_size):
-            wedge = np.arange(c0, min(c0 + batch_size, total))
+        for c0 in range(0, total, EXTEND_BATCH):
+            wedge = np.arange(c0, min(c0 + EXTEND_BATCH, total))
             # the (k-1)-edges whose candidates overlap this batch
             span = np.arange(*np.searchsorted(ends, wedge[[0, -1]], side="right") + [0, 1])
             src = np.repeat(span, counts[span])[c0 - starts[span[0]]:][:wedge.size]
@@ -419,45 +422,45 @@ def _triangle_centre(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarr
     return o + ((v @ v) * (u @ w) * u - (u @ u) * (v @ w) * v) / (2.0 * twice_area ** 2)
 
 
-def _ball(points: np.ndarray, ids: tuple[int, ...], memo: dict):
-    """(centre, radius) of the minimum enclosing ball of k >= 3 points.
-
-    The extension's rule: the closed forms for a triangle; for k >= 4 the
-    circumball when ``_circumball`` accepts it, its centre taken relative
-    to the first point, and otherwise the ball of the largest (k-1)-face.
-    ``memo`` holds the balls of the id subsets already seen, so k points
-    cost at most 2^k ball evaluations.
-    """
-    if ids in memo:
-        return memo[ids]
-    pts = points[list(ids)]
-    diff = pts[:, None] - pts[None]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    if len(ids) == 3:
-        ball = _triangle_centre(*pts), float(_triangle_radius(d2[1, 2], d2[0, 2], d2[0, 1]))
-    else:
-        radii, alphas, inside = _circumball(d2[None])
-        if inside[0]:
-            ball = pts[0] + alphas[0] @ (pts - pts[0]), float(radii[0])
-        else:
-            faces = itertools.combinations(ids, len(ids) - 1)
-            ball = max((_ball(points, face, memo) for face in faces), key=lambda b: b[1])
-    memo[ids] = ball
-    return ball
-
-
 def edge_witness(points: np.ndarray, ids) -> np.ndarray:
     """A point within epsilon of every member of a hyperedge.
 
-    The centre of the members' minimum enclosing ball, by the rule that
-    decided the edge: the midpoint for a pair (a single point is its own
-    witness), ``_triangle_centre`` for a triangle, ``_ball`` beyond.
+    The centre of the members' minimum enclosing ball: the midpoint for a
+    pair (a single point is its own witness), ``_triangle_centre`` for a
+    triangle. For k >= 4 points, the largest ball that a subset of at least
+    three has as its own: a triangle's by the closed forms, a larger
+    subset's its circumball when ``_circumball`` accepts it, with one call
+    per subset size; the circumcentre is taken relative to the subset's
+    first point. The support set of the minimum enclosing ball is one of
+    these subsets, and no subset's ball is larger than the whole set's, so
+    this is the extension's rule without its recursion over faces. When the
+    whole set has its own ball, that ball is the answer outright.
     """
-    if len(ids) <= 2:
+    k = len(ids)
+    if k <= 2:
         return (points[ids[0]] + points[ids[-1]]) / 2.0
-    if len(ids) == 3:
-        return _triangle_centre(*points[list(ids)])
-    return _ball(points, tuple(ids), {})[0]
+    pts = points[list(ids)]
+    if k == 3:
+        return _triangle_centre(*pts)
+    diff = pts[:, None] - pts[None]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    best_r, best = -math.inf, None
+    for size in range(k, 2, -1):
+        subsets = np.array(list(itertools.combinations(range(k), size)))
+        if size > 3:
+            radii, alphas, inside = _circumball(d2[subsets[:, :, None], subsets[:, None]])
+            radii = np.where(inside, radii, -math.inf)
+        else:
+            a, b, c = subsets.T
+            radii = _triangle_radius(d2[b, c], d2[a, c], d2[a, b])
+        top = int(np.argmax(radii))
+        if radii[top] > best_r:
+            sub = pts[subsets[top]]
+            best_r = radii[top]
+            best = _triangle_centre(*sub) if size == 3 else sub[0] + alphas[top] @ (sub - sub[0])
+        if size == k and inside[0]:  # the whole set's own ball is the answer
+            return best
+    return best
 
 
 def graph_to_json(graph: ConflictHypergraph) -> str:

@@ -300,18 +300,6 @@ def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
     m, n = B.shape
     A = B.tocsc()
     A.sum_duplicates()  # a row listing a vertex twice gives it coefficient 2
-    # pybind11 copies a list into the model's vectors faster than an array
-    lp = highspy.HighsLp()
-    lp.num_col_, lp.num_row_ = n, m
-    lp.col_cost_ = (-p).tolist()
-    lp.col_lower_, lp.col_upper_ = [0.0] * n, [1.0] * n
-    lp.row_lower_, lp.row_upper_ = [-math.inf] * m, [1.0] * m
-    matrix = lp.a_matrix_
-    matrix.format_ = highspy.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = n, m
-    matrix.start_, matrix.index_ = A.indptr.tolist(), A.indices.tolist()
-    matrix.value_ = A.data.tolist()
-
     highs = highspy._Highs()
     for name, value in (("output_flag", False), ("log_to_console", False),
                         ("presolve", "on"), ("simplex_strategy", 1),  # 1: dual simplex
@@ -319,7 +307,12 @@ def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
                         ("ipm_iteration_limit", tol.max_iterations)):
         if highs.setOptionValue(name, value) == highspy.HighsStatus.kError:
             raise ValueError(f"HiGHS rejects {name} = {value!r}")
-    if highs.passModel(lp) == highspy.HighsStatus.kError:
+    # the array overload: no HighsLp to fill field by field; integrality 0 is continuous
+    status = highs.passModel(n, m, A.nnz, highspy.MatrixFormat.kColwise,
+                             highspy.ObjSense.kMinimize, 0.0, -p, np.zeros(n), np.ones(n),
+                             np.full(m, -math.inf), np.ones(m), A.indptr, A.indices, A.data,
+                             np.zeros(n, np.int32))
+    if status == highspy.HighsStatus.kError:
         raise ValueError("HiGHS rejects the packing LP: an incidence entry is inf or huge")
     highs.run()
     status = highs.getModelStatus()

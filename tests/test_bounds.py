@@ -484,6 +484,19 @@ def test_hard_loss_deep_search_needs_no_recursion():
     assert chosen == frozenset(range(0, 200, 2))
 
 
+def test_hard_loss_long_path_keeps_one_clique_cover():
+    # a 400-vertex path is one component; a clique cover rebuilt at every
+    # node makes the search about cubic (about 1 s), one cover built per
+    # component keeps it near 0.05 s
+    ds = from_arrays(0.9 * np.arange(400.0)[:, None], np.arange(400) % 2)
+    graph = build_conflict_graph(ds, 0.5)
+    start = time.perf_counter()
+    loss, chosen = hard_loss_bruteforce(graph, cap=400)
+    assert time.perf_counter() - start < 0.5
+    assert loss == pytest.approx(0.5, abs=1e-12)
+    assert chosen == frozenset(range(0, 400, 2))
+
+
 # ------------------------------------------------------------------- strategy
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from oracles import ball_through_subset, oracle_meb, oracle_meb_radius
 
+from optloss import hypergraph
 from optloss.data import from_arrays
 from optloss.hypergraph import (
     build_conflict_graph,
@@ -144,6 +145,26 @@ def test_meb_witness_invariants_random():
                 center, cand_radius = cand
                 if np.linalg.norm(pts - center, axis=1).max() <= cand_radius * (1 + 1e-12) + 1e-12:
                     assert radius <= cand_radius + 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_witness_makes_one_circumball_call_per_subset_size(d, monkeypatch):
+    # 10 points: one batch for each subset size 10 down to 4, where a search
+    # through the faces makes one call per subset it visits
+    calls = []
+
+    def counting(d2_stack):
+        calls.append(len(d2_stack))
+        return circumball(d2_stack)
+
+    circumball = hypergraph._circumball
+    monkeypatch.setattr(hypergraph, "_circumball", counting)
+    pts = np.random.default_rng(10 + d).normal(size=(10, d))
+    centre, radius = witness_ball(pts)
+    expected_centre, expected = oracle_meb(pts)
+    assert len(calls) <= 10 - 3
+    assert radius == pytest.approx(expected, rel=1e-9)
+    assert np.linalg.norm(centre - expected_centre) <= 1e-9 * expected
 
 
 def test_meb_agrees_with_circumradius_when_weights_nonnegative():

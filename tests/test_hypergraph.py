@@ -213,7 +213,7 @@ def assert_radii_match_oracle(graph, points):
             assert radius == pytest.approx(oracle_meb_radius(points[row]), rel=1e-9, abs=1e-12)
 
 
-def test_extension_matches_subset_oracle_random():
+def test_extension_matches_subset_oracle_random(monkeypatch):
     rng = np.random.default_rng(2024)
     higher = 0
     for k in (3, 4):
@@ -222,8 +222,8 @@ def test_extension_matches_subset_oracle_random():
                 ds = random_dataset(rng, n=int(rng.integers(k + 2, 15)), k=k, d=d)
                 dist = np.linalg.norm(ds.points[:, None] - ds.points[None], axis=2)
                 eps = float(rng.uniform(0.3, 0.7)) * float(np.median(dist))
-                graph = extend_hyperedges(build_conflict_graph(ds, eps), k,
-                                          batch_size=int(rng.integers(1, 6)))
+                monkeypatch.setattr(hypergraph, "EXTEND_BATCH", int(rng.integers(1, 6)))
+                graph = extend_hyperedges(build_conflict_graph(ds, eps), k)
                 expected = oracle_hyperedges(ds.points, ds.labels, eps, k)
                 assert edges_by_degree(graph, k) == expected
                 assert_radii_match_oracle(graph, ds.points)
@@ -370,33 +370,36 @@ def test_dedupe_does_not_change_lp_optimum():
         assert sol_a.objective == pytest.approx(sol_b.objective, abs=1e-8)
 
 
-def test_parallel_extension_matches_sequential():
+def test_parallel_extension_matches_sequential(monkeypatch):
     rng = np.random.default_rng(6)
     ds = random_dataset(rng, n=30, k=4, d=2, spread=0.5)
     graph = build_conflict_graph(ds, 0.7)
-    seq = extend_hyperedges(graph, 4, jobs=1, batch_size=8)
-    par = extend_hyperedges(graph, 4, jobs=4, batch_size=8)
+    monkeypatch.setattr(hypergraph, "EXTEND_BATCH", 8)
+    seq = extend_hyperedges(graph, 4, jobs=1)
+    par = extend_hyperedges(graph, 4, jobs=4)
     assert seq.edge_list() == par.edge_list()
 
 
-def test_progress_callback_reports_candidates():
+def test_progress_callback_reports_candidates(monkeypatch):
     rng = np.random.default_rng(8)
     ds = random_dataset(rng, n=24, k=3, d=2, spread=0.3)
     seen = []
-    extend_hyperedges(build_conflict_graph(ds, 1.0), 3, progress=seen.append, batch_size=4)
+    monkeypatch.setattr(hypergraph, "EXTEND_BATCH", 4)
+    extend_hyperedges(build_conflict_graph(ds, 1.0), 3, progress=seen.append)
     assert seen and seen[-1] == max(seen)
 
 
-def test_progress_batches_hold_at_most_batch_size_candidates():
+def test_progress_batches_hold_at_most_batch_size_candidates(monkeypatch):
     rng = np.random.default_rng(8)
     ds = random_dataset(rng, n=24, k=3, d=2, spread=0.3)
     seen = []
-    extend_hyperedges(build_conflict_graph(ds, 1.0), 3, progress=seen.append, batch_size=4)
+    monkeypatch.setattr(hypergraph, "EXTEND_BATCH", 4)
+    extend_hyperedges(build_conflict_graph(ds, 1.0), 3, progress=seen.append)
     assert len(seen) > 1
     assert (np.diff([0] + seen) <= 4).all()
 
 
-def test_ten_class_clique_among_a_thousand_vertices():
+def test_ten_class_clique_among_a_thousand_vertices(monkeypatch):
     # one point of each class near the origin, 990 more far apart: every
     # subset of the ten central points is an edge, up to degree 10, though
     # ids in base 1000 overflow int64 from width 7 on
@@ -404,7 +407,8 @@ def test_ten_class_clique_among_a_thousand_vertices():
     central = rng.uniform(-0.05, 0.05, size=(10, 2))
     far = 100.0 + 10.0 * np.stack(np.divmod(np.arange(990), 33), axis=1)
     ds = from_arrays(np.vstack([central, far]), np.arange(1000) % 10, merge_duplicates=False)
-    graph = extend_hyperedges(build_conflict_graph(ds, 0.5), 10, batch_size=7)
+    monkeypatch.setattr(hypergraph, "EXTEND_BATCH", 7)
+    graph = extend_hyperedges(build_conflict_graph(ds, 0.5), 10)
     assert graph.edge_counts() == {k: math.comb(10, k) for k in range(2, 11)}
     assert graph.edge_list()[-1] == tuple(range(10))
     # dedupe keeps the 10-clique alone
