@@ -20,6 +20,7 @@ instance; the test suite exercises it on random data.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -101,7 +102,8 @@ class PairwiseLossMatrix:
     """Symmetric zero-diagonal matrix of one-versus-one optimal losses.
 
     ``backends`` names the solver of each class pair, one entry per pair,
-    in (i, j) order with i < j.
+    in (i, j) order with i < j. One solve serves every pair, so the entries
+    are all equal.
     """
 
     losses: np.ndarray
@@ -121,40 +123,70 @@ def pairwise_binary_losses(dataset: LabeledDataset, epsilon: float,
     """Optimal loss of every one-versus-one problem at the given budget.
 
     Each pair {i, j} restricts the distribution to those classes and
-    renormalizes masses to the conditional distribution. One pair sweep
-    serves every pair (see ``_pairwise_losses``). ``jobs`` is ignored (see
-    ``extend_hyperedges``): the pairs run in turn.
+    renormalizes masses to the conditional distribution. One pair sweep and
+    one packing solve serve every pair (see ``_pairwise_losses``), and each
+    pair's answer meets ``tol`` in its conditional units. ``jobs`` is
+    ignored (see ``extend_hyperedges``).
     """
     return _pairwise_losses(build_conflict_graph(dataset, epsilon), tol, dataset.class_names)
 
 
 def _pairwise_losses(graph: ConflictHypergraph, tol: Tolerances,
                      class_names: list[str] | None) -> PairwiseLossMatrix:
-    """One-versus-one losses from the pair edges of an already built graph.
+    """One-versus-one losses from the pair edges of an already built graph,
+    all from one block-diagonal packing solve.
 
-    The edges of problem {i, j} are the graph's pairs with labels i and j,
-    renumbered to local ids; the renumbering is monotone, so their rows stay
-    sorted. The incidence carries the kept vertices' labels, and every row
-    joins class i to class j, so ``solve_packing`` takes its min-cut backend
-    whenever the masses scale to integers.
+    Pair {i, j} is one block of the union LP: its own copy of every class-i
+    and class-j vertex, in graph order, and the graph's pairs with labels i
+    and j as rows. Every block's masses are the graph's masses over one
+    constant, the smallest pair mass P_min = min P(i) + P(j); per-pair
+    conditional masses would not share one integer scale. The union is a
+    two-label pair LP: label 0 marks each block's side A, the class of the
+    block's first row's first vertex, as the pair alone would pick it. So
+    ``solve_packing`` takes its min-cut backend whenever the masses scale
+    to integers, and the source-reachable min cut, the same for every
+    maximum flow, falls apart into each pair's own. The loss of {i, j} is
+    one minus its conditional masses times q on its block.
+
+    The union is certified at ``tol.feasibility_abs`` and relative gap
+    ``tol.gap_rel * P_min / (K - 1)``. A block's dual residual and gap in
+    its conditional units are the union's times P_min / (P(i) + P(j)) <= 1,
+    its gap is at most the union's, and the union's objective is at most
+    (K - 1) / P_min, so every pair meets ``tol`` as if solved alone. In
+    these units HiGHS's tolerance floor, 1e-10, stays below the certificate's.
     """
     labels, masses, pairs = graph.labels, graph.masses, graph.pairs
     k = int(labels.max()) + 1
     if k < 2:
         raise ValueError("need at least two classes")
     lo, hi = np.sort(labels[pairs], axis=1).T
+    class_pairs = list(itertools.combinations(range(k), 2))
+    columns, sides, rows = [], [], []
+    start = 0
+    for i, j in class_pairs:
+        keep = (labels == i) | (labels == j)
+        ids = np.flatnonzero(keep)
+        local = np.cumsum(keep) - 1 + start  # graph id -> its copy's union column
+        edges = pairs[(lo == i) & (hi == j)]
+        side_a = labels[edges[0, 0]] if len(edges) else i
+        columns.append(ids)
+        sides.append(labels[ids] != side_a)
+        rows.append(local[edges])
+        start += ids.size
+    pair_mass = [masses[ids].sum() for ids in columns]
+    p_min = min(pair_mass)
+    union = PackingLp(masses[np.concatenate(columns)] / p_min,
+                      _incidence_of(rows, np.concatenate(sides).astype(np.int64)))
+    sol = solve_packing(union, Tolerances(tol.feasibility_abs, tol.gap_rel * p_min / (k - 1),
+                                          tol.max_iterations))
     a = np.zeros((k, k))
-    backends = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            keep = (labels == i) | (labels == j)
-            local = np.cumsum(keep) - 1  # graph id -> id among the kept vertices
-            cond_mass = masses[keep] / masses[keep].sum()
-            rows = local[pairs[(lo == i) & (hi == j)]]
-            sol = solve_packing(PackingLp(cond_mass, _incidence_of([rows], labels[keep])), tol)
-            a[i, j] = a[j, i] = max(0.0, sol.loss)
-            backends.append(sol.backend)
-    return PairwiseLossMatrix(a, class_names=class_names, backends=backends)
+    start = 0
+    for (i, j), ids, mass in zip(class_pairs, columns, pair_mass):
+        cond_mass = masses[ids] / mass
+        a[i, j] = a[j, i] = max(0.0, 1.0 - float(cond_mass @ sol.q[start:start + ids.size]))
+        start += ids.size
+    return PairwiseLossMatrix(a, class_names=class_names,
+                              backends=[sol.backend] * len(class_pairs))
 
 
 def class_only_bound(pairwise: PairwiseLossMatrix, priors) -> float:
@@ -561,7 +593,6 @@ class BoundReport:
     q_histograms: dict[int, dict]
     runtimes: dict[str, float]
     # keyed like runtimes: "solve_<m>" and "pairwise" -> "flow" or "highs"
-    # ("flow+highs" when the pairwise solves used both)
     solver_backends: dict[str, str] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -661,7 +692,7 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
         pairwise = _pairwise_losses(graph, tol, dataset.class_names)
         class_only = class_only_bound(pairwise, dataset.class_priors())
         runtimes["class_only"] = time.perf_counter() - t0
-        backends["pairwise"] = "+".join(sorted(set(pairwise.backends)))
+        backends["pairwise"] = pairwise.backends[0]
 
     t0 = time.perf_counter()
     # the solver can return q a few ulps below 0; a caller's weights are checked as given

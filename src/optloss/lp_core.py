@@ -15,7 +15,9 @@ cover, and a max-flow min cut solves it exactly (backend ``"flow"``). Every
 other LP goes to HiGHS (backend ``"highs"``), called through scipy's binding
 with the options ``linprog(method="highs")`` sets: the answers are linprog's
 bit for bit, without its per-call input cleaning and option checks, which
-took about two thirds of a 30-vertex solve. The choice depends only on the
+took about two thirds of a 30-vertex solve. An answer outside the
+certificate's feasibility tolerance is rerun once with tighter HiGHS
+tolerances (see ``_highs_packing``). The choice depends only on the
 LP itself: its rows, masses and labels. Every solve is certified the same
 way whatever the backend: feasibility residuals and the duality gap are
 recomputed from the returned vectors, and a solve that cannot be certified
@@ -296,6 +298,13 @@ def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
     at ``tol.max_iterations`` and no output. So it returns linprog's vertex.
     z and y are linprog's marginals negated and clipped at 0: the row duals,
     and the column duals of the columns HiGHS leaves at their upper bound 1.
+
+    HiGHS stops at its own feasibility tolerances, 1e-7 by default, and may
+    leave a vertex lighter than that uncovered. When its reported primal or
+    dual infeasibility exceeds ``tol.feasibility_abs``, both tolerances are
+    set to ``max(1e-10, tol.feasibility_abs / 10)`` and the same model runs
+    once more, warm. They are not set before the first run, which would move
+    HiGHS off linprog's vertex on LPs that need no rerun.
     """
     m, n = B.shape
     A = B.tocsc()
@@ -305,8 +314,7 @@ def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
                         ("presolve", "on"), ("simplex_strategy", 1),  # 1: dual simplex
                         ("simplex_iteration_limit", tol.max_iterations),
                         ("ipm_iteration_limit", tol.max_iterations)):
-        if highs.setOptionValue(name, value) == highspy.HighsStatus.kError:
-            raise ValueError(f"HiGHS rejects {name} = {value!r}")
+        _set_option(highs, name, value)
     # the array overload: no HighsLp to fill field by field; integrality 0 is continuous
     status = highs.passModel(n, m, A.nnz, highspy.MatrixFormat.kColwise,
                              highspy.ObjSense.kMinimize, 0.0, -p, np.zeros(n), np.ones(n),
@@ -314,18 +322,35 @@ def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
                              np.zeros(n, np.int32))
     if status == highspy.HighsStatus.kError:
         raise ValueError("HiGHS rejects the packing LP: an incidence entry is inf or huge")
-    highs.run()
-    status = highs.getModelStatus()
-    if status != highspy.HighsModelStatus.kOptimal:
-        raise LpNonConvergenceError(
-            f"HiGHS stopped without an optimum: {highs.modelStatusToString(status)}", status
-        )
+    _run_to_optimum(highs)
+    info = highs.getInfo()
+    if max(info.max_primal_infeasibility, info.max_dual_infeasibility) > tol.feasibility_abs:
+        # HiGHS's own 1e-7 tolerances let it stop short of the certificate:
+        # rerun the same model, warm, with tolerances below it
+        tight = max(1e-10, tol.feasibility_abs / 10)
+        for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+            _set_option(highs, name, tight)
+        _run_to_optimum(highs)
 
     solution = highs.getSolution()
     at_upper = np.asarray(highs.getBasis().col_status) == highspy.HighsBasisStatus.kUpper
     z = np.maximum(-np.asarray(solution.row_dual), 0.0)
     y = np.maximum(-np.where(at_upper, solution.col_dual, 0.0), 0.0)
     return np.asarray(solution.col_value), z, y
+
+
+def _set_option(highs, name: str, value) -> None:
+    if highs.setOptionValue(name, value) == highspy.HighsStatus.kError:
+        raise ValueError(f"HiGHS rejects {name} = {value!r}")
+
+
+def _run_to_optimum(highs) -> None:
+    highs.run()
+    status = highs.getModelStatus()
+    if status != highspy.HighsModelStatus.kOptimal:
+        raise LpNonConvergenceError(
+            f"HiGHS stopped without an optimum: {highs.modelStatusToString(status)}", status
+        )
 
 
 def verify_certificates(lp: PackingLp, sol: LpSolution,

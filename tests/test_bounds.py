@@ -32,12 +32,13 @@ from optloss.data import LabeledDataset, from_arrays, gen_gaussian
 from optloss.hypergraph import (
     REL_TOL,
     ConflictHypergraph,
+    _incidence_of,
     build_conflict_graph,
     edge_witness,
     incidence,
     vertex_graph,
 )
-from optloss.lp_core import PackingLp, solve_packing
+from optloss.lp_core import PackingLp, solve_packing, verify_certificates
 
 
 def triangle_dataset(side=1.0, masses=None):
@@ -182,6 +183,118 @@ def test_one_pair_sweep_per_call(monkeypatch):
     calls.clear()
     pairwise_binary_losses(ds, 0.6)
     assert len(calls) == 1
+
+
+def collect_solves(monkeypatch) -> list:
+    """Route ``bounds.solve_packing`` through a wrapper that keeps each answer."""
+    solves = []
+    solve = bounds.solve_packing
+
+    def collecting(lp, tol):
+        solves.append(solve(lp, tol))
+        return solves[-1]
+
+    monkeypatch.setattr(bounds, "solve_packing", collecting)
+    return solves
+
+
+def test_pairwise_is_one_packing_solve(monkeypatch):
+    solves = collect_solves(monkeypatch)
+    ds = gen_gaussian(num_classes=4, per_class=8, variance=0.5, mean_radius=1.0, seed=5)
+    a = pairwise_binary_losses(ds, 0.6)
+    (sol,) = solves
+    # every vertex has one copy in each of the K - 1 pairs of its class
+    assert sol.lp.masses.shape == (3 * 32,)
+    assert a.backends == ["flow"] * 6
+    assert np.count_nonzero(a.losses) == 12
+
+
+def test_pairwise_with_unequal_class_sizes_stays_flow():
+    # conditional masses 1/(n_i + n_j) differ between pairs; the one
+    # solve's masses, 1/n over one constant, still scale to integers
+    rng = np.random.default_rng(48)
+    for sizes in ([3, 9, 14], [2, 5, 11, 20], [1, 30]):
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        n = labels.size
+        ds = LabeledDataset(rng.normal(size=(n, 2)) * 0.5, labels, np.full(n, 1.0 / n))
+        a = pairwise_binary_losses(ds, 0.4)
+        assert set(a.backends) == {"flow"}
+        assert np.count_nonzero(a.losses) > 0
+        assert np.array_equal(a.losses, pairwise_reference(ds, 0.4))
+
+
+def test_renaming_classes_permutes_the_pairwise_matrix():
+    rng = np.random.default_rng(49)
+    for trial in range(20):
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(2 * k, 40))
+        labels = rng.integers(0, k, size=n)
+        labels[:k] = np.arange(k)
+        masses = np.full(n, 1.0 / n) if trial % 2 else rng.dirichlet(np.ones(n))
+        ds = LabeledDataset(rng.normal(size=(n, 2)) * 0.5, labels, masses)
+        perm = rng.permutation(k)
+        eps = float(rng.uniform(0.1, 0.8))
+        a = pairwise_binary_losses(ds, eps).losses
+        b = pairwise_binary_losses(LabeledDataset(ds.points, perm[labels], masses), eps).losses
+        assert np.array_equal(b[np.ix_(perm, perm)], a)
+
+
+def test_pairwise_union_certifies_every_pair_in_its_own_units(monkeypatch):
+    # the lightest of these Dirichlet masses, 2.3e-8, lies between the
+    # certificate's 1e-8 and HiGHS's default 1e-7 feasibility tolerance
+    rng = np.random.default_rng(13)
+    pts = rng.normal(size=(60, 2)) * 0.5
+    ds = LabeledDataset(pts, np.arange(60) % 3, rng.dirichlet(np.full(60, 0.5)))
+    eps = 0.2
+    report = bound_report(ds, eps, m_max=3)
+    assert report.solver_backends == {"solve_2": "highs", "solve_3": "highs",
+                                      "pairwise": "highs"}
+    solves = collect_solves(monkeypatch)
+    a = pairwise_binary_losses(ds, eps)
+    (sol,) = solves
+    union = sol.lp.incidence.matrix
+    graph = build_conflict_graph(ds, eps)
+    lo, hi = np.sort(ds.labels[graph.pairs], axis=1).T
+    col = row = 0
+    for i, j in itertools.combinations(range(3), 2):
+        keep = (ds.labels == i) | (ds.labels == j)
+        size = int(keep.sum())
+        rows = (np.cumsum(keep) - 1)[graph.pairs[(lo == i) & (hi == j)]]
+        own = PackingLp(ds.masses[keep] / ds.masses[keep].sum(),
+                        _incidence_of([rows], ds.labels[keep]))
+        block = union[row:row + len(rows)]
+        # the block's rows touch its own columns only, and are the pair's rows
+        assert block[:, col:col + size].nnz == block.nnz == 2 * len(rows)
+        assert (block[:, col:col + size] != own.incidence.matrix).nnz == 0
+        # the union's mass unit to the pair's conditional one
+        unit = own.masses.sum() / sol.lp.masses[col:col + size].sum()
+        piece = dataclasses.replace(
+            sol, q=sol.q[col:col + size],
+            edge_cover=sol.edge_cover[row:row + len(rows)] * unit,
+            singleton_cover=sol.singleton_cover[col:col + size] * unit)
+        assert verify_certificates(own, piece).ok
+        assert a.losses[i, j] == max(0.0, 1.0 - float(own.masses @ piece.q))
+        col, row = col + size, row + len(rows)
+    assert (col, row) == union.shape[::-1]
+
+
+def test_a_light_class_pair_does_not_tighten_the_other_pairs():
+    # classes 0 and 1 hold 1e-3 of the mass; the lightest vertex, 5.3e-11,
+    # is within the certificate's 1e-8 in pairs {0, 2} and {1, 2}, and
+    # 5.3e-8 of pair {0, 1}. The union's masses are in units of the
+    # lightest pair's mass, where HiGHS's tolerance floor of 1e-10 still
+    # meets the certificate; in raw units the union needed 1e-11 everywhere
+    rng = np.random.default_rng(35)
+    pts = rng.normal(size=(60, 2)) * 0.5
+    labels = np.arange(60) % 3
+    masses = np.empty(60)
+    masses[labels < 2] = rng.dirichlet(np.full(40, 0.5)) * 1e-3
+    masses[labels == 2] = rng.dirichlet(np.ones(20)) * (1 - 1e-3)
+    ds = LabeledDataset(pts, labels, masses)
+    assert 1e-11 < masses.min() < 1e-10
+    a = pairwise_binary_losses(ds, 0.2)
+    assert a.backends == ["highs"] * 3
+    assert np.allclose(a.losses, pairwise_reference(ds, 0.2), rtol=0.0, atol=1e-9)
 
 
 def test_pairwise_entries_within_half():

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from optloss import lp_core
-from optloss.data import from_arrays
+from optloss.data import LabeledDataset, from_arrays
 from optloss.hypergraph import (
     IncidenceMatrix,
     build_conflict_graph,
@@ -424,6 +424,21 @@ def test_pair_lps_the_flow_backend_declines_go_to_highs(lp):
     assert sol.backend == "highs"
     assert verify_certificates(lp, sol).ok
     assert sol.objective == pytest.approx(highs_objective(lp), abs=1e-9)
+
+
+def test_highs_reruns_when_its_own_tolerance_misses_the_certificate():
+    # L*(2) of 60 Dirichlet-weighted points: the lightest mass, 2.3e-8, lies
+    # between the certificate's 1e-8 and HiGHS's default 1e-7, so HiGHS's
+    # first answer may leave that vertex uncovered
+    rng = np.random.default_rng(13)
+    pts = rng.normal(size=(60, 2)) * 0.5
+    ds = LabeledDataset(pts, np.arange(60) % 3, rng.dirichlet(np.full(60, 0.5)))
+    graph = build_conflict_graph(ds, 0.2)
+    lp = PackingLp(graph.masses, incidence(graph))
+    assert Tolerances().feasibility_abs < lp.masses.min() < 1e-7
+    sol = solve_packing(lp)
+    assert sol.backend == "highs"
+    assert verify_certificates(lp, sol).ok
 
 
 @pytest.mark.parametrize("corrupt, message", [
