@@ -37,6 +37,7 @@ from .hypergraph import (
     SWEEP_BLOCK,
     ConflictHypergraph,
     _budget,
+    _cross_class_pairs,
     _incidence_of,
     build_conflict_graph,
     edge_witness,
@@ -553,29 +554,18 @@ def class_distance_stats(dataset: LabeledDataset) -> np.ndarray:
     k = dataset.num_classes
     if k < 2:
         raise ValueError("need at least two classes")
-    # centred like the pair sweep, so the Gram form does not cancel far from 0
-    points = dataset.points - dataset.points.mean(axis=0)
-    labels = dataset.labels
-    n = points.shape[0]
-    sq = np.einsum("ij,ij->i", points, points)
-    # the Gram form only screens, with the pair sweep's slack; each row's
-    # minimum is decided from coordinate differences of its screened pairs
-    slack = GRAM_SLACK * sq.max()
-    nearest = np.full(n, np.inf)
-    step = max(1, 8192 // points.shape[1])  # difference chunks of 64 KB
-    rows = max(1, SWEEP_BLOCK**2 // n)  # Gram blocks of at most SWEEP_BLOCK**2 entries
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        d2 = sq[i0:i1, None] + sq[None, :] - 2.0 * (points[i0:i1] @ points.T)
-        other = labels[i0:i1, None] != labels[None, :]
-        d2[~other] = np.inf
-        ii, jj = np.nonzero(other & (d2 <= d2.min(axis=1, keepdims=True) + slack))
-        ii += i0
-        for s in range(0, len(ii), step):
-            diff = points[ii[s:s + step]] - points[jj[s:s + step]]
-            np.minimum.at(nearest, ii[s:s + step], np.einsum("ij,ij->i", diff, diff))
+    # pairs within the slack of their tile's row or column minimum, which is
+    # never below a point's overall minimum; each point's minimum is decided
+    # from the coordinate differences of its screened pairs
+    def near(g, slack):
+        return (g <= g.min(axis=1, keepdims=True) + slack) | (g <= g.min(axis=0) + slack)
+
+    nearest = np.full(dataset.num_points, np.inf)
+    for u, v, d2 in _cross_class_pairs(dataset.points, dataset.labels, SWEEP_BLOCK, near):
+        np.minimum.at(nearest, u, d2)
+        np.minimum.at(nearest, v, d2)
     nearest = np.sqrt(nearest)
-    return np.array([nearest[labels == c].mean() for c in range(k)])
+    return np.array([nearest[dataset.labels == c].mean() for c in range(k)])
 
 
 @dataclass

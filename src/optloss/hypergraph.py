@@ -33,8 +33,11 @@ REL_TOL = 1e-9
 # the Gram form of a squared distance is off by a few ulps of that norm
 GRAM_SLACK = 1e-10
 
-# points per block of the blocked all-pairs distance sweeps
+# points per side of a Gram tile of the cross-class distance sweeps
 SWEEP_BLOCK = 2048
+
+# bytes of coordinate differences per chunk of the exact distance refinement
+REFINE_BYTES = 1 << 20
 
 # candidates per batch of the hyperedge extension
 EXTEND_BATCH = 65536
@@ -155,43 +158,58 @@ def vertex_graph(dataset, epsilon: float) -> ConflictHypergraph:
                               max_degree=1, epsilon=epsilon)
 
 
+def _cross_class_pairs(points: np.ndarray, labels: np.ndarray, block: int, screen):
+    """Yield (u, v, d2) over the cross-class pairs that pass a Gram screen.
+
+    The centred points are ordered by class, stably; each class's rows meet
+    the columns of all later classes in ``block`` x ``block`` tiles, so each
+    cross-class pair is met once. A tile's Gram form g of the squared
+    distances is off by a few ulps of |p|^2, all of a short distance;
+    ``screen(g, slack)`` gets a slack covering that and masks the pairs kept,
+    whose ids u < v and d2 from coordinate differences follow, ``REFINE_BYTES``
+    of differences at a time. Centring keeps g free of cancellation far from 0.
+    """
+    order = np.argsort(labels, kind="stable")
+    points = (points - points.mean(axis=0))[order]
+    sq = np.einsum("ij,ij->i", points, points)
+    slack = GRAM_SLACK * sq.max()
+    step = max(1, REFINE_BYTES // points[0].nbytes)
+    ends = np.cumsum(np.bincount(labels))
+    for a0, a1 in zip([0, *ends[:-1]], ends):
+        for i0 in range(a0, a1, block):
+            i1 = min(i0 + block, a1)
+            for j0 in range(a1, len(points), block):
+                g = points[i0:i1] @ points[j0:j0 + block].T
+                g *= -2.0
+                g += sq[i0:i1, None]
+                g += sq[None, j0:j0 + block]
+                ii, jj = np.nonzero(screen(g, slack))
+                ii, jj = ii + i0, jj + j0
+                for s in range(0, len(ii), step):
+                    diff = points[ii[s:s + step]] - points[jj[s:s + step]]
+                    u, v = order[ii[s:s + step]], order[jj[s:s + step]]
+                    yield np.minimum(u, v), np.maximum(u, v), np.einsum("ij,ij->i", diff, diff)
+
+
 def build_conflict_graph(dataset, epsilon: float) -> ConflictHypergraph:
     """Degree-2 conflict graph: cross-class pairs at distance <= 2*epsilon.
 
-    A blocked all-pairs sweep in Gram form on the centred points screens
-    the pairs; no spatial index. The Gram form is off by a few ulps of
-    |p|^2, which is all of a short distance (coincident points come out
-    about 1e-8 |p| apart), so it screens with a slack and each screened
-    pair is decided, and its radius taken, from coordinate differences.
-    Centring keeps the Gram form free of cancellation when the data sit
-    far from the origin.
+    With the points ordered by class, ``_cross_class_pairs`` sweeps each
+    class's strip of later-class columns in ``SWEEP_BLOCK`` x ``SWEEP_BLOCK``
+    Gram tiles, with no spatial index; each pair the Gram form screens in,
+    with a slack, is decided, and its radius taken, from coordinate differences.
     """
     graph = vertex_graph(dataset, epsilon)
-    points = graph.points - graph.points.mean(axis=0)
-    labels = graph.labels
-    n = points.shape[0]
     threshold = (2.0 * graph.epsilon * (1.0 + REL_TOL)) ** 2
-    sq = np.einsum("ij,ij->i", points, points)
-    screen = threshold + GRAM_SLACK * sq.max()
-
-    found: list[np.ndarray] = [np.zeros((0, 2), dtype=np.int64)]
-    for i0 in range(0, n, SWEEP_BLOCK):
-        i1 = min(i0 + SWEEP_BLOCK, n)
-        for j0 in range(i0, n, SWEEP_BLOCK):
-            j1 = min(j0 + SWEEP_BLOCK, n)
-            d2 = sq[i0:i1, None] + sq[None, j0:j1] - 2.0 * (points[i0:i1] @ points[j0:j1].T)
-            ii, jj = np.nonzero(d2 <= screen)
-            keep = (ii + i0 < jj + j0) & (labels[ii + i0] != labels[jj + j0])
-            found.append(np.column_stack([ii[keep] + i0, jj[keep] + j0]).astype(np.int64))
+    found, found_d2 = [np.zeros((0, 2), dtype=np.int64)], [np.zeros(0)]
+    for u, v, d2 in _cross_class_pairs(graph.points, graph.labels, SWEEP_BLOCK,
+                                       lambda g, slack: g <= threshold + slack):
+        close = d2 <= threshold
+        found.append(np.column_stack([u[close], v[close]]))
+        found_d2.append(d2[close])
 
     pairs = np.concatenate(found)
-    d2 = np.zeros(len(pairs))
-    step = max(1, 8192 // points.shape[1])  # difference chunks of 64 KB
-    for s in range(0, len(pairs), step):
-        diff = points[pairs[s:s + step, 0]] - points[pairs[s:s + step, 1]]
-        d2[s:s + step] = np.einsum("ij,ij->i", diff, diff)
-    close = d2 <= threshold
-    pairs, d2 = pairs[close], d2[close]
+    d2 = np.concatenate(found_d2)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     radii = 0.5 * np.sqrt(d2[order])
     return replace(graph, edges={2: pairs[order]}, radii={2: radii}, max_degree=2)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from oracles import exact_triangle_radius, oracle_hyperedges, oracle_meb, oracle_meb_radius
 
-from optloss import hypergraph
-from optloss.data import from_arrays, gen_gaussian
+from optloss import bounds, hypergraph
+from optloss.data import LabeledDataset, from_arrays, gen_gaussian
 from optloss.hypergraph import (
     REL_TOL,
     build_conflict_graph,
@@ -85,6 +85,75 @@ def test_degree2_edges_match_bruteforce_double_loop():
                 ) <= 2 * eps * (1 + 1e-9):
                     expected.add((i, j))
         assert set(graph.edge_list()) == expected
+
+
+def layout_dataset(rng, k, d, largest=8):
+    """Classes of unequal sizes, one of them a single point, under shuffled
+    labels, with three points repeated under another class."""
+    sizes = rng.integers(2, largest + 1, size=k)
+    sizes[rng.integers(k)] = 1
+    labels = rng.permutation(np.repeat(np.arange(k), sizes))
+    pts = rng.normal(size=(labels.size, d))
+    for i in rng.choice(labels.size, size=3, replace=False):
+        pts[rng.choice(np.flatnonzero(labels != labels[i]))] = pts[i]
+    return from_arrays(pts, labels, merge_duplicates=False)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_sweeps_match_double_loops_across_tiles(monkeypatch, k, d):
+    # tiles of 3, 5 and 7 points cut the class strips mid-class, so pairs sit
+    # on both sides of tile boundaries; at eps = 0 the edges are exactly the
+    # coincident cross-class points
+    rng = np.random.default_rng(10 * k + d)
+    ds = layout_dataset(rng, k, d)
+    n, pts, labels = ds.num_points, ds.points, ds.labels
+    dist = {(i, j): np.linalg.norm(pts[i] - pts[j]) for i in range(n)
+            for j in range(i + 1, n) if labels[i] != labels[j]}
+    nearest = [min(dist[min(i, j), max(i, j)] for j in range(n) if labels[j] != labels[i])
+               for i in range(n)]
+    stats = [np.mean([nearest[i] for i in range(n) if labels[i] == c]) for c in range(k)]
+    budgets = (0.0, 0.6)
+    graphs = [build_conflict_graph(ds, eps) for eps in budgets]
+    default_stats = bounds.class_distance_stats(ds)
+    assert default_stats == pytest.approx(stats, rel=1e-12)
+    for eps, graph in zip(budgets, graphs):
+        expected = sorted(e for e, r in dist.items() if r <= 2 * eps * (1 + REL_TOL))
+        assert graph.edge_list() == expected
+        assert graph.radii[2] == pytest.approx([dist[e] / 2 for e in expected], rel=1e-12)
+    assert len(graphs[0].pairs) >= 1
+    for block in (3, 5, 7):
+        monkeypatch.setattr(hypergraph, "SWEEP_BLOCK", block)
+        monkeypatch.setattr(bounds, "SWEEP_BLOCK", block)
+        for eps, graph in zip(budgets, graphs):
+            tiled = build_conflict_graph(ds, eps)
+            assert np.array_equal(tiled.pairs, graph.pairs)
+            assert tiled.radii[2].tobytes() == graph.radii[2].tobytes()
+        assert bounds.class_distance_stats(ds).tobytes() == default_stats.tobytes()
+
+
+@pytest.mark.parametrize("block", [7, hypergraph.SWEEP_BLOCK])
+def test_pair_sweep_ignores_class_names_and_point_order(monkeypatch, block):
+    # the sweep visits classes in label order; renaming the classes changes
+    # that order but no edge and no radius, and reordering the points maps
+    # the edges one to one (the centring mean moves by an ulp)
+    monkeypatch.setattr(hypergraph, "SWEEP_BLOCK", block)
+    rng = np.random.default_rng(61)
+    ds = layout_dataset(rng, 5, 3, largest=30)
+    graph = build_conflict_graph(ds, 0.5)
+    assert len(graph.pairs) > 50
+    for _ in range(3):
+        renamed = build_conflict_graph(
+            LabeledDataset(ds.points, rng.permutation(5)[ds.labels], ds.masses), 0.5)
+        assert np.array_equal(renamed.pairs, graph.pairs)
+        assert renamed.radii[2].tobytes() == graph.radii[2].tobytes()
+        perm = rng.permutation(ds.num_points)  # moved vertex a is vertex perm[a]
+        moved = build_conflict_graph(
+            LabeledDataset(ds.points[perm], ds.labels[perm], ds.masses[perm]), 0.5)
+        radius = {tuple(sorted(perm[list(e)])): r
+                  for e, r in zip(moved.edge_list(), moved.radii[2])}
+        assert sorted(radius) == graph.edge_list()
+        assert [radius[e] for e in graph.edge_list()] == pytest.approx(graph.radii[2], rel=1e-12)
 
 
 def test_tight_triple_has_degree3_edge():
