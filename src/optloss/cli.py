@@ -189,10 +189,13 @@ def _caro_wei_weights(args, ds):
 
 
 def cmd_bound(args) -> int:
+    epsilons = sorted(hg._budget(e) for e in args.epsilon)
+    for a, b in zip(epsilons, epsilons[1:]):
+        if f"{a:g}" == f"{b:g}":
+            raise ValueError(f"budgets {a!r} and {b!r} share the report name bound_eps{a:g}")
     ds = _load_dataset(args)
     _check_max_degree(args, ds)
     tol = _tolerances(args)
-    epsilons = sorted(hg._budget(e) for e in args.epsilon)
     outdir = _out_dir(args)
     weights = _caro_wei_weights(args, ds)
 

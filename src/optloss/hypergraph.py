@@ -65,6 +65,8 @@ class ConflictHypergraph:
     epsilon: float
     # degree k -> (E_k,) minimum-enclosing-ball radius
     radii: dict[int, np.ndarray] = field(default_factory=dict)
+    # degree k < max_degree -> (E_k,) whether a (k+1)-edge contains it; see incidence
+    dominated: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def num_vertices(self) -> int:
@@ -210,7 +212,8 @@ def build_conflict_graph(dataset, epsilon: float) -> ConflictHypergraph:
 
     pairs = np.concatenate(found)
     d2 = np.concatenate(found_d2)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    # the pairs are distinct, so one integer key orders them as a lexsort would
+    order = np.argsort(pairs[:, 0] * graph.num_vertices + pairs[:, 1], kind="stable")
     radii = 0.5 * np.sqrt(d2[order])
     return replace(graph, edges={2: pairs[order]}, radii={2: radii}, max_degree=2)
 
@@ -222,24 +225,20 @@ def circumradius_batch(d2_stack: np.ndarray):
     ``X @ alpha`` with ``alpha = D^-1 1 / (1^T D^-1 1)`` and the radius is
     ``1 / sqrt(2 * 1^T D^-1 1)``. Returns (radii, alphas, ok) where ``ok[i]``
     is False for matrices the formula could not certify (singular,
-    ill-conditioned, or no real circumsphere); those entries hold NaN.
+    ill-conditioned, or no real circumsphere); those entries hold NaN. The
+    stack takes one ``solve``: a ``slogdet`` sign of 0, from the same LU
+    factorization, marks the singular matrices (coincident points), and the
+    identity stands in for them.
     """
     d2_stack = np.asarray(d2_stack, dtype=float)
     batch, k, _ = d2_stack.shape
     radii = np.full(batch, np.nan)
     alphas = np.full((batch, k), np.nan)
     ok = np.zeros(batch, dtype=bool)
-    ones = np.ones((batch, k))
-    try:
-        x = np.linalg.solve(d2_stack, ones[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # at least one singular matrix in the batch: solve one by one
-        x = np.full((batch, k), np.nan)
-        for i in range(batch):
-            try:
-                x[i] = np.linalg.solve(d2_stack[i], ones[i])
-            except np.linalg.LinAlgError:
-                pass
+    singular = np.linalg.slogdet(d2_stack)[0] == 0
+    x = np.linalg.solve(np.where(singular[:, None, None], np.eye(k), d2_stack),
+                        np.ones((batch, k, 1)))[..., 0]
+    x[singular] = np.nan
     # a residual screen stands in for an explicit (expensive) condition number
     resid = np.abs(np.einsum("bij,bj->bi", d2_stack, x) - 1.0).max(axis=1)
     scale = 1.0 + np.abs(d2_stack).max(axis=(1, 2))
@@ -297,14 +296,14 @@ def _ball_radius(cands: np.ndarray, pair_index: _RowIndex, pair_d2: np.ndarray,
     The circumradius, from the looked-up pair distances, when every
     circumcentre weight is nonnegative. Otherwise the ball's support is a
     proper subset of the points, so the ball is that of some (k-1)-face and
-    the radius is the largest of ``face_radii`` (count, k).
+    the radius is the largest of ``face_radii`` (k, count).
     """
     count, k = cands.shape
     d2 = np.zeros((count, k, k))
     for i, j in itertools.combinations(range(k), 2):
         d2[:, i, j] = d2[:, j, i] = pair_d2[pair_index.find(cands[:, [i, j]])]
     radii, _, inside = _circumball(d2)
-    return np.where(inside, radii, face_radii.max(axis=1))
+    return np.where(inside, radii, face_radii.max(axis=0))
 
 
 def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
@@ -317,12 +316,13 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
     array. Triangles are decided in closed form from the three pair
     distances; larger candidates by ``circumradius_batch`` and the radii of
     their (k-1)-faces, which that lookup has found. Every stored radius is
-    the edge's minimum-enclosing-ball radius. Candidates are enumerated
-    ``EXTEND_BATCH`` at a time, and ``progress`` is called after each batch
-    with the cumulative count of tested candidates. ``jobs`` is ignored:
-    extension runs in one thread. It, like the ``jobs`` of ``optimal_loss``,
-    ``pairwise_binary_losses`` and ``bound_report``, is accepted only
-    because the benchmark harness passes it.
+    the edge's minimum-enclosing-ball radius. The faces of each accepted
+    edge are marked in ``dominated[k - 1]``, the rows ``incidence`` drops.
+    Candidates are enumerated ``EXTEND_BATCH`` at a time, and ``progress`` is
+    called after each batch with the cumulative count of tested candidates.
+    ``jobs`` is ignored: extension runs in one thread. It, like the ``jobs``
+    of ``optimal_loss``, ``pairwise_binary_losses`` and ``bound_report``, is
+    accepted only because the benchmark harness passes it.
     """
     if m < 2:
         raise ValueError("max degree m must be >= 2")
@@ -339,11 +339,12 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
     # pairs[first[v]:first[v + 1], 1]
     first = np.searchsorted(pairs[:, 0], np.arange(n + 1))
 
-    edges, radii = dict(graph.edges), dict(graph.radii)
+    edges, radii, dominated = dict(graph.edges), dict(graph.radii), dict(graph.dominated)
     tested = 0
     for k in range(graph.max_degree + 1, m + 1):
         prev = edges[k - 1]
         prev_index = pair_index if k == 3 else _RowIndex(prev, n)
+        covered = np.zeros(len(prev), dtype=bool)
         # candidate c extends the (k-1)-edge src with its (c - starts[src])-th
         # forward neighbor
         counts = first[prev[:, -1] + 1] - first[prev[:, -1]]
@@ -360,20 +361,21 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
             # pair index of (last vertex, w) for every candidate
             fwd = first[prev[src, -1]] + wedge - starts[src]
             cands = np.column_stack([prev[src], pairs[fwd, 1]])
-            # every (k-1)-subset holding w must be an edge; dropping the first
-            # vertex of a triangle leaves (last, w), a pair by construction
+            # the (k-1)-faces' indices, -1 where absent: the face without w is
+            # src, and a triangle's face without its first vertex is the pair
+            # fwd; every other face holds w and is looked up
             found = [prev_index.find(np.delete(cands, p, axis=1))
                      for p in range(1 if k == 3 else 0, k - 1)]
-            closed = np.logical_and.reduce([f >= 0 for f in found])
-            cands = cands[closed]
+            faces = np.array([src, fwd] + found if k == 3 else [src] + found)
+            closed = (faces >= 0).all(axis=0)
+            # compress runs several times faster than a boolean index on 2-D arrays
+            cands, faces = cands.compress(closed, axis=0), faces.compress(closed, axis=1)
             if k == 3:
-                r = _triangle_radius(pair_d2[src[closed]], pair_d2[fwd[closed]],
-                                     pair_d2[found[0][closed]])
+                r = _triangle_radius(*pair_d2[faces])
             else:
-                # face p drops vertex p; face k - 1, without w, is src itself
-                faces = np.column_stack(found + [src])[closed]
                 r = _ball_radius(cands, pair_index, pair_d2, radii[k - 1][faces])
             accept = r <= eps_tol
+            covered[faces[:, accept]] = True
             new_rows.append(cands[accept])
             new_radii.append(r[accept])
             tested += len(cands)
@@ -381,29 +383,22 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
                 progress(tested)
         edges[k] = np.concatenate(new_rows)
         radii[k] = np.concatenate(new_radii)
+        dominated[k - 1] = covered
 
-    return replace(graph, edges=edges, radii=radii, max_degree=m)
+    return replace(graph, edges=edges, radii=radii, dominated=dominated, max_degree=m)
 
 
 def incidence(graph: ConflictHypergraph, dedupe_dominated: bool = True) -> IncidenceMatrix:
     """Hyperedge-vertex incidence matrix, rows by degree then lexicographically.
 
-    With ``dedupe_dominated`` every edge whose vertex set is a proper subset
-    of another edge's is dropped: its packing constraint is implied by the
-    superset row, so the LP optimum is unchanged. The edge set is downward
-    closed, so only the k + 1 faces of each (k+1)-edge need looking up.
+    With ``dedupe_dominated`` the edges ``extend_hyperedges`` marked in
+    ``graph.dominated`` are dropped: each is a face of a larger edge, whose
+    packing constraint implies its own, so the LP optimum is unchanged.
+    A degree without marks keeps all its rows: the top degree, and each
+    degree of a graph built by hand, which gives the same LP optimum.
     """
-    kept: list[np.ndarray] = []
-    for k in sorted(graph.edges):
-        rows = graph.edges[k]
-        keep = np.ones(len(rows), dtype=bool)
-        bigger = graph.edges.get(k + 1, rows[:0])
-        if dedupe_dominated and len(rows) and len(bigger):
-            index = _RowIndex(rows, graph.num_vertices)
-            for p in range(k + 1):
-                found = index.find(np.delete(bigger, p, axis=1))
-                keep[found[found >= 0]] = False
-        kept.append(rows[keep])
+    kept = [rows[~graph.dominated[k]] if dedupe_dominated and k in graph.dominated else rows
+            for k, rows in sorted(graph.edges.items())]
     return _incidence_of(kept, graph.labels)
 
 

@@ -270,6 +270,21 @@ def test_bound_rejects_a_dataset_missing_a_class(tmp_path, capsys):
     assert not list(tmp_path.glob("out/*"))
 
 
+@pytest.mark.parametrize("budgets", [("2.4000001", "2.4000002"), ("2.4", "2.4")])
+def test_bound_rejects_budgets_that_share_a_report_name(tmp_path, capsys, gaussian_file,
+                                                        budgets):
+    # both budgets used to write one bound_eps2.4.json, listed twice under
+    # "outputs", with one entry in "losses", and exit 0
+    path, _ = gaussian_file
+    code, out = run_cli(
+        capsys, "bound", "--data", str(path), "--epsilon", *budgets,
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert "budgets 2.4" in out["error"] and "bound_eps2.4" in out["error"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
 def test_bound_rejects_non_finite_caro_wei_weights(tmp_path, capsys, gaussian_file, bad):
     # a NaN weight used to write "caro_wei": NaN into a certified report,

@@ -91,6 +91,32 @@ def test_circumradius_batch_flags_singular_items():
     assert np.isnan(radii[1])
 
 
+def test_circumradius_batch_solves_a_stack_with_a_singular_item_at_once(monkeypatch):
+    # two coincident points make two equal rows; that one matrix used to
+    # send the whole stack through one solve per matrix
+    rng = np.random.default_rng(21)
+    points = rng.normal(size=(30, 4, 3))
+    points[17, 2] = points[17, 0]
+    stack = np.array([d2(pts) for pts in points])
+    expected = [None if i == 17 else np.linalg.solve(stack[i], np.ones(4)) for i in range(30)]
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    radii, alphas, ok = circumradius_batch(stack)
+    assert calls == [(30, 4, 4)]
+    assert ok.tolist() == [i != 17 for i in range(30)]
+    assert np.isnan(radii[17]) and np.isnan(alphas[17]).all()
+    for i in np.flatnonzero(ok):
+        # bit for bit what solving the matrix alone gives
+        assert radii[i] == np.sqrt(0.5 / expected[i].sum())
+        assert (alphas[i] == expected[i] / expected[i].sum()).all()
+
+
 def witness_ball(points):
     """``edge_witness`` of all the points, with its largest distance to them."""
     pts = np.asarray(points, dtype=float)

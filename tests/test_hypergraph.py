@@ -405,7 +405,7 @@ def test_row_indexes_are_built_only_where_read(monkeypatch):
     assert built == [2, 3]  # the pair index also serves as the k = 3 edge index
     built.clear()
     incidence(graph)
-    assert built == [2]  # the triangles have no degree-4 rows to be found in
+    assert built == []  # the extension marked the dominated rows as it went
 
 
 def superset_free_rows(graph):
@@ -426,6 +426,36 @@ def test_dedupe_by_next_degree_faces_matches_the_all_supersets_rule():
                 for r in range(B.shape[0])]
         assert rows == superset_free_rows(graph)
     assert fours  # some degree-4 edge dominates lower rows
+
+
+@pytest.mark.parametrize("classes", [4, 5])
+def test_extension_marks_exactly_the_rows_a_larger_edge_contains(monkeypatch, classes):
+    # batches of three candidates: an edge's supersets come from several batches
+    monkeypatch.setattr(hypergraph, "EXTEND_BATCH", 3)
+    rng = np.random.default_rng(40 + classes)
+    top_marked = 0
+    for _ in range(6):
+        ds = random_dataset(rng, n=int(rng.integers(10, 16)), k=classes, d=3, spread=0.5)
+        pairs = build_conflict_graph(ds, float(rng.uniform(0.5, 0.9)))
+        # a pair graph has no marks, and its incidence keeps every pair
+        assert pairs.dominated == {}
+        assert incidence(pairs).matrix.shape[0] == len(pairs.pairs)
+        graph = extend_hyperedges(pairs, classes)
+        free = set(superset_free_rows(graph))
+        assert sorted(graph.dominated) == list(range(2, classes))
+        for k in range(2, classes):
+            rows = map(tuple, graph.edges[k].tolist())
+            assert graph.dominated[k].tolist() == [row not in free for row in rows]
+        top_marked += int(graph.dominated[classes - 1].sum())
+        # one degree at a time gives the same edges, radii and marks
+        stepped = pairs
+        for m in range(3, classes + 1):
+            stepped = extend_hyperedges(stepped, m)
+        for got, want in [(stepped.edges, graph.edges), (stepped.radii, graph.radii),
+                          (stepped.dominated, graph.dominated)]:
+            assert sorted(got) == sorted(want)
+            assert all(np.array_equal(got[k], want[k]) for k in want)
+    assert top_marked  # some edge of the top degree dominates its faces
 
 
 def test_dedupe_does_not_change_lp_optimum():
