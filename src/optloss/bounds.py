@@ -402,40 +402,47 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
     B_cols = B.tocsc()
     z = sol.edge_cover
     y = sol.singleton_cover
-    p = sol.lp.masses
     points = graph.points
+    # one mask over the CSC entries picks every vertex's played rows, those
+    # of positive cover; vertex v's are entries cuts[v]:cuts[v + 1]
+    cover = z[B_cols.indices]
+    plays = cover > 0.0
+    cuts = np.concatenate([[0], np.cumsum(plays)])[B_cols.indptr].tolist()
+    play_rows, play_cover = B_cols.indices[plays].tolist(), cover[plays].tolist()
+    singleton, masses = y.tolist(), sol.lp.masses.tolist()
     played: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
     per_vertex: list[VertexStrategy] = []
-    for v in range(graph.num_vertices):
-        row_ids = B_cols.indices[B_cols.indptr[v]:B_cols.indptr[v + 1]]
-        entries: list[tuple[tuple[int, ...] | None, float, np.ndarray]] = []
-        for r in row_ids:
-            if z[r] > 0.0:
-                if r not in played:
-                    ids = tuple(B.indices[B.indptr[r]:B.indptr[r + 1]].tolist())
-                    played[r] = (ids, edge_witness(points, ids))
-                ids, witness = played[r]
-                entries.append((ids, float(z[r]), witness))
-        if y[v] > 0.0:
-            entries.append((None, float(y[v]), points[v]))
-        total = sum(weight for _, weight, _ in entries)
-        if total < p[v] - tol.feasibility_abs:
+    for v, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        edges: list[tuple[int, ...] | None] = []
+        weights, witnesses = play_cover[lo:hi], []
+        for r in play_rows[lo:hi]:
+            edge = played.get(r)
+            if edge is None:
+                ids = tuple(B.indices[B.indptr[r]:B.indptr[r + 1]].tolist())
+                edge = played[r] = (ids, edge_witness(points, ids))
+            edges.append(edge[0])
+            witnesses.append(edge[1])
+        if singleton[v] > 0.0:
+            edges.append(None)
+            weights.append(singleton[v])
+            witnesses.append(points[v])
+        total = sum(weights)
+        if total < masses[v] - tol.feasibility_abs:
             raise ValueError(
-                f"vertex {v} is under-covered ({total!r} < mass {p[v]!r}); "
+                f"vertex {v} is under-covered ({total!r} < mass {masses[v]!r}); "
                 "the solution is not a certified cover"
             )
-        if not entries:
+        if not edges:
             # only a vertex lighter than feasibility_abs gets here: play the point
-            entries.append((None, float(p[v]), points[v]))
-            total = float(p[v])
-        probs = np.array([weight for _, weight, _ in entries]) / total
+            edges, weights, witnesses = [None], [masses[v]], [points[v]]
+            total = masses[v]
         per_vertex.append(
             VertexStrategy(
                 vertex_id=v,
-                edges=[e for e, _, _ in entries],
-                probabilities=probs,
-                witnesses=[wit for _, _, wit in entries],
-                over_covered=bool(total > p[v] + tol.feasibility_abs),
+                edges=edges,
+                probabilities=np.array(weights) / total,
+                witnesses=witnesses,
+                over_covered=total > masses[v] + tol.feasibility_abs,
             )
         )
     return AdversarialStrategy(per_vertex, cover_cost=float(z.sum() + y.sum()))
@@ -647,7 +654,9 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
     Solves L*(m) for m = 2..m_max, the class-only coupling bound, the
     Caro-Wei upper bound (weights default to the degree-2 packing solution),
     and, when the instance is at most ``hard_cap`` vertices, the exact
-    hard-classifier loss. ``jobs`` is ignored (see ``extend_hyperedges``).
+    hard-classifier loss. A degree whose extension accepts no edge has the
+    previous degree's LP, so its solution is reported again, not re-solved.
+    ``jobs`` is ignored (see ``extend_hyperedges``).
     """
     k = dataset.num_classes
     if not 2 <= m_max:
@@ -668,7 +677,9 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
             graph = extend_hyperedges(graph, m, progress=progress)
             runtimes[f"extend_{m}"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        sol = solve_packing(PackingLp(graph.masses, incidence(graph)), tol)
+        # without an m-edge the incidence is L*(m-1)'s, row for row, and so is its solution
+        if m == 2 or len(graph.edges[m]):
+            sol = solve_packing(PackingLp(graph.masses, incidence(graph)), tol)
         runtimes[f"solve_{m}"] = time.perf_counter() - t0
         backends[f"solve_{m}"] = sol.backend
         losses[m] = sol.loss

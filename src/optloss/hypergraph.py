@@ -39,6 +39,11 @@ SWEEP_BLOCK = 2048
 # bytes of coordinate differences per chunk of the exact distance refinement
 REFINE_BYTES = 1 << 20
 
+# bytes of the dense pair-index table that a batch of degree-3 candidates
+# reads its closing pairs (u, w) from, one row of n entries per first vertex
+# u; a batch is cut at a u boundary to stay within it, but keeps one row
+CLOSING_TABLE_BYTES = 1 << 22
+
 # candidates per batch of the hyperedge extension
 EXTEND_BATCH = 65536
 
@@ -283,7 +288,10 @@ def _triangle_radius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """
     longest = np.maximum(np.maximum(a, b), c)
     obtuse = 2.0 * longest >= a + b + c
-    x, y, z = np.sort(np.sqrt([a, b, c]), axis=0)[::-1]
+    # sqrt is monotone, so the sides' order is that of their squares
+    x = np.sqrt(longest)
+    y = np.sqrt(np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c)))
+    z = np.sqrt(np.minimum(np.minimum(a, b), c))
     with np.errstate(divide="ignore", invalid="ignore"):
         circum = x * y * z / _area4(x, y, z)
     return np.where(obtuse, np.sqrt(longest / 4.0), circum)
@@ -306,20 +314,41 @@ def _ball_radius(cands: np.ndarray, pair_index: _RowIndex, pair_d2: np.ndarray,
     return np.where(inside, radii, face_radii.max(axis=0))
 
 
+def _closing_pairs(pairs: np.ndarray, first: np.ndarray, u: np.ndarray,
+                   w: np.ndarray) -> np.ndarray:
+    """Index of each pair (u, w) in the sorted pair array, -1 where there is
+    no such pair; u is ascending and ``first`` is the pairs' CSR offsets.
+
+    The pairs whose first vertex lies in lo..hi = u[0]..u[-1], a contiguous
+    run, fill a dense table of (hi - lo + 1) x n pair indices, which each
+    (u, w) reads once.
+    """
+    n = len(first) - 1
+    lo, hi = u[0], u[-1]
+    f0, f1 = first[lo], first[hi + 1]
+    table = np.full((hi - lo + 1) * n, -1, dtype=np.int64)
+    table[(pairs[f0:f1, 0] - lo) * n + pairs[f0:f1, 1]] = np.arange(f0, f1)
+    return table[(u - lo) * n + w]
+
+
 def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
                       progress=None) -> ConflictHypergraph:
     """Add all hyperedges of degree up to m to a graph holding lower degrees.
 
     A degree-k candidate extends a (k-1)-edge by a forward neighbor w of its
     last vertex in the pair graph. It is tested only if every other
-    (k-1)-subset holding w is an edge too, found in the sorted (k-1)-edge
-    array. Triangles are decided in closed form from the three pair
-    distances; larger candidates by ``circumradius_batch`` and the radii of
-    their (k-1)-faces, which that lookup has found. Every stored radius is
-    the edge's minimum-enclosing-ball radius. The faces of each accepted
-    edge are marked in ``dominated[k - 1]``, the rows ``incidence`` drops.
-    Candidates are enumerated ``EXTEND_BATCH`` at a time, and ``progress`` is
-    called after each batch with the cumulative count of tested candidates.
+    (k-1)-subset holding w is an edge too. A triangle (u, v, w) needs only
+    its pair (u, w), read from a dense table of the pairs whose first vertex
+    lies in its batch's range (``_closing_pairs``); a larger candidate's
+    faces are found in the sorted (k-1)-edge array. Triangles are decided in
+    closed form from the three pair distances; larger candidates by
+    ``circumradius_batch`` and the radii of their (k-1)-faces, which that
+    lookup has found. Every stored radius is the edge's minimum-enclosing-ball
+    radius. The faces of each accepted edge are marked in ``dominated[k - 1]``,
+    the rows ``incidence`` drops. Candidates are enumerated at most
+    ``EXTEND_BATCH`` at a time, and a batch of triangles is also cut where
+    its table would pass ``CLOSING_TABLE_BYTES``; ``progress`` is called
+    after each batch with the cumulative count of tested candidates.
     ``jobs`` is ignored: extension runs in one thread. It, like the ``jobs``
     of ``optimal_loss``, ``pairwise_binary_losses`` and ``bound_report``, is
     accepted only because the benchmark harness passes it.
@@ -333,7 +362,8 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
     n = graph.num_vertices
     eps_tol = graph.epsilon * (1.0 + REL_TOL)
     pairs = graph.pairs
-    pair_index = _RowIndex(pairs, n)
+    # the pair distances of a k >= 4 candidate are looked up here
+    pair_index = _RowIndex(pairs, n) if m >= 4 else None
     pair_d2 = (2.0 * graph.radii[2]) ** 2
     # forward CSR over the sorted pair array: v's forward neighbors are
     # pairs[first[v]:first[v + 1], 1]
@@ -343,7 +373,6 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
     tested = 0
     for k in range(graph.max_degree + 1, m + 1):
         prev = edges[k - 1]
-        prev_index = pair_index if k == 3 else _RowIndex(prev, n)
         covered = np.zeros(len(prev), dtype=bool)
         # candidate c extends the (k-1)-edge src with its (c - starts[src])-th
         # forward neighbor
@@ -351,36 +380,60 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
         ends = np.cumsum(counts)
         starts = ends - counts
         total = int(ends[-1]) if ends.size else 0
+        # candidate c's pair (last vertex, w) is pairs[shift[src] + c]
+        shift = first[prev[:, -1]] - starts
+        if k == 3:
+            # each pair's second vertex, contiguous for fast gathers
+            upper = pairs[:, 1].copy()
+            # the triangles (u, ., .) are candidates ustart[u]:ustart[u + 1];
+            # a batch spans at most `rows` first vertices u
+            ustart = np.append(starts, total)[first]
+            rows = max(1, CLOSING_TABLE_BYTES // (8 * n))
+        else:
+            prev_index = _RowIndex(prev, n)
         new_rows = [np.zeros((0, k), dtype=np.int64)]
         new_radii = [np.zeros(0)]
-        for c0 in range(0, total, EXTEND_BATCH):
-            wedge = np.arange(c0, min(c0 + EXTEND_BATCH, total))
+        c0 = 0
+        while c0 < total:
+            c1 = min(c0 + EXTEND_BATCH, total)
+            if k == 3:
+                lo = int(np.searchsorted(ustart, c0, side="right")) - 1
+                c1 = min(c1, int(ustart[min(lo + rows, n)]))
+            wedge = np.arange(c0, c1)
             # the (k-1)-edges whose candidates overlap this batch
             span = np.arange(*np.searchsorted(ends, wedge[[0, -1]], side="right") + [0, 1])
-            src = np.repeat(span, counts[span])[c0 - starts[span[0]]:][:wedge.size]
-            # pair index of (last vertex, w) for every candidate
-            fwd = first[prev[src, -1]] + wedge - starts[src]
-            cands = np.column_stack([prev[src], pairs[fwd, 1]])
+            cut = slice(c0 - starts[span[0]], c0 - starts[span[0]] + wedge.size)
+            src = np.repeat(span, counts[span])[cut]
+            fwd = shift[src] + wedge
             # the (k-1)-faces' indices, -1 where absent: the face without w is
             # src, and a triangle's face without its first vertex is the pair
             # fwd; every other face holds w and is looked up
-            found = [prev_index.find(np.delete(cands, p, axis=1))
-                     for p in range(1 if k == 3 else 0, k - 1)]
-            faces = np.array([src, fwd] + found if k == 3 else [src] + found)
-            closed = (faces >= 0).all(axis=0)
-            # compress runs several times faster than a boolean index on 2-D arrays
-            cands, faces = cands.compress(closed, axis=0), faces.compress(closed, axis=1)
             if k == 3:
+                u = np.repeat(prev[span, 0], counts[span])[cut]
+                closing = _closing_pairs(pairs, first, u, upper[fwd])
+                faces = np.array([src, fwd, closing])
+                # compress runs several times faster than a boolean index on 2-D arrays
+                faces = faces.compress(faces[2] >= 0, axis=1)
                 r = _triangle_radius(*pair_d2[faces])
+                accept = r <= eps_tol
+                # a triangle is built only once it is accepted
+                cands = np.column_stack([pairs[faces[0, accept]], upper[faces[1, accept]]])
             else:
+                cands = np.column_stack([prev[src], pairs[fwd, 1]])
+                faces = np.array([src] + [prev_index.find(np.delete(cands, p, axis=1))
+                                          for p in range(k - 1)])
+                closed = (faces >= 0).all(axis=0)
+                cands, faces = cands.compress(closed, axis=0), faces.compress(closed, axis=1)
                 r = _ball_radius(cands, pair_index, pair_d2, radii[k - 1][faces])
-            accept = r <= eps_tol
+                accept = r <= eps_tol
+                cands = cands[accept]
             covered[faces[:, accept]] = True
-            new_rows.append(cands[accept])
+            new_rows.append(cands)
             new_radii.append(r[accept])
-            tested += len(cands)
+            tested += faces.shape[1]
             if progress is not None:
                 progress(tested)
+            c0 = c1
         edges[k] = np.concatenate(new_rows)
         radii[k] = np.concatenate(new_radii)
         dominated[k - 1] = covered

@@ -79,6 +79,24 @@ def exact_triangle_radius(points):
     return float(np.sqrt(float(a * b * c / (2 * (a * b + b * c + c * a) - (a * a + b * b + c * c)))))
 
 
+def sorted_triangle_radius(a, b, c):
+    """Enclosing-ball radius of triangles from squared sides a, b, c, with the
+    side lengths ordered by a sort.
+
+    Obtuse or right: half the longest side. Acute: xyz / (4 * area) of the
+    side lengths x >= y >= z, the area by Kahan's arrangement of Heron's
+    formula, evaluated in the same operation order as the library.
+    """
+    a, b, c = (np.asarray(s, dtype=float) for s in (a, b, c))
+    longest = np.maximum(np.maximum(a, b), c)
+    obtuse = 2.0 * longest >= a + b + c
+    x, y, z = np.sort(np.sqrt([a, b, c]), axis=0)[::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        area4 = np.sqrt((x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z)))
+        circum = x * y * z / area4
+    return np.where(obtuse, np.sqrt(longest / 4.0), circum)
+
+
 def oracle_class_only(a, priors):
     """Maximize the coupling objective over the extreme points of the
     symmetric doubly stochastic polytope, the symmetrized permutations."""

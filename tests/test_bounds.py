@@ -35,6 +35,7 @@ from optloss.hypergraph import (
     _incidence_of,
     build_conflict_graph,
     edge_witness,
+    extend_hyperedges,
     incidence,
     vertex_graph,
 )
@@ -1080,3 +1081,41 @@ def test_bound_report_contents():
     doc = report.to_json_dict()
     assert doc["schema_version"] == 1
     assert doc["losses"]["3"] == report.losses[3]
+
+
+def per_degree_chain(ds, eps, m_max):
+    """Loss, q histogram and backend of a fresh L*(m) solve at every degree."""
+    graph = build_conflict_graph(ds, eps)
+    out = {}
+    for m in range(2, m_max + 1):
+        if m > 2:
+            graph = extend_hyperedges(graph, m)
+        sol = solve_packing(PackingLp(graph.masses, incidence(graph)))
+        out[m] = (sol.loss, bounds._histogram(sol.q), sol.backend)
+    return out
+
+
+def report_parts(report):
+    return {m: (report.losses[m], report.q_histograms[m], report.solver_backends[f"solve_{m}"])
+            for m in report.losses}
+
+
+@pytest.mark.parametrize("classes, m_max", [(3, 3), (3, 4), (2, 4)])
+def test_degree_without_edges_reuses_the_previous_solution(monkeypatch, classes, m_max):
+    # three clusters far apart, each holding two classes, as mnist-like data
+    # holds pairs but no triangle; with two classes no degree above 2 can
+    # hold an edge at all
+    rng = np.random.default_rng(60 + classes)
+    centres = [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0)]
+    two = [(0, 1), (1, 2), (0, 2)] if classes == 3 else [(0, 1)] * 3
+    pts = np.vstack([np.add(c, rng.normal(size=(16, 2)) * 0.4) for c in centres])
+    labels = np.concatenate([np.tile(pair, 8) for pair in two])
+    ds = from_arrays(pts, labels, merge_duplicates=False)
+    solves = collect_solves(monkeypatch)
+    report = bound_report(ds, 0.4, m_max=m_max)
+    assert report.edge_counts.keys() == {2}
+    # L*(2) and the pairwise union; no degree above 2 solves again
+    assert len(solves) == 2
+    assert {f"solve_{m}" for m in range(2, m_max + 1)} <= report.runtimes.keys()
+    assert report_parts(report) == per_degree_chain(ds, 0.4, m_max)
+    assert report.losses[m_max] == report.losses[2] > 0.0

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import ball_through_subset, oracle_meb, oracle_meb_radius
+from oracles import ball_through_subset, oracle_meb, oracle_meb_radius, sorted_triangle_radius
 
 from optloss import hypergraph
 from optloss.data import from_arrays
@@ -191,6 +191,47 @@ def test_witness_makes_one_circumball_call_per_subset_size(d, monkeypatch):
     assert len(calls) <= 10 - 3
     assert radius == pytest.approx(expected, rel=1e-9)
     assert np.linalg.norm(centre - expected_centre) <= 1e-9 * expected
+
+
+def squared_sides(pts):
+    """Squared side lengths (|p1 - p2|^2, |p2 - p0|^2, |p0 - p1|^2) of a triangle."""
+    pts = np.asarray(pts, dtype=float)
+    return [float(np.sum((pts[i] - pts[j]) ** 2)) for i, j in ((1, 2), (2, 0), (0, 1))]
+
+
+def test_triangle_radius_selects_sides_as_the_sort_does():
+    # the sides taken by min/max selection give the sorted sides' radius bit
+    # for bit, whatever order the squared sides come in
+    rng = np.random.default_rng(31)
+    triangles = [squared_sides(rng.normal(size=(3, d)) * rng.uniform(0.01, 100.0))
+                 for d in (2, 3, 7) for _ in range(300)]
+    for h in rng.uniform(0.01, 5.0, size=50):
+        triangles.append(squared_sides([(-1.0, 0.0), (1.0, 0.0), (0.0, h)]))  # isosceles
+    triangles += [[1.0, 1.0, 1.0], [2.5, 2.5, 2.5],  # equilateral
+                  [9.0, 16.0, 25.0], [1.0, 1.0, 2.0],  # right
+                  squared_sides([(0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2)])]
+    for pts in thin_needles(rng, 200):
+        triangles.append(squared_sides(pts))
+    base = float(rng.uniform(0.5, 2.0))
+    triangles += [[0.0, base, base], [0.0, 0.0, 0.0], [0.0, 1.0, 4.0],  # zero side
+                  [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)]]  # ulp ties
+    sides = np.array(triangles).T
+    for order in itertools.permutations(range(3)):
+        a, b, c = sides[list(order)]
+        got = hypergraph._triangle_radius(a, b, c)
+        want = sorted_triangle_radius(a, b, c)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def thin_needles(rng, count):
+    """Needle-like triangles, acute or obtuse: a base of 1e-8..1e-4 under an
+    apex 0.5..2 away, anywhere across the base."""
+    out = []
+    for _ in range(count):
+        base = 10 ** rng.uniform(-8, -4)
+        apex = (rng.uniform(-1.0, 1.0) * base, rng.uniform(0.5, 2.0))
+        out.append(np.array([apex, (-base / 2, 0.0), (base / 2, 0.0)]) + rng.normal(size=2))
+    return out
 
 
 def test_meb_agrees_with_circumradius_when_weights_nonnegative():

@@ -401,11 +401,74 @@ def test_row_indexes_are_built_only_where_read(monkeypatch):
     graph = build_conflict_graph(triangle_dataset(), 0.6)
     incidence(graph)
     assert built == []  # no larger degree to look pairs up in
+    assert extend_hyperedges(graph, 3).edge_counts()[3] == 1
+    assert built == []  # a triangle's closing pair comes from the per-batch table
     graph = extend_hyperedges(graph, 4)
-    assert built == [2, 3]  # the pair index also serves as the k = 3 edge index
+    assert built == [2, 3]  # pairs for k = 4's distances, triangles for its faces
     built.clear()
     incidence(graph)
     assert built == []  # the extension marked the dominated rows as it went
+
+
+def extend_with_table_sizes(monkeypatch, graph, m):
+    """``extend_hyperedges(graph, m)`` and the (rows, bytes) of every table
+    that ``_closing_pairs`` fills."""
+    sizes = []
+    closing = hypergraph._closing_pairs
+
+    def recording(pairs, first, u, w):
+        rows = int(u.max() - u.min()) + 1
+        sizes.append((rows, rows * (len(first) - 1) * 8))
+        return closing(pairs, first, u, w)
+
+    monkeypatch.setattr(hypergraph, "_closing_pairs", recording)
+    out = extend_hyperedges(graph, m)
+    monkeypatch.setattr(hypergraph, "_closing_pairs", closing)
+    return out, sizes
+
+
+def assert_same_extension(got, want):
+    for field in ("edges", "radii", "dominated"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert sorted(a) == sorted(b)
+        assert all(a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]) for k in b)
+
+
+def test_closing_tables_stay_within_their_bound(monkeypatch):
+    ds = gen_gaussian(num_classes=3, per_class=60, variance=0.3, mean_radius=1.0, seed=9)
+    pairs = build_conflict_graph(ds, 0.5)
+    n = pairs.num_vertices
+    default, sizes = extend_with_table_sizes(monkeypatch, pairs, 4)
+    assert default.edge_counts()[3] > 0 and len(sizes) == 1  # one table holds all rows
+    # one u row, three rows, and batches of 1..5 candidates under a roomy table
+    for table_bytes, batch in [(1, 65536), (24 * n, 65536), (8 * n - 1, 3),
+                               (1 << 22, 1), (1 << 22, 5)]:
+        monkeypatch.setattr(hypergraph, "CLOSING_TABLE_BYTES", table_bytes)
+        monkeypatch.setattr(hypergraph, "EXTEND_BATCH", batch)
+        got, sizes = extend_with_table_sizes(monkeypatch, pairs, 4)
+        assert_same_extension(got, default)
+        assert all(size <= table_bytes or rows == 1 for rows, size in sizes)
+        if table_bytes < 8 * n:
+            assert {rows for rows, _ in sizes} == {1}
+        if table_bytes == 24 * n:
+            assert max(rows for rows, _ in sizes) == 3
+
+
+def test_one_row_closing_tables_match_subset_oracle(monkeypatch):
+    monkeypatch.setattr(hypergraph, "CLOSING_TABLE_BYTES", 1)
+    rng = np.random.default_rng(55)
+    triangles = 0
+    for d in (1, 2, 3):
+        for _ in range(3):
+            ds = random_dataset(rng, n=int(rng.integers(8, 15)), k=3, d=d, spread=0.6)
+            eps = float(rng.uniform(0.4, 0.9))
+            monkeypatch.setattr(hypergraph, "EXTEND_BATCH", int(rng.integers(1, 4)))
+            graph = extend_hyperedges(build_conflict_graph(ds, eps), 3)
+            expected = oracle_hyperedges(ds.points, ds.labels, eps, 3)
+            assert edges_by_degree(graph, 3) == expected
+            assert_radii_match_oracle(graph, ds.points)
+            triangles += len(expected[3])
+    assert triangles > 0
 
 
 def superset_free_rows(graph):
