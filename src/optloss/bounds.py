@@ -102,14 +102,12 @@ def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
 class PairwiseLossMatrix:
     """Symmetric zero-diagonal matrix of one-versus-one optimal losses.
 
-    ``backends`` names the solver of each class pair, one entry per pair,
-    in (i, j) order with i < j. One solve serves every pair, so the entries
-    are all equal.
+    ``backend`` names the solver of the one solve that serves every pair.
     """
 
     losses: np.ndarray
     class_names: list[str] | None = None
-    backends: list[str] = field(default_factory=list)
+    backend: str = ""
 
     def __post_init__(self):
         self.losses = np.asarray(self.losses, dtype=float)
@@ -186,8 +184,7 @@ def _pairwise_losses(graph: ConflictHypergraph, tol: Tolerances,
         cond_mass = masses[ids] / mass
         a[i, j] = a[j, i] = max(0.0, 1.0 - float(cond_mass @ sol.q[start:start + ids.size]))
         start += ids.size
-    return PairwiseLossMatrix(a, class_names=class_names,
-                              backends=[sol.backend] * len(class_pairs))
+    return PairwiseLossMatrix(a, class_names=class_names, backend=sol.backend)
 
 
 def class_only_bound(pairwise: PairwiseLossMatrix, priors) -> float:
@@ -693,7 +690,7 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
         pairwise = _pairwise_losses(graph, tol, dataset.class_names)
         class_only = class_only_bound(pairwise, dataset.class_priors())
         runtimes["class_only"] = time.perf_counter() - t0
-        backends["pairwise"] = pairwise.backends[0]
+        backends["pairwise"] = pairwise.backend
 
     t0 = time.perf_counter()
     # the solver can return q a few ulps below 0; a caller's weights are checked as given

@@ -72,6 +72,9 @@ class LabeledDataset:
         if missing.size:
             raise ValueError(f"labels must be 0..K-1 with a point in every class: "
                              f"class {missing[0]} has none")
+        if self.class_names is not None and len(self.class_names) != classes.size:
+            raise ValueError(f"class_names has length {len(self.class_names)}, "
+                             f"labels have {classes.size} classes")
 
     @property
     def num_points(self) -> int:

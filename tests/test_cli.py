@@ -270,6 +270,20 @@ def test_bound_rejects_a_dataset_missing_a_class(tmp_path, capsys):
     assert not list(tmp_path.glob("out/*"))
 
 
+@pytest.mark.parametrize("argv", [["pairwise", "--epsilon", "0.6", "--format", "both"],
+                                  ["stats"], ["bound", "--classes", "0", "2", "--epsilon", "0.6"]])
+def test_a_class_names_list_of_the_wrong_length_is_rejected_at_load(tmp_path, capsys, argv):
+    # pairwise used to exit 0 with a CSV header naming one class over rows of
+    # three losses; stats and bound --classes failed with an IndexError
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"points": [[0.0], [1.0], [2.0]], "labels": [0, 1, 2],
+                                "masses": [0.5, 0.25, 0.25], "class_names": ["a"]}))
+    code, out = run_cli(capsys, *argv, "--data", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out["type"] == "ValueError" and "class_names has length 1" in out["error"]
+    assert not list(tmp_path.glob("out/*"))
+
+
 @pytest.mark.parametrize("budgets", [("2.4000001", "2.4000002"), ("2.4", "2.4")])
 def test_bound_rejects_budgets_that_share_a_report_name(tmp_path, capsys, gaussian_file,
                                                         budgets):

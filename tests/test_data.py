@@ -241,6 +241,20 @@ def test_labels_missing_a_class_rejected():
         dataset_from_json(dataset_doc([0, 2, 2], [0.5, 0.25, 0.25]))
 
 
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c", "d"], []])
+def test_class_names_must_name_every_class(names):
+    # ["a"] for three classes used to load; pairwise then wrote a CSV whose
+    # header named one class, and stats failed with an IndexError
+    message = f"class_names has length {len(names)}, labels have 3 classes"
+    with pytest.raises(ValueError, match=message):
+        LabeledDataset(np.arange(3.0)[:, None], [0, 1, 2], np.full(3, 1 / 3), names)
+    with pytest.raises(ValueError, match=message):
+        from_arrays(np.arange(3.0)[:, None], [0, 1, 2], class_names=names)
+    doc = json.loads(dataset_doc([0, 1, 2], [0.5, 0.25, 0.25]))
+    with pytest.raises(ValueError, match=message):
+        dataset_from_json(json.dumps({**doc, "class_names": names}))
+
+
 @pytest.mark.parametrize("labels, message", [
     ([0, 10**12, 0], "class 1 has none"),  # must not size an array by the label
     ([1, 2, 2], "class 0 has none"),
