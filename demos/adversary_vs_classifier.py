@@ -27,7 +27,7 @@ eps = 0.45
 
 loss, sol, graph = optimal_loss(ds, eps, m=k)
 print(f"instance: {n} points, {k} classes, eps = {eps}")
-print(f"LP optimal loss = {loss:.6f} (duality gap {sol.duality_gap:.2e})\n")
+print(f"LP optimal loss = {loss:.6f} (duality gap {sol.certificate.duality_gap:.2e})\n")
 
 table = SoftClassifierTable.from_solution(ds, eps, sol)
 strategy = extract_strategy(sol, graph)

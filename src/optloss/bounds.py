@@ -34,7 +34,6 @@ from .data import LabeledDataset
 from .hypergraph import (
     GRAM_SLACK,
     REL_TOL,
-    SWEEP_BLOCK,
     ConflictHypergraph,
     _budget,
     _cross_class_pairs,
@@ -565,7 +564,7 @@ def class_distance_stats(dataset: LabeledDataset) -> np.ndarray:
         return (g <= g.min(axis=1, keepdims=True) + slack) | (g <= g.min(axis=0) + slack)
 
     nearest = np.full(dataset.num_points, np.inf)
-    for u, v, d2 in _cross_class_pairs(dataset.points, dataset.labels, SWEEP_BLOCK, near):
+    for u, v, d2 in _cross_class_pairs(dataset.points, dataset.labels, near):
         np.minimum.at(nearest, u, d2)
         np.minimum.at(nearest, v, d2)
     nearest = np.sqrt(nearest)
@@ -705,7 +704,7 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
         runtimes["hard"] = time.perf_counter() - t0
 
     return BoundReport(
-        epsilon=float(epsilon),
+        epsilon=graph.epsilon,
         max_degree=m_max,
         losses=losses,
         class_only_2=class_only,

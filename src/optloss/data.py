@@ -109,7 +109,6 @@ def from_arrays(points, labels, masses=None, class_names=None,
         raise ValueError("dataset needs at least one point")
     if masses is None:
         masses = np.full(n, 1.0 / n)
-    masses = np.asarray(masses, dtype=float)
 
     raw_classes, labels = np.unique(labels, return_inverse=True)
     if np.any(raw_classes != raw_classes):  # np.unique merges NaNs into one class
@@ -117,25 +116,34 @@ def from_arrays(points, labels, masses=None, class_names=None,
     if class_names is None:
         class_names = [str(c) for c in raw_classes.tolist()]
 
+    # checked before the merge, which stacks points and labels side by side
+    dataset = LabeledDataset(points, labels, masses, class_names, provenance)
     if merge_duplicates:
         rows = np.column_stack([points, labels.astype(float)])
         _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
         if first.shape[0] < n:
             merged_mass = np.zeros(first.shape[0])
-            np.add.at(merged_mass, inverse, masses)
+            np.add.at(merged_mass, inverse, dataset.masses)
             order = np.argsort(first)  # keep file order
             first = first[order]
-            merged_mass = merged_mass[order]
-            points = points[first]
-            labels = labels[first]
-            masses = merged_mass
-
-    return LabeledDataset(points, labels, masses, class_names, provenance)
+            dataset = LabeledDataset(points[first], labels[first], merged_mass[order],
+                                     class_names, provenance)
+    return dataset
 
 
-def _detect_scale(points: np.ndarray) -> str:
-    top = float(np.abs(points).max())
-    return "unit" if top <= 1.0 + 1e-12 else f"raw(max={top:g})"
+def _from_file(source: str, normalization: str, read) -> LabeledDataset:
+    """The dataset of ``read()``'s (features, labels), normalized, with the
+    normalization and the features' scale after ``source`` in its provenance.
+    An unknown normalization is rejected before ``read`` runs."""
+    if normalization not in ("none", "divide-255"):
+        raise ValueError(f"unknown normalization {normalization!r}")
+    features, labels = read()
+    if normalization == "divide-255":
+        features = features / 255.0
+    top = float(np.abs(features).max())
+    scale = "unit" if top <= 1.0 + 1e-12 else f"raw(max={top:g})"
+    return from_arrays(features, labels,
+                       provenance=f"{source}(normalization={normalization},scale={scale})")
 
 
 def load_csv(path, normalization: str = "none") -> LabeledDataset:
@@ -145,26 +153,20 @@ def load_csv(path, normalization: str = "none") -> LabeledDataset:
     file rows before duplicate merging, so a row appearing twice yields one
     vertex with twice the mass.
     """
-    if normalization not in ("none", "divide-255"):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message=".*no data.*")
-            table = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"failed to parse CSV {path}: {exc}") from exc
-    if table.size == 0:
-        raise ValueError(f"empty CSV file: {path}")
-    if table.shape[1] < 2:
-        raise ValueError("CSV needs a label column and at least one feature column")
-    features = table[:, 1:]
-    if normalization == "divide-255":
-        features = features / 255.0
-    return from_arrays(
-        features,
-        _integer_labels(table[:, 0]),
-        provenance=f"csv:{path}(normalization={normalization},scale={_detect_scale(features)})",
-    )
+    def read():
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", message=".*no data.*")
+                table = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"failed to parse CSV {path}: {exc}") from exc
+        if table.size == 0:
+            raise ValueError(f"empty CSV file: {path}")
+        if table.shape[1] < 2:
+            raise ValueError("CSV needs a label column and at least one feature column")
+        return table[:, 1:], _integer_labels(table[:, 0])
+
+    return _from_file(f"csv:{path}", normalization, read)
 
 
 def _read_idx(path) -> np.ndarray:
@@ -189,23 +191,14 @@ def _read_idx(path) -> np.ndarray:
 
 def load_idx(images_path, labels_path, normalization: str = "none") -> LabeledDataset:
     """Read an IDX image/label file pair (MNIST binary layout, big-endian)."""
-    if normalization not in ("none", "divide-255"):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    images = _read_idx(images_path).astype(float)
-    labels = _read_idx(labels_path).astype(int)
-    if images.shape[0] != labels.shape[0]:
-        raise ValueError("image and label counts differ")
-    flat = images.reshape(images.shape[0], -1)
-    if normalization == "divide-255":
-        flat = flat / 255.0
-    return from_arrays(
-        flat,
-        labels,
-        provenance=(
-            f"idx:{images_path}(normalization={normalization},"
-            f"scale={_detect_scale(flat)})"
-        ),
-    )
+    def read():
+        images = _read_idx(images_path).astype(float)
+        labels = _read_idx(labels_path).astype(int)
+        if images.shape[0] != labels.shape[0]:
+            raise ValueError("image and label counts differ")
+        return images.reshape(images.shape[0], -1), labels
+
+    return _from_file(f"idx:{images_path}", normalization, read)
 
 
 def subset(dataset: LabeledDataset, classes, per_class_cap: int | None = None) -> LabeledDataset:
@@ -294,5 +287,8 @@ def dataset_to_json(dataset: LabeledDataset) -> str:
 
 def dataset_from_json(text: str) -> LabeledDataset:
     doc = json.loads(text)
+    for key in ("points", "labels", "masses"):
+        if key not in doc:
+            raise ValueError(f"dataset JSON has no {key} field")
     return LabeledDataset(doc["points"], doc["labels"], doc["masses"],
                           doc.get("class_names"), doc.get("provenance", ""))

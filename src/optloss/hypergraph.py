@@ -66,7 +66,6 @@ class ConflictHypergraph:
     masses: np.ndarray  # (n,) probability masses
     points: np.ndarray  # (n, d) coordinates
     edges: dict[int, np.ndarray]  # degree k -> (E_k, k) sorted id rows
-    max_degree: int
     epsilon: float
     # degree k -> (E_k,) minimum-enclosing-ball radius
     radii: dict[int, np.ndarray] = field(default_factory=dict)
@@ -76,6 +75,11 @@ class ConflictHypergraph:
     @property
     def num_vertices(self) -> int:
         return len(self.labels)
+
+    @property
+    def max_degree(self) -> int:
+        """The largest degree in ``edges``, even one without edges; 1 without any."""
+        return max(self.edges, default=1)
 
     def edge_counts(self) -> dict[int, int]:
         """Number of stored hyperedges of each exact degree (dominated included)."""
@@ -147,11 +151,11 @@ class _RowIndex:
 
 
 def _budget(epsilon) -> float:
-    """The budget as a float; a ValueError unless it is finite and >= 0."""
+    """The budget as a float, -0.0 as 0.0; a ValueError unless it is finite and >= 0."""
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
-    return epsilon
+    return epsilon + 0.0
 
 
 def vertex_graph(dataset, epsilon: float) -> ConflictHypergraph:
@@ -161,17 +165,16 @@ def vertex_graph(dataset, epsilon: float) -> ConflictHypergraph:
     if points.shape[0] == 0:
         raise ValueError("empty dataset")
     return ConflictHypergraph(np.asarray(dataset.labels, dtype=np.int64),
-                              np.asarray(dataset.masses, dtype=float), points, {},
-                              max_degree=1, epsilon=epsilon)
+                              np.asarray(dataset.masses, dtype=float), points, {}, epsilon)
 
 
-def _cross_class_pairs(points: np.ndarray, labels: np.ndarray, block: int, screen):
+def _cross_class_pairs(points: np.ndarray, labels: np.ndarray, screen):
     """Yield (u, v, d2) over the cross-class pairs that pass a Gram screen.
 
     The centred points are ordered by class, stably; each class's rows meet
-    the columns of all later classes in ``block`` x ``block`` tiles, so each
-    cross-class pair is met once. A tile's Gram form g of the squared
-    distances is off by a few ulps of |p|^2, all of a short distance;
+    the columns of all later classes in ``SWEEP_BLOCK`` x ``SWEEP_BLOCK``
+    tiles, so each cross-class pair is met once. A tile's Gram form g of the
+    squared distances is off by a few ulps of |p|^2, all of a short distance;
     ``screen(g, slack)`` gets a slack covering that and masks the pairs kept,
     whose ids u < v and d2 from coordinate differences follow, ``REFINE_BYTES``
     of differences at a time. Centring keeps g free of cancellation far from 0.
@@ -183,13 +186,13 @@ def _cross_class_pairs(points: np.ndarray, labels: np.ndarray, block: int, scree
     step = max(1, REFINE_BYTES // points[0].nbytes)
     ends = np.cumsum(np.bincount(labels))
     for a0, a1 in zip([0, *ends[:-1]], ends):
-        for i0 in range(a0, a1, block):
-            i1 = min(i0 + block, a1)
-            for j0 in range(a1, len(points), block):
-                g = points[i0:i1] @ points[j0:j0 + block].T
+        for i0 in range(a0, a1, SWEEP_BLOCK):
+            i1 = min(i0 + SWEEP_BLOCK, a1)
+            for j0 in range(a1, len(points), SWEEP_BLOCK):
+                g = points[i0:i1] @ points[j0:j0 + SWEEP_BLOCK].T
                 g *= -2.0
                 g += sq[i0:i1, None]
-                g += sq[None, j0:j0 + block]
+                g += sq[None, j0:j0 + SWEEP_BLOCK]
                 ii, jj = np.nonzero(screen(g, slack))
                 ii, jj = ii + i0, jj + j0
                 for s in range(0, len(ii), step):
@@ -209,7 +212,7 @@ def build_conflict_graph(dataset, epsilon: float) -> ConflictHypergraph:
     graph = vertex_graph(dataset, epsilon)
     threshold = (2.0 * graph.epsilon * (1.0 + REL_TOL)) ** 2
     found, found_d2 = [np.zeros((0, 2), dtype=np.int64)], [np.zeros(0)]
-    for u, v, d2 in _cross_class_pairs(graph.points, graph.labels, SWEEP_BLOCK,
+    for u, v, d2 in _cross_class_pairs(graph.points, graph.labels,
                                        lambda g, slack: g <= threshold + slack):
         close = d2 <= threshold
         found.append(np.column_stack([u[close], v[close]]))
@@ -220,7 +223,7 @@ def build_conflict_graph(dataset, epsilon: float) -> ConflictHypergraph:
     # the pairs are distinct, so one integer key orders them as a lexsort would
     order = np.argsort(pairs[:, 0] * graph.num_vertices + pairs[:, 1], kind="stable")
     radii = 0.5 * np.sqrt(d2[order])
-    return replace(graph, edges={2: pairs[order]}, radii={2: radii}, max_degree=2)
+    return replace(graph, edges={2: pairs[order]}, radii={2: radii})
 
 
 def circumradius_batch(d2_stack: np.ndarray):
@@ -231,9 +234,9 @@ def circumradius_batch(d2_stack: np.ndarray):
     ``1 / sqrt(2 * 1^T D^-1 1)``. Returns (radii, alphas, ok) where ``ok[i]``
     is False for matrices the formula could not certify (singular,
     ill-conditioned, or no real circumsphere); those entries hold NaN. The
-    stack takes one ``solve``: a ``slogdet`` sign of 0, from the same LU
-    factorization, marks the singular matrices (coincident points), and the
-    identity stands in for them.
+    stack takes one ``solve``, with the identity in place of each matrix that
+    a ``slogdet`` sign of 0 marks singular (coincident points); ``slogdet``
+    factors every matrix a second time.
     """
     d2_stack = np.asarray(d2_stack, dtype=float)
     batch, k, _ = d2_stack.shape
@@ -438,7 +441,7 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
         radii[k] = np.concatenate(new_radii)
         dominated[k - 1] = covered
 
-    return replace(graph, edges=edges, radii=radii, dominated=dominated, max_degree=m)
+    return replace(graph, edges=edges, radii=radii, dominated=dominated)
 
 
 def incidence(graph: ConflictHypergraph, dedupe_dominated: bool = True) -> IncidenceMatrix:

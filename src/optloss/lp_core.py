@@ -81,34 +81,9 @@ class PackingLp:
 
 
 @dataclass
-class LpSolution:
-    """Certified primal-dual pair for one packing solve.
-
-    ``edge_cover`` is indexed by incidence rows; ``singleton_cover`` holds the
-    duals of the q <= 1 bounds, one per vertex. ``objective`` is p^T q, i.e.
-    one minus the optimal loss. ``backend`` names the solver that produced
-    the vectors: ``"flow"`` (min cut; also the closed form of an LP without
-    rows) or ``"highs"``.
-    """
-
-    q: np.ndarray
-    edge_cover: np.ndarray
-    singleton_cover: np.ndarray
-    objective: float
-    dual_objective: float
-    duality_gap: float
-    primal_residual: float
-    dual_residual: float
-    lp: PackingLp = field(repr=False)
-    backend: str
-
-    @property
-    def loss(self) -> float:
-        return 1.0 - self.objective
-
-
-@dataclass
 class CertificateReport:
+    objective: float  # p^T q
+    dual_objective: float  # 1^T z + 1^T y
     primal_residual: float
     dual_residual: float
     duality_gap: float
@@ -120,6 +95,32 @@ class CertificateReport:
     @property
     def ok(self) -> bool:
         return self.feasible and self.gap_ok
+
+
+@dataclass
+class LpSolution:
+    """Certified primal-dual pair for one packing solve.
+
+    ``edge_cover`` is indexed by incidence rows; ``singleton_cover`` holds the
+    duals of the q <= 1 bounds, one per vertex. ``backend`` names the solver:
+    ``"flow"`` (min cut; also the closed form of an LP without rows) or
+    ``"highs"``. ``certificate`` is the report the vectors were judged by.
+    """
+
+    q: np.ndarray
+    edge_cover: np.ndarray
+    singleton_cover: np.ndarray
+    lp: PackingLp = field(repr=False)
+    backend: str
+    certificate: CertificateReport
+
+    @property
+    def objective(self) -> float:
+        return self.certificate.objective
+
+    @property
+    def loss(self) -> float:
+        return 1.0 - self.objective
 
 
 class LpNonConvergenceError(RuntimeError):
@@ -139,12 +140,10 @@ class UncertifiedSolveError(RuntimeError):
 
 
 def _certificate(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray, z: np.ndarray,
-                 y: np.ndarray, tol: Tolerances) -> tuple[float, float, CertificateReport]:
-    """(objective, dual objective, report) of a primal-dual pair.
-
-    The one place that judges a solve: residuals and gap are recomputed from
-    the vectors, over every vertex and row, and compared with the tolerances
-    (a NaN residual fails).
+                 y: np.ndarray, tol: Tolerances) -> CertificateReport:
+    """The certificate of a primal-dual pair, the one place that judges a
+    solve: residuals and gap are recomputed from the vectors, over every
+    vertex and row, and compared with the tolerances (a NaN residual fails).
     """
     # np.max, not max: a NaN anywhere makes the residual NaN
     primal = float(np.max([
@@ -163,7 +162,9 @@ def _certificate(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray, z: np.ndarray,
     gap = abs(objective - dual_objective)
     gap_bound = tol.gap_rel * max(1.0, abs(objective))
     over_covered = (q > tol.feasibility_abs) & (cover > p + tol.feasibility_abs)
-    report = CertificateReport(
+    return CertificateReport(
+        objective=objective,
+        dual_objective=dual_objective,
         primal_residual=primal,
         dual_residual=dual,
         duality_gap=gap,
@@ -172,7 +173,6 @@ def _certificate(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray, z: np.ndarray,
         gap_ok=(gap <= gap_bound),
         complementary_slackness_violations=np.flatnonzero(over_covered).tolist(),
     )
-    return objective, dual_objective, report
 
 
 def _mass_scale(p: np.ndarray) -> tuple[float, np.ndarray] | None:
@@ -274,18 +274,17 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
         (q, z, y), backend = found, "flow"
     else:
         (q, z, y), backend = _highs_packing(p, B, tol), "highs"
-    objective, dual_objective, cert = _certificate(p, B, q, z, y, tol)
-    sol = LpSolution(q, z, y, objective, dual_objective, cert.duality_gap,
-                     cert.primal_residual, cert.dual_residual, lp, backend)
+    cert = _certificate(p, B, q, z, y, tol)
+    sol = LpSolution(q, z, y, lp, backend, cert)
     if not cert.feasible:
         raise UncertifiedSolveError(
-            f"feasibility residuals too large: primal={sol.primal_residual:.3e}, "
-            f"dual={sol.dual_residual:.3e} (tol {tol.feasibility_abs:.1e})",
+            f"feasibility residuals too large: primal={cert.primal_residual:.3e}, "
+            f"dual={cert.dual_residual:.3e} (tol {tol.feasibility_abs:.1e})",
             sol,
         )
     if not cert.gap_ok:
         raise UncertifiedSolveError(
-            f"duality gap {sol.duality_gap:.3e} exceeds bound {cert.gap_bound:.3e}", sol
+            f"duality gap {cert.duality_gap:.3e} exceeds bound {cert.gap_bound:.3e}", sol
         )
     return sol
 
@@ -357,10 +356,11 @@ def verify_certificates(lp: PackingLp, sol: LpSolution,
                         tol: Tolerances = Tolerances()) -> CertificateReport:
     """Recompute all residuals from scratch, independently of the solver.
 
-    The verdict is the one ``solve_packing`` raises on. Also reports
+    The verdict is the one ``solve_packing`` raises on and keeps as
+    ``sol.certificate``, recomputed from ``sol``'s vectors. Also reports
     complementary-slackness violations: vertices with q above tolerance
     that are strictly over-covered (an optimal classifier gives up on
     over-covered vertices, so both cannot hold at an exact optimum).
     """
     return _certificate(lp.masses, lp.incidence.matrix, sol.q, sol.edge_cover,
-                        sol.singleton_cover, tol)[2]
+                        sol.singleton_cover, tol)

@@ -179,8 +179,7 @@ def random_pair_graph(rng, n, edge_prob):
         if rng.uniform() < edge_prob
     ]
     pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return ConflictHypergraph(np.arange(n), np.full(n, 1.0 / n), None, {2: pairs},
-                              max_degree=2, epsilon=0.0)
+    return ConflictHypergraph(np.arange(n), np.full(n, 1.0 / n), None, {2: pairs}, epsilon=0.0)
 
 
 def test_a6_caro_wei_consistency():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from oracles import oracle_class_only, oracle_max_weight_independent
 
-from optloss import bounds
+from optloss import bounds, hypergraph
 from optloss.bounds import (
     BOUND_CSV_HEADER,
     InstanceTooLargeError,
@@ -378,6 +378,9 @@ def test_caro_wei_indicator_recovers_set_probability():
 def test_caro_wei_zero_weights_vacuous():
     graph = build_conflict_graph(triangle_dataset(), 0.55)
     assert caro_wei_bound(graph, np.zeros(3)) == 1.0
+    # no vertex ever arrives, so there is nothing to round
+    with pytest.raises(ValueError, match="weights must not be all zero"):
+        randomized_independent_set(graph, np.zeros(3))
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
@@ -389,6 +392,31 @@ def test_caro_wei_and_rounding_reject_weights_not_finite_and_nonnegative(bad):
         caro_wei_bound(graph, w)
     with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
         randomized_independent_set(graph, w)
+
+
+def one_class_dataset():
+    return from_arrays([(0.0, 0.0), (1.0, 0.0)], [0, 0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: optimal_loss(triangle_dataset(), 0.5, 0), "m must be >= 1"),
+    (lambda: bound_report(triangle_dataset(), 0.5, m_max=1), "m_max must be >= 2"),
+    (lambda: pairwise_binary_losses(one_class_dataset(), 0.5), "need at least two classes"),
+    (lambda: class_distance_stats(one_class_dataset()), "need at least two classes"),
+    (lambda: PairwiseLossMatrix(np.zeros((2, 3))), "must be square"),
+    (lambda: class_only_bound(PairwiseLossMatrix(np.zeros((3, 3))), [0.5, 0.5]),
+     "priors length must match"),
+    (lambda: class_only_bound(PairwiseLossMatrix(np.zeros((3, 3))), [0.5, 0.5, 0.5]),
+     "priors must sum to 1"),
+    (lambda: caro_wei_bound(build_conflict_graph(triangle_dataset(), 0.55), np.ones(2)),
+     "weights length must match"),
+    (lambda: evaluate_classifier(SoftClassifierTable(**classifier_fields()), np.zeros(3)),
+     r"query dimension \(3,\) does not match data dimension \(2,\)"),
+], ids=["optimal_loss", "bound_report", "pairwise", "class_distance_stats", "square",
+        "priors_length", "priors_sum", "weights_length", "query_dimension"])
+def test_bound_functions_reject_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_bound_report_rejects_negative_caro_wei_weights():
@@ -444,8 +472,8 @@ def dense_rule_graph(rng, n):
     adjacency = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.6), 1)
     pairs = np.argwhere(adjacency).astype(np.int64)  # row-major: sorted rows
     adjacency = adjacency | adjacency.T
-    return ConflictHypergraph(np.arange(n), rng.dirichlet(np.ones(n)), None, {2: pairs},
-                              max_degree=2, epsilon=0.0), adjacency
+    graph = ConflictHypergraph(np.arange(n), rng.dirichlet(np.ones(n)), None, {2: pairs}, 0.0)
+    return graph, adjacency
 
 
 def test_caro_wei_and_rounding_match_dense_adjacency_rule():
@@ -985,7 +1013,7 @@ def test_class_distance_stats_gram_blocks_stay_small(monkeypatch):
     # and d = 50 one call raised peak RSS by 615 MB
     ds = gen_gaussian(per_class=1000, seed=3)
     expected = class_distance_stats(ds)
-    monkeypatch.setattr(bounds, "SWEEP_BLOCK", 64)  # blocks of at most 4096 entries
+    monkeypatch.setattr(hypergraph, "SWEEP_BLOCK", 64)  # blocks of at most 4096 entries
     tracemalloc.start()
     try:
         got = class_distance_stats(ds)

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_data import make_idx_images, make_idx_labels
 
 from optloss import bounds as bd
+from optloss import cli
 from optloss import data as dt
+from optloss import hypergraph as hg
 from optloss.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -103,6 +106,16 @@ def test_bound_caro_wei_weight_sources(tmp_path, capsys, gaussian_file):
     assert code == 0
     doc2 = json.loads((tmp_path / "f" / "bound_eps2.4.json").read_text())
     assert doc2["caro_wei"] == pytest.approx(direct.caro_wei, abs=1e-9)
+
+    weight_file.write_text(json.dumps([1.0] * (ds.num_points - 1)))
+    code, out = run_cli(
+        capsys, "bound", "--data", str(path), "--epsilon", "2.4",
+        "--caro-wei-weights", str(weight_file), "--out", str(tmp_path / "short"),
+    )
+    assert code == 2
+    assert out["error"] == (f"weights file has ({ds.num_points - 1},) entries, "
+                            f"dataset has {ds.num_points}")
+    assert not list(tmp_path.glob("short/*"))
 
 
 def test_bound_sweep_jobs_consistent(tmp_path, capsys, gaussian_file):
@@ -201,6 +214,13 @@ def test_failure_emits_error_json(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in out
+    # a dataset without masses used to print {"error": "'masses'", "type": "KeyError"}
+    data = tmp_path / "massless.json"
+    data.write_text(json.dumps({"points": [[0.0], [1.0]], "labels": [0, 1]}))
+    code, out = run_cli(capsys, "bound", "--data", str(data), "--epsilon", "1.0",
+                        "--out", str(tmp_path))
+    assert code == 2
+    assert out["type"] == "ValueError" and out["error"] == "dataset JSON has no masses field"
 
 
 def test_invalid_max_degree_rejected(tmp_path, capsys, gaussian_file):
@@ -284,19 +304,33 @@ def test_a_class_names_list_of_the_wrong_length_is_rejected_at_load(tmp_path, ca
     assert not list(tmp_path.glob("out/*"))
 
 
-@pytest.mark.parametrize("budgets", [("2.4000001", "2.4000002"), ("2.4", "2.4")])
+@pytest.mark.parametrize("budgets", [("2.4000001", "2.4000002"), ("2.4", "2.4"),
+                                     ("0", "-0.0")])
 def test_bound_rejects_budgets_that_share_a_report_name(tmp_path, capsys, gaussian_file,
                                                         budgets):
     # both budgets used to write one bound_eps2.4.json, listed twice under
-    # "outputs", with one entry in "losses", and exit 0
+    # "outputs", with one entry in "losses", and exit 0; 0 and -0.0 wrote
+    # bound_eps0.json and bound_eps-0.json for one budget
     path, _ = gaussian_file
     code, out = run_cli(
         capsys, "bound", "--data", str(path), "--epsilon", *budgets,
         "--out", str(tmp_path / "out"),
     )
+    first = abs(float(budgets[0]))
     assert code == 2
-    assert "budgets 2.4" in out["error"] and "bound_eps2.4" in out["error"]
+    assert f"budgets {first!r} and" in out["error"] and f"bound_eps{first:g}" in out["error"]
     assert not (tmp_path / "out").exists()
+
+
+def test_bound_names_a_negative_zero_budget_as_zero(tmp_path, capsys, gaussian_file):
+    # -0.0 used to write bound_eps-0.json, with the loss key "-0"
+    path, _ = gaussian_file
+    code, out = run_cli(capsys, "bound", "--data", str(path), "--epsilon", "-0.0",
+                        "--out", str(tmp_path))
+    assert code == 0
+    assert out["outputs"] == [str(tmp_path / "bound_eps0.json")]
+    assert list(out["losses"]) == ["0"]
+    assert json.loads((tmp_path / "bound_eps0.json").read_text())["epsilon"] == 0.0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
@@ -396,3 +430,69 @@ def test_readme_cli_examples_run(tmp_path, capsys):
                 for arg in argv]
         code, out = run_cli(capsys, *argv)
         assert code == 0, (argv, out)
+
+
+def write_idx_pair(tmp_path):
+    """Six 2 x 2 images, two per class of labels 0, 1, 2."""
+    images = np.arange(24).reshape(6, 2, 2) * 10
+    make_idx_images(tmp_path / "imgs", images)
+    make_idx_labels(tmp_path / "labs", [0, 1, 2, 0, 1, 2])
+    return images.reshape(6, -1) / 255.0
+
+
+def test_bound_reads_an_idx_pair(tmp_path, capsys):
+    points = write_idx_pair(tmp_path)
+    code, out = run_cli(
+        capsys, "bound", "--idx-images", str(tmp_path / "imgs"),
+        "--idx-labels", str(tmp_path / "labs"), "--normalize", "divide-255",
+        "--epsilon", "0.2", "--max-degree", "3", "--out", str(tmp_path / "out"),
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "out" / "bound_eps0.2.json").read_text())
+    report = bd.bound_report(dt.from_arrays(points, [0, 1, 2, 0, 1, 2]), 0.2, m_max=3)
+    assert doc["losses"] == {str(m): v for m, v in report.losses.items()}
+    assert doc["edge_counts"] == {str(k): c for k, c in report.edge_counts.items()}
+
+
+@pytest.mark.parametrize("images_only, message", [
+    (True, "--idx-images requires --idx-labels"),
+    (False, "no dataset given: use --data or --idx-images/--idx-labels"),
+])
+def test_bound_refuses_an_incomplete_dataset_choice(tmp_path, capsys, images_only, message):
+    write_idx_pair(tmp_path)
+    flags = ["--idx-images", str(tmp_path / "imgs")] if images_only else []
+    code, out = run_cli(capsys, "bound", *flags, "--epsilon", "0.2",
+                        "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out["error"] == message
+    assert not list(tmp_path.glob("out/*"))
+
+
+def test_progress_goes_to_stderr_and_stdout_stays_one_line(tmp_path, capsys, monkeypatch,
+                                                           gaussian_file):
+    # at eps 2.6, in batches of 50 wedges, the extension reports 27, 59, 98,
+    # 138 and 162 tested candidates; a line is printed once 60 more have been
+    # tested since the last line
+    monkeypatch.setattr(hg, "EXTEND_BATCH", 50)
+    monkeypatch.setattr(cli, "PROGRESS_EVERY", 60)
+    path, _ = gaussian_file
+    assert main(["bound", "--data", str(path), "--epsilon", "2.6", "--max-degree", "3",
+                 "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if line.startswith("eps=")] == [
+        "eps=2.6: 98 candidates tested", "eps=2.6: 162 candidates tested"]
+    assert captured.out.count("\n") == 1
+    assert json.loads(captured.out)["command"] == "bound"
+
+
+def test_a_failed_rename_leaves_no_temporary_file(tmp_path, capsys, monkeypatch,
+                                                  gaussian_file):
+    def refuse(src, dst):
+        raise OSError(f"cannot rename {src}")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    path, _ = gaussian_file
+    code, out = run_cli(capsys, "stats", "--data", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out["type"] == "OSError" and "cannot rename" in out["error"]
+    assert list((tmp_path / "out").iterdir()) == []

@@ -53,6 +53,9 @@ def test_load_csv_normalization_and_provenance(tmp_path):
     assert scaled.points.max() == 1.0
     assert "scale=unit" in scaled.provenance
     assert "divide-255" in scaled.provenance
+    # an unknown normalization is refused before the file is opened
+    with pytest.raises(ValueError, match="unknown normalization 'divide-256'"):
+        load_csv(tmp_path / "missing.csv", normalization="divide-256")
 
 
 def test_load_csv_rejects_bad_files(tmp_path):
@@ -64,6 +67,8 @@ def test_load_csv_rejects_bad_files(tmp_path):
         load_csv(write(tmp_path, "empty.csv", ""))
     with pytest.raises(ValueError):
         load_csv(write(tmp_path, "fraclabel.csv", "0.5,1,2\n"))
+    with pytest.raises(ValueError, match="CSV needs a label column and at least one feature"):
+        load_csv(write(tmp_path, "labels.csv", "0\n1\n"))
 
 
 def test_labels_remapped_to_contiguous_range(tmp_path):
@@ -182,8 +187,13 @@ def test_idx_reader_round_trip(tmp_path):
     assert ds.dimension == 6
     assert np.array_equal(ds.points[0], images[0].reshape(-1).astype(float))
     assert ds.class_names == ["4", "7"]
+    assert ds.provenance == f"idx:{tmp_path / 'imgs'}(normalization=none,scale=raw(max=11))"
     scaled = load_idx(tmp_path / "imgs", tmp_path / "labs", normalization="divide-255")
     assert scaled.points.max() == pytest.approx(11 / 255)
+    assert scaled.provenance == f"idx:{tmp_path / 'imgs'}(normalization=divide-255,scale=unit)"
+    # an unknown normalization is refused before either file is opened
+    with pytest.raises(ValueError, match="unknown normalization 'none '"):
+        load_idx(tmp_path / "missing", tmp_path / "missing", normalization="none ")
 
 
 def test_idx_reader_rejects_garbage(tmp_path):
@@ -191,6 +201,18 @@ def test_idx_reader_rejects_garbage(tmp_path):
     bad.write_bytes(b"\x01\x02\x03\x04")
     with pytest.raises(ValueError):
         load_idx(bad, bad)
+    make_idx_images(tmp_path / "imgs", np.zeros((2, 2, 2)))
+    make_idx_labels(tmp_path / "labs", [0, 1, 1])
+    with pytest.raises(ValueError, match="image and label counts differ"):
+        load_idx(tmp_path / "imgs", tmp_path / "labs")
+    # dtype code 0x07 is not an IDX type
+    bad.write_bytes(bytes([0, 0, 0x07, 1]) + (2).to_bytes(4, "big") + bytes(2))
+    with pytest.raises(ValueError, match="unsupported IDX dtype code 0x07"):
+        load_idx(bad, tmp_path / "labs")
+    # the header promises three labels, the payload holds two
+    bad.write_bytes(bytes([0, 0, 0x08, 1]) + (3).to_bytes(4, "big") + bytes(2))
+    with pytest.raises(ValueError, match="IDX payload size 2 != header says 3"):
+        load_idx(tmp_path / "imgs", bad)
 
 
 def test_dataset_validation():
@@ -200,6 +222,23 @@ def test_dataset_validation():
         from_arrays([(np.inf, 0.0)], [0])
     with pytest.raises(ValueError):
         from_arrays(np.zeros((0, 2)), [])
+    with pytest.raises(ValueError, match="at least one point with at least one feature"):
+        LabeledDataset(np.zeros((2, 0)), [0, 1], [0.5, 0.5])
+    with pytest.raises(ValueError, match="points, labels and masses must agree in length"):
+        LabeledDataset(np.zeros((2, 1)), [0, 1], [1.0])
+    # fewer labels than points used to fail inside the duplicate merge's
+    # np.column_stack, with numpy's concatenation message
+    with pytest.raises(ValueError, match="points, labels and masses must agree in length"):
+        from_arrays([(0.0,), (1.0,), (2.0,)], [0, 1])
+
+
+@pytest.mark.parametrize("field", ["points", "labels", "masses"])
+def test_dataset_json_without_a_field_names_it(field):
+    # a document without "masses" used to raise KeyError: 'masses'
+    doc = json.loads(dataset_doc([0, 1], [0.5, 0.5]))
+    del doc[field]
+    with pytest.raises(ValueError, match=f"dataset JSON has no {field} field"):
+        dataset_from_json(json.dumps(doc))
 
 
 def dataset_doc(labels, masses):

@@ -1,6 +1,6 @@
 """The command line end to end: each command through ``cli.main`` on the files
-it generates, what it writes checked against a brute force, and one
-``python -m optloss`` run for the module entry point."""
+it generates, what it writes checked against a brute force, one
+``python -m optloss`` run for the module entry point, and a run of each demo."""
 
 import contextlib
 import io
@@ -18,6 +18,8 @@ import optloss
 from optloss.cli import main
 from optloss.hypergraph import EXTEND_BATCH, SWEEP_BLOCK
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
 
 def run(*argv) -> dict:
     """``optloss argv`` in process; its stdout JSON, after checking it exits 0."""
@@ -26,6 +28,15 @@ def run(*argv) -> dict:
         code = main([str(arg) for arg in argv])
     assert code == 0, out.getvalue()
     return json.loads(out.getvalue())
+
+
+def run_python(*argv, cwd: Path) -> subprocess.CompletedProcess:
+    """``python -W error argv`` in a subprocess that imports this optloss."""
+    src = str(Path(optloss.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error", *argv], capture_output=True,
+                          text=True, env=env, cwd=cwd, timeout=120)
 
 
 def write_dataset(path: Path, points, labels, masses=None) -> Path:
@@ -214,13 +225,17 @@ def test_module_entry_point_passes_the_exit_status_on(tmp_path):
     # case in process: test_cli's test_bound_rejects_a_dataset_missing_a_class)
     data = write_dataset(tmp_path / "gap.json", [[0.0], [1.0], [2.0]], [0, 2, 2],
                          [0.5, 0.25, 0.25])
-    src = str(Path(optloss.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "optloss", "bound", "--data", str(data),
-         "--epsilon", "0.6", "--out", str(tmp_path / "reports")],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    done = run_python("-m", "optloss", "bound", "--data", str(data),
+                      "--epsilon", "0.6", "--out", str(tmp_path / "reports"), cwd=tmp_path)
     assert done.returncode == 2, done.stderr
     assert "class 1 has none" in json.loads(done.stdout)["error"]
     assert not list(tmp_path.glob("reports/*"))
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.stem)
+def test_each_demo_runs_without_a_warning(demo, tmp_path):
+    # the demos read strategies and witnesses through the public API; a
+    # stray warning on their path fails too
+    done = run_python(str(demo), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

@@ -124,7 +124,6 @@ def test_sweeps_match_double_loops_across_tiles(monkeypatch, k, d):
     assert len(graphs[0].pairs) >= 1
     for block in (3, 5, 7):
         monkeypatch.setattr(hypergraph, "SWEEP_BLOCK", block)
-        monkeypatch.setattr(bounds, "SWEEP_BLOCK", block)
         for eps, graph in zip(budgets, graphs):
             tiled = build_conflict_graph(ds, eps)
             assert np.array_equal(tiled.pairs, graph.pairs)
@@ -610,8 +609,12 @@ def test_graph_json_caps_max_degree_at_the_vertex_count():
 
 
 def test_vertex_graph_cannot_extend_without_pair_edges():
+    graph = vertex_graph(triangle_dataset(), 0.6)
+    assert graph.max_degree == 1
     with pytest.raises(ValueError, match="pair edges"):
-        extend_hyperedges(vertex_graph(triangle_dataset(), 0.6), 3)
+        extend_hyperedges(graph, 3)
+    with pytest.raises(ValueError, match="max degree m must be >= 2"):
+        extend_hyperedges(build_conflict_graph(triangle_dataset(), 0.6), 1)
 
 
 def test_empty_dataset_rejected():

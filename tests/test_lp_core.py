@@ -60,7 +60,7 @@ def test_triangle_of_pair_edges_balanced_masses():
     assert np.allclose(sol.q, 0.5, atol=1e-9)
     # the optimal cover here is unique: 1/6 on every pair edge
     assert np.allclose(sol.edge_cover, 1 / 6, atol=1e-9)
-    assert sol.dual_objective == pytest.approx(0.5, abs=1e-9)
+    assert sol.certificate.dual_objective == pytest.approx(0.5, abs=1e-9)
 
 
 def test_single_triple_edge_balanced_masses():
@@ -88,7 +88,7 @@ def test_no_edges_full_packing():
     assert sol.objective == pytest.approx(1.0)
     assert sol.edge_cover.size == 0
     assert np.allclose(sol.singleton_cover, [0.25, 0.75])
-    assert sol.duality_gap == pytest.approx(0.0, abs=1e-12)
+    assert sol.certificate.duality_gap == pytest.approx(0.0, abs=1e-12)
     assert verify_certificates(lp, sol).ok
 
 
@@ -96,6 +96,7 @@ def test_certificates_clean_solution():
     lp = make_lp([(0, 1), (0, 2), (1, 2)], [1 / 3, 1 / 3, 1 / 3])
     sol = solve_packing(lp)
     report = verify_certificates(lp, sol)
+    assert report == sol.certificate  # the record solve_packing judged it by
     assert report.ok
     assert report.primal_residual <= 1e-8
     assert report.dual_residual <= 1e-8
@@ -160,9 +161,10 @@ def test_strong_duality_on_random_instances():
     for _ in range(25):
         lp = random_lp(rng, n=int(rng.integers(4, 16)))
         sol = solve_packing(lp)
-        assert abs(sol.objective - sol.dual_objective) <= 1e-6 * max(1.0, sol.objective)
-        assert sol.primal_residual <= 1e-8
-        assert sol.dual_residual <= 1e-8
+        cert = sol.certificate
+        assert abs(sol.objective - cert.dual_objective) <= 1e-6 * max(1.0, sol.objective)
+        assert cert.primal_residual <= 1e-8
+        assert cert.dual_residual <= 1e-8
         assert 0.0 < sol.objective <= 1.0 + 1e-12
 
 
@@ -235,6 +237,16 @@ def test_packing_lp_rejects_masses_that_are_not_finite_and_positive(bad):
     lp = make_lp([(0, 1)], [0.5, 0.5])
     with pytest.raises(ValueError, match="masses must be finite and positive"):
         PackingLp(np.array([1.0, bad]), lp.incidence)
+
+
+@pytest.mark.parametrize("masses, message", [
+    (np.full((2, 1), 0.5), "masses must be a vector"),
+    (np.full(3, 1 / 3), "incidence has 2 columns, masses has 3 entries"),
+])
+def test_packing_lp_rejects_masses_that_do_not_fit_the_incidence(masses, message):
+    lp = make_lp([(0, 1)], [0.5, 0.5])
+    with pytest.raises(ValueError, match=message):
+        PackingLp(masses, lp.incidence)
 
 
 def test_tolerances_validation():
