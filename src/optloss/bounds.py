@@ -32,11 +32,13 @@ from scipy.sparse.csgraph import connected_components
 
 from .data import LabeledDataset
 from .hypergraph import (
-    GRAM_SLACK,
+    F32_UNIT,
     REL_TOL,
     ConflictHypergraph,
     _budget,
     _cross_class_pairs,
+    _f32_at_least,
+    _GramScreen,
     _incidence_of,
     build_conflict_graph,
     edge_witness,
@@ -451,10 +453,11 @@ class SoftClassifierTable:
     Construction checks the support: ``points`` a nonempty finite (n, d)
     float array, ``labels`` n integers in 0..num_classes-1, ``q`` n values
     in [0, 1] and ``epsilon`` finite and >= 0; anything else raises a
-    ValueError. It also computes, once, the centred support and its row
-    norms that ``evaluate_classifier`` screens with. The table is frozen
-    and keeps read-only copies of its arrays, so neither a reassigned
-    field nor a write to the caller's arrays can leave that screen stale.
+    ValueError. It also computes, once, the float32 ``_GramScreen`` of the
+    centred support that ``evaluate_classifier`` screens with, and the
+    query-independent part of its bound. The table is frozen and keeps
+    read-only copies of its arrays, so neither a reassigned field nor a
+    write to the caller's arrays can leave that screen stale.
     """
 
     points: np.ndarray
@@ -462,10 +465,15 @@ class SoftClassifierTable:
     num_classes: int
     epsilon: float
     q: np.ndarray
+    _radius: float = field(init=False, repr=False, compare=False)
     _centre: np.ndarray = field(init=False, repr=False, compare=False)
-    _centred: np.ndarray = field(init=False, repr=False, compare=False)
-    _sq: np.ndarray = field(init=False, repr=False, compare=False)
-    _sq_max: float = field(init=False, repr=False, compare=False)
+    _screen: _GramScreen = field(init=False, repr=False, compare=False)
+    # a row passes when its Gram value sq - 2 g + xx is at most the scaled
+    # limit plus slack(top + xx), i.e. when sq - 2 g <= _base - _shrink * xx,
+    # for xx the query's scaled |x|^2; a query with xx >= _reach skips it
+    _base: float = field(init=False, repr=False, compare=False)
+    _shrink: float = field(init=False, repr=False, compare=False)
+    _reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
@@ -480,15 +488,25 @@ class SoftClassifierTable:
         if q.shape != (n,) or not ((q >= 0.0) & (q <= 1.0)).all():
             raise ValueError(f"q must be {n} values in [0, 1]")
         epsilon = _budget(self.epsilon)
+        radius = epsilon * (1.0 + REL_TOL) + 1e-12
         centre = points.mean(axis=0)
-        centred = points - centre
-        sq = np.einsum("ij,ij->i", centred, centred)
-        for array in (points, labels, q):
+        screen = _GramScreen(points, centre)
+        # a row whose float64 norm passes has a scaled squared distance of at
+        # most (radius * scale)^2 times 1 + u, which covers the norm's rounding
+        limit = (radius * screen.scale) * (radius * screen.scale) * (1.0 + F32_UNIT)
+        # below xx = 2^100 no scaled query coordinate overflows float32; from
+        # a scale of 2^-450 on, no such query's squared float64 difference
+        # from a row overflows either
+        usable = screen.rel < math.inf and screen.scale >= 2.0 ** -450
+        reach = 2.0 ** 100 if usable else -math.inf
+        for array in (points, labels, q, screen.rows, screen.sq):
             array.flags.writeable = False
         for name, value in (("points", points), ("labels", labels), ("q", q),
-                            ("epsilon", epsilon), ("_centre", centre),
-                            ("_centred", centred), ("_sq", sq),
-                            ("_sq_max", float(sq.max()))):
+                            ("epsilon", epsilon), ("_radius", radius), ("_centre", centre),
+                            ("_screen", screen),
+                            ("_base", limit + screen.slack(screen.top)),
+                            ("_shrink", 1.0 - screen.rel),
+                            ("_reach", reach)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -513,10 +531,13 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
     classes) only those classes compete for packing values; a class outside
     0..K-1 there raises a ValueError, as does a non-finite query.
 
-    One matrix-vector product in Gram form on the table's centred support
-    screens the rows, with the pair sweep's slack; each screened row is
-    decided by the norm of its coordinate difference from the query, so the
-    answer is the one a full scan of those norms gives.
+    One float32 matrix-vector product in Gram form on the table's
+    ``_GramScreen`` screens the rows, under the same error bound as the pair
+    sweep; each screened row is decided by the float64 norm of its
+    coordinate difference from the query, so the answer is the one a full
+    scan of those norms gives. A query too far out for float32, or a support
+    too wide for the squares of float64, skips the screen: every row is
+    decided by its norm, and one whose square overflows has an infinite norm.
     """
     query = np.asarray(query, dtype=float)
     if query.shape != (table.points.shape[1],):
@@ -525,25 +546,33 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
             f"({table.points.shape[1]},)"
         )
     k = table.num_classes
-    classes = set(range(k))
-    allowed = classes if side_info is None else {int(c) for c in side_info}
-    if not allowed <= classes:
-        raise ValueError(f"side_info names classes outside 0..{k - 1}: "
-                         f"{sorted(allowed - classes)}")
-    radius = table.epsilon * (1.0 + REL_TOL) + 1e-12
+    if side_info is not None:
+        classes, allowed = set(range(k)), {int(c) for c in side_info}
+        if not allowed <= classes:
+            raise ValueError(f"side_info names classes outside 0..{k - 1}: "
+                             f"{sorted(allowed - classes)}")
     x = query - table._centre
-    xx = float(x @ x)
-    # x @ x is finite for every finite query short of overflow
+    # finite for every finite query short of overflow, which vdot does not warn of
+    xx = float(np.vdot(x, x))
     if not math.isfinite(xx) and not np.isfinite(query).all():
         raise ValueError("query must be finite")
-    # the query is not one of the centred points, so its norm joins the slack
-    d2 = table._sq - 2.0 * (table._centred @ x) + xx
-    cand = np.flatnonzero(d2 <= radius * radius + GRAM_SLACK * (table._sq_max + xx))
+    screen = table._screen
+    xx *= screen.scale * screen.scale
+    if xx < table._reach:
+        # the factor 2 of the Gram form rides, exactly, on the query's scale;
+        # with rows below 1 and a query below 2^51, no value here is a NaN
+        g2 = screen.rows @ (x * (2.0 * screen.scale)).astype(np.float32)
+        near = np.flatnonzero(screen.sq - g2 <= table._base - table._shrink * xx)
+        if near.size:
+            near = near[np.linalg.norm(table.points[near] - query, axis=1) <= table._radius]
+    else:
+        with np.errstate(over="ignore"):
+            dist = np.linalg.norm(table.points - query, axis=1)
+        near = np.flatnonzero(dist <= table._radius)
     g = np.zeros(k)
-    if cand.size:
-        near = cand[np.linalg.norm(table.points[cand] - query, axis=1) <= radius]
+    if near.size:
         np.maximum.at(g, table.labels[near], table.q[near])  # q >= 0: empty class gets 0
-    if allowed != classes:
+    if side_info is not None and allowed != classes:
         g[sorted(classes - allowed)] = 0.0
     total = g.sum()
     if total > 1.0:
@@ -559,9 +588,17 @@ def class_distance_stats(dataset: LabeledDataset) -> np.ndarray:
         raise ValueError("need at least two classes")
     # pairs within the slack of their tile's row or column minimum, which is
     # never below a point's overall minimum; each point's minimum is decided
-    # from the coordinate differences of its screened pairs
-    def near(g, slack):
-        return (g <= g.min(axis=1, keepdims=True) + slack) | (g <= g.min(axis=0) + slack)
+    # from the coordinate differences of its screened pairs. The slack is
+    # twice a Gram value's error, as the minimum may be off one way and the
+    # pair the other, plus u of the largest norm for ties among the float64
+    # distances; each bound is rounded up by one float32 step
+    def near(g, screen):
+        slack = _f32_at_least(2.0 * screen.slack(2.0 * screen.top) + F32_UNIT * screen.top)
+        up = np.float32(np.inf)
+        row = np.nextafter(g.min(axis=1, keepdims=True) + slack, up)
+        col = np.nextafter(g.min(axis=0) + slack, up)
+        # a NaN minimum would pass its row or column
+        return ~((g > row) & (g > col))
 
     nearest = np.full(dataset.num_points, np.inf)
     for u, v, d2 in _cross_class_pairs(dataset.points, dataset.labels, near):

@@ -150,17 +150,18 @@ def cmd_gen_gaussian(args) -> int:
 
 
 def cmd_build(args) -> int:
+    eps = hg._budget(args.epsilon[0])
     ds = _load_dataset(args)
     _check_max_degree(args, ds)
-    graph = hg.build_conflict_graph(ds, args.epsilon[0])
+    graph = hg.build_conflict_graph(ds, eps)
     if args.max_degree > 2:
         graph = hg.extend_hyperedges(
             graph, args.max_degree,
-            progress=_progress_printer(f"degree extension eps={args.epsilon[0]}"),
+            progress=_progress_printer(f"degree extension eps={eps}"),
         )
     counts = graph.edge_counts()
     print(f"edge counts by degree: {counts}", file=sys.stderr)
-    out = _out_dir(args) / f"hypergraph_eps{args.epsilon[0]:g}_m{args.max_degree}.json"
+    out = _out_dir(args) / f"hypergraph_eps{eps:g}_m{args.max_degree}.json"
     _write_atomic(out, hg.graph_to_json(graph))
     _emit({"command": "build", "outputs": [str(out)],
            "edge_counts": {str(k): v for k, v in counts.items()}})
@@ -227,9 +228,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_pairwise(args) -> int:
+    eps = hg._budget(args.epsilon[0])
     ds = _load_dataset(args)
     tol = _tolerances(args)
-    eps = args.epsilon[0]
     matrix = bd.pairwise_binary_losses(ds, eps, tol)
     names = matrix.class_names or [str(i) for i in range(matrix.losses.shape[0])]
     doc = {"schema_version": SCHEMA_VERSION, "epsilon": eps,
@@ -244,10 +245,10 @@ def cmd_pairwise(args) -> int:
 
 
 def cmd_strategy(args) -> int:
+    eps = hg._budget(args.epsilon[0])
     ds = _load_dataset(args)
     _check_max_degree(args, ds)
     tol = _tolerances(args)
-    eps = args.epsilon[0]
     loss, sol, graph = bd.optimal_loss(ds, eps, args.max_degree, tol=tol)
     strategy = bd.extract_strategy(sol, graph, tol)
     outdir = _out_dir(args)

@@ -287,6 +287,8 @@ def dataset_to_json(dataset: LabeledDataset) -> str:
 
 def dataset_from_json(text: str) -> LabeledDataset:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"dataset JSON must be an object, got {type(doc).__name__}")
     for key in ("points", "labels", "masses"):
         if key not in doc:
             raise ValueError(f"dataset JSON has no {key} field")

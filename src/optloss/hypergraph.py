@@ -29,14 +29,20 @@ import scipy.sparse as sp
 # relative slack of every closed-ball test: a radius <= eps * (1 + REL_TOL) passes
 REL_TOL = 1e-9
 
-# slack of every Gram-form screen, relative to the largest |x|^2 involved:
-# the Gram form of a squared distance is off by a few ulps of that norm
-GRAM_SLACK = 1e-10
+# unit roundoff of float32, the precision of the Gram screens
+F32_UNIT = 2.0 ** -24
+# the smallest normal float32: a float32 cast, product or sum loses at most
+# this much to underflow, even where subnormals are flushed to zero
+F32_TINY = 2.0 ** -126
+F32_MAX = float(np.finfo(np.float32).max)
+# the smallest float64: a float64 square loses at most this much to underflow
+F64_TINY = 2.0 ** -1074
 
 # points per side of a Gram tile of the cross-class distance sweeps
 SWEEP_BLOCK = 2048
 
-# bytes of coordinate differences per chunk of the exact distance refinement
+# bytes of float64 coordinates per chunk of the exact distance refinement
+# and of the float32 cast of a Gram screen
 REFINE_BYTES = 1 << 20
 
 # bytes of the dense pair-index table that a batch of degree-3 candidates
@@ -168,32 +174,102 @@ def vertex_graph(dataset, epsilon: float) -> ConflictHypergraph:
                               np.asarray(dataset.masses, dtype=float), points, {}, epsilon)
 
 
-def _cross_class_pairs(points: np.ndarray, labels: np.ndarray, screen):
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u) for float32's u; inf once k u >= 1."""
+    ku = k * F32_UNIT
+    return ku / (1.0 - ku) if ku < 1.0 else math.inf
+
+
+def _gram_slack(d: int) -> float:
+    """Relative error bound of a float32 Gram screen value in R^d.
+
+    A ``_GramScreen`` value S of a squared distance |a - b|^2 is within
+    ``_gram_slack(d) * (sq_a + sq_b)``, plus the screen's underflow
+    ``floor``, of the true one. This is the forward-error bound of a dot
+    product (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1): every coordinate product a_k b_k meets at most d + 10
+    roundings of unit u or finer (d in the float32 product; the centring,
+    the two casts, forming S, and reading the norms off the float32 rows),
+    and every square a_k^2 at most 10. inf where the bound fails (d u >= 1).
+    """
+    return _gamma(d + 10) + _gamma(10)
+
+
+def _f32_at_least(x: float) -> np.float32:
+    """The least float32 >= x; inf from the largest finite float32 on."""
+    if not x < F32_MAX:
+        return np.float32(np.inf)
+    y = np.float32(x)
+    return y if float(y) >= x else np.nextafter(y, np.float32(np.inf))
+
+
+class _GramScreen:
+    """Points, less a centre, in float32, for screening squared distances.
+
+    ``rows`` holds each point's offset from the centre times ``scale``, the
+    power of two that puts the largest coordinate below 1: the scaling is
+    exact and no cast can overflow. ``sq`` holds the rows' squared norms,
+    summed in float64, and ``top`` the largest. For a and b two such rows,
+    a float32 Gram form S of |a - b|^2 is within ``slack(sq_a + sq_b)`` of
+    the scaled squared distance; ``slack`` also covers the underflow of a
+    float64 check of that distance. A screen only passes pairs on to the
+    float64 check of their coordinate differences; it decides none.
+    """
+
+    def __init__(self, points: np.ndarray, centre: np.ndarray | None = None):
+        n, d = points.shape
+        if centre is None:
+            top = max(points.max(), -points.min())
+        else:  # rounding is monotone: the largest offset is that of the extremes
+            top = max((points.max(axis=0) - centre).max(), (centre - points.min(axis=0)).max())
+        # top * 2^e lies in [0.5, 1); e <= 1022 keeps twice the scale a float
+        exponent = min(1022, -math.frexp(float(top))[1])
+        self.scale = math.ldexp(1.0, exponent)
+        self.rows = np.empty((n, d), dtype=np.float32)
+        step = max(1, REFINE_BYTES // (8 * d))
+        for r in range(0, n, step):
+            block = points[r:r + step] if centre is None else points[r:r + step] - centre
+            self.rows[r:r + step] = block * self.scale
+        self.sq = np.einsum("ij,ij->i", self.rows, self.rows, dtype=np.float64)
+        self.top = float(self.sq.max())
+        self.rel = _gram_slack(d)
+        # float32 underflow, then twice that of a float64 check in these units
+        self.floor = (32 * (d + 1) * F32_TINY * (1.0 + self.rel)
+                      + 2 * d * F64_TINY * self.scale * self.scale)
+
+    def slack(self, norms: float) -> float:
+        """Bound on the error of a screen value whose two norms sum to at most norms."""
+        return self.rel * norms + self.floor if self.rel < math.inf else math.inf
+
+
+def _cross_class_pairs(points: np.ndarray, labels: np.ndarray, keep):
     """Yield (u, v, d2) over the cross-class pairs that pass a Gram screen.
 
     The centred points are ordered by class, stably; each class's rows meet
     the columns of all later classes in ``SWEEP_BLOCK`` x ``SWEEP_BLOCK``
-    tiles, so each cross-class pair is met once. A tile's Gram form g of the
-    squared distances is off by a few ulps of |p|^2, all of a short distance;
-    ``screen(g, slack)`` gets a slack covering that and masks the pairs kept,
-    whose ids u < v and d2 from coordinate differences follow, ``REFINE_BYTES``
-    of differences at a time. Centring keeps g free of cancellation far from 0.
+    tiles, so each cross-class pair is met once. A tile holds the float32
+    Gram form g of the squared distances of a ``_GramScreen`` of the points;
+    ``keep(g, screen)`` masks the pairs passed on, whose ids u < v and d2
+    from float64 coordinate differences follow, ``REFINE_BYTES`` of
+    differences at a time. Centring keeps g free of cancellation far from 0.
     """
     order = np.argsort(labels, kind="stable")
-    points = (points - points.mean(axis=0))[order]
-    sq = np.einsum("ij,ij->i", points, points)
-    slack = GRAM_SLACK * sq.max()
+    centre = points.mean(axis=0)
+    points = points[order]
+    points -= centre
+    screen = _GramScreen(points)
+    rows, sq = screen.rows, screen.sq.astype(np.float32)
     step = max(1, REFINE_BYTES // points[0].nbytes)
     ends = np.cumsum(np.bincount(labels))
     for a0, a1 in zip([0, *ends[:-1]], ends):
         for i0 in range(a0, a1, SWEEP_BLOCK):
             i1 = min(i0 + SWEEP_BLOCK, a1)
             for j0 in range(a1, len(points), SWEEP_BLOCK):
-                g = points[i0:i1] @ points[j0:j0 + SWEEP_BLOCK].T
+                g = rows[i0:i1] @ rows[j0:j0 + SWEEP_BLOCK].T
                 g *= -2.0
                 g += sq[i0:i1, None]
                 g += sq[None, j0:j0 + SWEEP_BLOCK]
-                ii, jj = np.nonzero(screen(g, slack))
+                ii, jj = np.nonzero(keep(g, screen))
                 ii, jj = ii + i0, jj + j0
                 for s in range(0, len(ii), step):
                     diff = points[ii[s:s + step]] - points[jj[s:s + step]]
@@ -206,14 +282,27 @@ def build_conflict_graph(dataset, epsilon: float) -> ConflictHypergraph:
 
     With the points ordered by class, ``_cross_class_pairs`` sweeps each
     class's strip of later-class columns in ``SWEEP_BLOCK`` x ``SWEEP_BLOCK``
-    Gram tiles, with no spatial index; each pair the Gram form screens in,
-    with a slack, is decided, and its radius taken, from coordinate differences.
+    float32 Gram tiles, with no spatial index. A pair passes the screen
+    unless its Gram value exceeds the scaled threshold by more than the
+    screen's error bound; it is then decided, and its radius taken, from
+    float64 coordinate differences.
     """
     graph = vertex_graph(dataset, epsilon)
-    threshold = (2.0 * graph.epsilon * (1.0 + REL_TOL)) ** 2
+    try:
+        threshold = (2.0 * graph.epsilon * (1.0 + REL_TOL)) ** 2
+    except OverflowError:  # a float64 d2 of inf passes too
+        threshold = math.inf
+
+    def keep(g, screen):
+        # a pair whose float64 d2 passes has a scaled squared distance of
+        # at most the scaled threshold times 1 + u, which covers d2's rounding
+        bound = (threshold * screen.scale * screen.scale * (1.0 + F32_UNIT)
+                 + screen.slack(2.0 * screen.top))
+        # a NaN would pass; no Gram value of rows below 1 is one
+        return ~(g > _f32_at_least(bound))
+
     found, found_d2 = [np.zeros((0, 2), dtype=np.int64)], [np.zeros(0)]
-    for u, v, d2 in _cross_class_pairs(graph.points, graph.labels,
-                                       lambda g, slack: g <= threshold + slack):
+    for u, v, d2 in _cross_class_pairs(graph.points, graph.labels, keep):
         close = d2 <= threshold
         found.append(np.column_stack([u[close], v[close]]))
         found_d2.append(d2[close])
@@ -234,19 +323,24 @@ def circumradius_batch(d2_stack: np.ndarray):
     ``1 / sqrt(2 * 1^T D^-1 1)``. Returns (radii, alphas, ok) where ``ok[i]``
     is False for matrices the formula could not certify (singular,
     ill-conditioned, or no real circumsphere); those entries hold NaN. The
-    stack takes one ``solve``, with the identity in place of each matrix that
-    a ``slogdet`` sign of 0 marks singular (coincident points); ``slogdet``
-    factors every matrix a second time.
+    stack takes one ``solve``. Only when that raises, because some matrix
+    is singular (coincident points), does ``slogdet`` find those matrices by
+    the same LU's zero pivot, and a second ``solve`` runs with the identity
+    in their place.
     """
     d2_stack = np.asarray(d2_stack, dtype=float)
     batch, k, _ = d2_stack.shape
     radii = np.full(batch, np.nan)
     alphas = np.full((batch, k), np.nan)
     ok = np.zeros(batch, dtype=bool)
-    singular = np.linalg.slogdet(d2_stack)[0] == 0
-    x = np.linalg.solve(np.where(singular[:, None, None], np.eye(k), d2_stack),
-                        np.ones((batch, k, 1)))[..., 0]
-    x[singular] = np.nan
+    ones = np.ones((batch, k, 1))
+    try:
+        x = np.linalg.solve(d2_stack, ones)[..., 0]
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(d2_stack)[0] == 0
+        x = np.linalg.solve(np.where(singular[:, None, None], np.eye(k), d2_stack),
+                            ones)[..., 0]
+        x[singular] = np.nan
     # a residual screen stands in for an explicit (expensive) condition number
     resid = np.abs(np.einsum("bij,bj->bi", d2_stack, x) - 1.0).max(axis=1)
     scale = 1.0 + np.abs(d2_stack).max(axis=(1, 2))

@@ -333,6 +333,25 @@ def test_bound_names_a_negative_zero_budget_as_zero(tmp_path, capsys, gaussian_f
     assert json.loads((tmp_path / "bound_eps0.json").read_text())["epsilon"] == 0.0
 
 
+def test_single_budget_commands_name_a_negative_zero_budget_as_zero(tmp_path, capsys,
+                                                                   gaussian_file):
+    # build, pairwise and strategy used to name their files from the raw
+    # budget: hypergraph_eps-0_m2.json, pairwise_eps-0.json and so on
+    path, _ = gaussian_file
+    common = ("--data", str(path), "--epsilon", "-0.0", "--out", str(tmp_path))
+    for command, extra in (("build", ("--max-degree", "2")),
+                           ("pairwise", ("--format", "both")),
+                           ("strategy", ("--max-degree", "2"))):
+        code, _ = run_cli(capsys, command, *common, *extra)
+        assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "classifier_eps0_m2.json", "g.json", "hypergraph_eps0_m2.json", "pairwise_eps0.csv",
+        "pairwise_eps0.json", "strategy_eps0_m2.json"]
+    for name in ("pairwise_eps0.json", "classifier_eps0_m2.json"):
+        epsilon = json.loads((tmp_path / name).read_text())["epsilon"]
+        assert epsilon == 0.0 and str(epsilon) == "0.0"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
 def test_bound_rejects_non_finite_caro_wei_weights(tmp_path, capsys, gaussian_file, bad):
     # a NaN weight used to write "caro_wei": NaN into a certified report,

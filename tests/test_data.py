@@ -241,6 +241,14 @@ def test_dataset_json_without_a_field_names_it(field):
         dataset_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text, kind", [("5", "int"), ("null", "NoneType"),
+                                         ('"x"', "str"), ("[]", "list")])
+def test_dataset_json_that_is_not_an_object_names_its_type(text, kind):
+    # these used to raise TypeError from inside the field checks
+    with pytest.raises(ValueError, match=f"dataset JSON must be an object, got {kind}"):
+        dataset_from_json(text)
+
+
 def dataset_doc(labels, masses):
     return json.dumps({"points": [[float(i)] for i in range(len(labels))],
                        "labels": labels, "masses": masses})

@@ -108,13 +108,56 @@ def test_circumradius_batch_solves_a_stack_with_a_singular_item_at_once(monkeypa
 
     monkeypatch.setattr(np.linalg, "solve", counting)
     radii, alphas, ok = circumradius_batch(stack)
-    assert calls == [(30, 4, 4)]
+    # the first solve raises on the singular matrix; the second has the
+    # identity in its place
+    assert calls == [(30, 4, 4)] * 2
     assert ok.tolist() == [i != 17 for i in range(30)]
     assert np.isnan(radii[17]) and np.isnan(alphas[17]).all()
     for i in np.flatnonzero(ok):
         # bit for bit what solving the matrix alone gives
         assert radii[i] == np.sqrt(0.5 / expected[i].sum())
         assert (alphas[i] == expected[i] / expected[i].sum()).all()
+
+
+def slogdet_then_solve(stack):
+    """The stack's solutions as found by marking every singular matrix with
+    ``slogdet`` first: NaN rows there, the batched solve elsewhere."""
+    singular = np.linalg.slogdet(stack)[0] == 0
+    k = stack.shape[1]
+    x = np.linalg.solve(np.where(singular[:, None, None], np.eye(k), stack),
+                        np.ones((len(stack), k, 1)))[..., 0]
+    x[singular] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("coincident", [(), (0,), (3, 4, 11), tuple(range(16))])
+def test_circumradius_batch_factors_a_regular_stack_once(monkeypatch, coincident):
+    # slogdet factored every matrix a second time; it now runs only when the
+    # solve raises, and marks the same matrices singular
+    rng = np.random.default_rng(len(coincident))
+    points = rng.normal(size=(16, 4, 3))
+    points[list(coincident), 3] = points[list(coincident), 1]
+    stack = np.array([d2(pts) for pts in points])
+    # a coincident pair makes two equal rows, but rounding can leave the LU
+    # without an exact zero pivot
+    singular = np.linalg.slogdet(stack)[0] == 0
+    assert singular.any() == bool(coincident)
+    x = slogdet_then_solve(stack)
+    denom = x.sum(axis=1)
+    calls = []
+    slogdet = np.linalg.slogdet
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return slogdet(*args)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counting)
+    radii, alphas, ok = circumradius_batch(stack)
+    assert calls == ([(16, 4, 4)] if coincident else [])
+    assert not ok[singular].any() and ok.sum() >= 16 - len(coincident)
+    assert np.isnan(radii[~ok]).all() and np.isnan(alphas[~ok]).all()
+    assert radii[ok].tobytes() == np.sqrt(0.5 / denom[ok]).tobytes()
+    assert alphas[ok].tobytes() == (x[ok] / denom[ok, None]).tobytes()
 
 
 def witness_ball(points):
