@@ -38,8 +38,10 @@ from .hypergraph import (
     _budget,
     _cross_class_pairs,
     _f32_at_least,
+    _gram_screen,
     _GramScreen,
     _incidence_of,
+    _unit_scale,
     build_conflict_graph,
     edge_witness,
     extend_hyperedges,
@@ -453,11 +455,14 @@ class SoftClassifierTable:
     Construction checks the support: ``points`` a nonempty finite (n, d)
     float array, ``labels`` n integers in 0..num_classes-1, ``q`` n values
     in [0, 1] and ``epsilon`` finite and >= 0; anything else raises a
-    ValueError. It also computes, once, the float32 ``_GramScreen`` of the
-    centred support that ``evaluate_classifier`` screens with, and the
-    query-independent part of its bound. The table is frozen and keeps
-    read-only copies of its arrays, so neither a reassigned field nor a
-    write to the caller's arrays can leave that screen stale.
+    ValueError. It also builds, once, a (K, n) table of each class's q,
+    zero off the class, that ``evaluate_classifier`` takes the largest of.
+    A support of ``SCREEN_MIN_SIZE`` coordinates (n d) or more also gets
+    the float32 ``_GramScreen`` of the centred support that
+    ``evaluate_classifier`` screens with, and the query-independent part of
+    its bound; a smaller one is scanned directly. The table is frozen and
+    keeps read-only copies of its arrays, so neither a reassigned field nor
+    a write to the caller's arrays can leave that state stale.
     """
 
     points: np.ndarray
@@ -466,11 +471,14 @@ class SoftClassifierTable:
     epsilon: float
     q: np.ndarray
     _radius: float = field(init=False, repr=False, compare=False)
+    _class_q: np.ndarray = field(init=False, repr=False, compare=False)
     _centre: np.ndarray = field(init=False, repr=False, compare=False)
-    _screen: _GramScreen = field(init=False, repr=False, compare=False)
-    # a row passes when its Gram value sq - 2 g + xx is at most the scaled
-    # limit plus slack(top + xx), i.e. when sq - 2 g <= _base - _shrink * xx,
-    # for xx the query's scaled |x|^2; a query with xx >= _reach skips it
+    _screen: _GramScreen | None = field(init=False, repr=False, compare=False)
+    # a screened row passes when its Gram value sq - 2 g + xx is at most the
+    # scaled limit plus slack(top + xx), i.e. when sq - 2 g <= _base - _shrink * xx,
+    # for xx the query's |x|^2 times _scale^2; a query with xx >= _reach
+    # skips the screen, and its squared differences may overflow
+    _scale: float = field(init=False, repr=False, compare=False)
     _base: float = field(init=False, repr=False, compare=False)
     _shrink: float = field(init=False, repr=False, compare=False)
     _reach: float = field(init=False, repr=False, compare=False)
@@ -478,7 +486,7 @@ class SoftClassifierTable:
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
         labels = np.array(self.labels)
-        q = np.array(self.q, dtype=float)
+        q = np.array(self.q, dtype=float) + 0.0  # a -0.0 (HiGHS writes some) becomes 0.0
         if points.ndim != 2 or not len(points) or not np.isfinite(points).all():
             raise ValueError("points must be a nonempty finite (n, d) array")
         n = len(points)
@@ -489,29 +497,34 @@ class SoftClassifierTable:
             raise ValueError(f"q must be {n} values in [0, 1]")
         epsilon = _budget(self.epsilon)
         radius = epsilon * (1.0 + REL_TOL) + 1e-12
+        class_q = np.zeros((self.num_classes, n))
+        class_q[labels, np.arange(n)] = q
         centre = points.mean(axis=0)
-        screen = _GramScreen(points, centre)
-        # a row whose float64 norm passes has a scaled squared distance of at
-        # most (radius * scale)^2 times 1 + u, which covers the norm's rounding
-        limit = (radius * screen.scale) * (radius * screen.scale) * (1.0 + F32_UNIT)
+        screen = _gram_screen(points, centre)
+        scale = _unit_scale(points, centre) if screen is None else screen.scale
+        base = shrink = math.nan  # no screen, no bound
+        if screen is not None:
+            # a row whose float64 distance passes has a scaled squared distance
+            # of at most (radius * scale)^2 times 1 + u, which covers its rounding
+            limit = (radius * scale) * (radius * scale) * (1.0 + F32_UNIT)
+            base, shrink = limit + screen.slack(screen.top), 1.0 - screen.rel
+            screen.rows.flags.writeable = screen.sq.flags.writeable = False
         # below xx = 2^100 no scaled query coordinate overflows float32; from
         # a scale of 2^-450 on, no such query's squared float64 difference
         # from a row overflows either
-        usable = screen.rel < math.inf and screen.scale >= 2.0 ** -450
-        reach = 2.0 ** 100 if usable else -math.inf
-        for array in (points, labels, q, screen.rows, screen.sq):
+        reach = 2.0 ** 100 if scale >= 2.0 ** -450 else -math.inf
+        for array in (points, labels, q, class_q):
             array.flags.writeable = False
         for name, value in (("points", points), ("labels", labels), ("q", q),
-                            ("epsilon", epsilon), ("_radius", radius), ("_centre", centre),
-                            ("_screen", screen),
-                            ("_base", limit + screen.slack(screen.top)),
-                            ("_shrink", 1.0 - screen.rel),
-                            ("_reach", reach)):
+                            ("epsilon", epsilon), ("_radius", radius), ("_class_q", class_q),
+                            ("_centre", centre), ("_screen", screen), ("_scale", scale),
+                            ("_base", base), ("_shrink", shrink), ("_reach", reach)):
             object.__setattr__(self, name, value)
 
     @classmethod
     def from_solution(cls, dataset: LabeledDataset, epsilon: float,
                       sol: LpSolution) -> "SoftClassifierTable":
+        """The table of a solve's q, clipped to [0, 1] (HiGHS may leave it an ulp out)."""
         return cls(
             points=dataset.points,
             labels=dataset.labels,
@@ -519,6 +532,11 @@ class SoftClassifierTable:
             epsilon=float(epsilon),
             q=np.clip(sol.q, 0.0, 1.0),
         )
+
+
+def _norms(diff: np.ndarray) -> np.ndarray:
+    """The float64 norms of the rows of diff, as ``np.linalg.norm`` rounds them."""
+    return np.sqrt(np.add.reduce(diff * diff, axis=1))
 
 
 def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np.ndarray:
@@ -531,13 +549,14 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
     classes) only those classes compete for packing values; a class outside
     0..K-1 there raises a ValueError, as does a non-finite query.
 
-    One float32 matrix-vector product in Gram form on the table's
-    ``_GramScreen`` screens the rows, under the same error bound as the pair
-    sweep; each screened row is decided by the float64 norm of its
-    coordinate difference from the query, so the answer is the one a full
-    scan of those norms gives. A query too far out for float32, or a support
-    too wide for the squares of float64, skips the screen: every row is
-    decided by its norm, and one whose square overflows has an infinite norm.
+    Each row is decided by the float64 norm of its coordinate difference
+    from the query, and one whose square overflows has an infinite norm. A
+    table below ``SCREEN_MIN_SIZE`` coordinates decides every row so. On a
+    larger one, one float32 matrix-vector product in Gram form on the
+    table's ``_GramScreen`` first screens the rows, under the same error
+    bound as the pair sweep, so the answer is the one a full scan gives; a
+    query too far out for float32, or a support too wide for the squares of
+    float64, skips the screen.
     """
     query = np.asarray(query, dtype=float)
     if query.shape != (table.points.shape[1],):
@@ -553,25 +572,26 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
                              f"{sorted(allowed - classes)}")
     x = query - table._centre
     # finite for every finite query short of overflow, which vdot does not warn of
-    xx = float(np.vdot(x, x))
+    xx = float(np.vdot(x, x)) * (table._scale * table._scale)
     if not math.isfinite(xx) and not np.isfinite(query).all():
         raise ValueError("query must be finite")
     screen = table._screen
-    xx *= screen.scale * screen.scale
-    if xx < table._reach:
+    if screen is not None and xx < table._reach:
         # the factor 2 of the Gram form rides, exactly, on the query's scale;
         # with rows below 1 and a query below 2^51, no value here is a NaN
         g2 = screen.rows @ (x * (2.0 * screen.scale)).astype(np.float32)
         near = np.flatnonzero(screen.sq - g2 <= table._base - table._shrink * xx)
+        g = np.zeros(k)
         if near.size:
-            near = near[np.linalg.norm(table.points[near] - query, axis=1) <= table._radius]
+            near = near[_norms(table.points[near] - query) <= table._radius]
+            np.maximum.at(g, table.labels[near], table.q[near])  # q >= 0: empty class gets 0
     else:
-        with np.errstate(over="ignore"):
-            dist = np.linalg.norm(table.points - query, axis=1)
-        near = np.flatnonzero(dist <= table._radius)
-    g = np.zeros(k)
-    if near.size:
-        np.maximum.at(g, table.labels[near], table.q[near])  # q >= 0: empty class gets 0
+        if xx < table._reach:
+            dist = _norms(table.points - query)
+        else:  # a square that overflows is inf, and its row out of reach
+            with np.errstate(over="ignore"):
+                dist = _norms(table.points - query)
+        g = np.maximum.reduce(table._class_q, axis=1, where=dist <= table._radius, initial=0.0)
     if side_info is not None and allowed != classes:
         g[sorted(classes - allowed)] = 0.0
     total = g.sum()
@@ -591,9 +611,11 @@ def class_distance_stats(dataset: LabeledDataset) -> np.ndarray:
     # from the coordinate differences of its screened pairs. The slack is
     # twice a Gram value's error, as the minimum may be off one way and the
     # pair the other, plus u of the largest norm for ties among the float64
-    # distances; each bound is rounded up by one float32 step
+    # distances; each bound is rounded up by one float32 step. A direct
+    # tile holds the float64 distances themselves, and its slack is 0
     def near(g, screen):
-        slack = _f32_at_least(2.0 * screen.slack(2.0 * screen.top) + F32_UNIT * screen.top)
+        slack = (0.0 if screen is None else
+                 _f32_at_least(2.0 * screen.slack(2.0 * screen.top) + F32_UNIT * screen.top))
         up = np.float32(np.inf)
         row = np.nextafter(g.min(axis=1, keepdims=True) + slack, up)
         col = np.nextafter(g.min(axis=0) + slack, up)

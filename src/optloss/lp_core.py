@@ -332,7 +332,8 @@ def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
         _run_to_optimum(highs)
 
     solution = highs.getSolution()
-    at_upper = np.asarray(highs.getBasis().col_status) == highspy.HighsBasisStatus.kUpper
+    at_upper = (np.fromiter(map(int, highs.getBasis().col_status), dtype=np.int64, count=n)
+                == int(highspy.HighsBasisStatus.kUpper))
     z = np.maximum(-np.asarray(solution.row_dual), 0.0)
     y = np.maximum(-np.where(at_upper, solution.col_dual, 0.0), 0.0)
     return np.asarray(solution.col_value), z, y

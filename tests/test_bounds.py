@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import sys
 import time
 import tracemalloc
@@ -833,6 +834,16 @@ def full_scan_classifier(table, query, side_info=None):
     return g / total if total > 1.0 else g + (1.0 - total) / k
 
 
+def each_side(monkeypatch, points):
+    """Patch ``SCREEN_MIN_SIZE`` to 0, then to inf, and yield whether the
+    points then get a Gram screen: True, then False."""
+    for size in (0, math.inf):
+        monkeypatch.setattr(hypergraph, "SCREEN_MIN_SIZE", size)
+        screened = hypergraph._gram_screen(points) is not None
+        assert screened == (size == 0)
+        yield screened
+
+
 def boundary_queries(rng, points, rows, radius):
     """Queries radius * (1 + j ulp) away from support points, j = -4..4, and 1e6 away."""
     axis = np.eye(1, points.shape[1])[0]
@@ -871,27 +882,33 @@ def test_classifier_screen_matches_full_scan(d, shift, spread, monkeypatch):
     queries += list(pts[:4] + rng.normal(size=(4, d)) * radius)
     if shift == 0.0:
         assert any((np.linalg.norm(pts - x, axis=1) == radius).any() for x in queries)
-    table = SoftClassifierTable(pts, labels, 3, eps, rng.uniform(0.0, 1.0, size=n))
-    norm_calls = []
-    norm = np.linalg.norm
+    q = rng.uniform(0.0, 1.0, size=n)
+    checked = []  # rows per call of the float64 norms of coordinate differences
+    norms = bounds._norms
 
-    def counting_norm(*args, **kwargs):
-        norm_calls.append(args)
-        return norm(*args, **kwargs)
+    def counting_norms(diff):
+        checked.append(len(diff))
+        return norms(diff)
 
-    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(bounds, "_norms", counting_norms)
     far_queries = 0
-    for query in queries:
-        far = norm(pts - query, axis=1).min() > 1e5
-        far_queries += far
-        for side in (None, {0}, {0, 1}, {1, 2}):
-            want = full_scan_classifier(table, query, side)
-            norm_calls.clear()
-            got = evaluate_classifier(table, query, side_info=side)
-            assert np.array_equal(got, want)
-            # the screen passes no row 1e6 away, so no coordinate difference is taken
-            assert not (far and norm_calls)
-    assert far_queries == len(rows)
+    for screened in each_side(monkeypatch, pts):
+        table = SoftClassifierTable(pts, labels, 3, eps, q)
+        assert (table._screen is not None) == screened
+        for query in queries:
+            far = np.linalg.norm(pts - query, axis=1).min() > 1e5
+            far_queries += far
+            for side in (None, {0}, {0, 1}, {1, 2}):
+                want = full_scan_classifier(table, query, side)
+                checked.clear()
+                got = evaluate_classifier(table, query, side_info=side)
+                assert np.array_equal(got, want)
+                if screened:
+                    # the screen passes no row 1e6 away, so no coordinate difference is taken
+                    assert not (far and checked)
+                else:
+                    assert checked == [n]
+    assert far_queries == 2 * len(rows)
 
 
 def classifier_fields():
@@ -929,6 +946,19 @@ def test_classifier_rejects_non_finite_query(bad):
     table = SoftClassifierTable(**classifier_fields())
     with pytest.raises(ValueError, match="finite"):
         evaluate_classifier(table, np.array([0.5, bad]))
+
+
+def test_classifier_outputs_no_negative_zero(monkeypatch):
+    # HiGHS writes some zeros of q as -0.0; the table stores them as 0.0, so
+    # a class whose only near row has q = -0.0 reads 0.0, also where the
+    # other classes' values are normalized (their sum 1.2 exceeds 1)
+    fields = classifier_fields()
+    fields["q"] = np.array([0.6, -0.0, 0.6])
+    for _ in each_side(monkeypatch, fields["points"]):
+        table = SoftClassifierTable(**fields)
+        assert not np.signbit(table.q).any()
+        out = evaluate_classifier(table, np.array([0.5, 0.25]))
+        assert out.tolist() == [0.5, 0.0, 0.5] and not np.signbit(out).any()
 
 
 def test_classifier_table_is_frozen():

@@ -187,6 +187,22 @@ def test_strategy_outputs(tmp_path, capsys, gaussian_file):
     assert np.allclose(qdoc["q"], sol.q, atol=1e-9)
 
 
+def test_strategy_classifier_document_rebuilds_its_table(tmp_path, capsys):
+    # HiGHS leaves a q of this instance at 1.0000000000000004; the document
+    # holds the q the classifier evaluates with, which a table accepts
+    ds = dt.gen_gaussian(num_classes=3, per_class=8, seed=10)
+    path = tmp_path / "g.json"
+    path.write_text(dt.dataset_to_json(ds))
+    loss, sol, graph = bd.optimal_loss(ds, 3.0, 3)
+    assert sol.q.max() > 1.0
+    code, out = run_cli(capsys, "strategy", "--data", str(path), "--epsilon", "3",
+                        "--max-degree", "3", "--out", str(tmp_path))
+    assert code == 0
+    doc = json.loads((tmp_path / "classifier_eps3_m3.json").read_text())
+    table = bd.SoftClassifierTable(ds.points, ds.labels, ds.num_classes, doc["epsilon"], doc["q"])
+    assert table.q.tobytes() == bd.SoftClassifierTable.from_solution(ds, 3.0, sol).q.tobytes()
+
+
 def test_stats_outputs(tmp_path, capsys, gaussian_file):
     path, ds = gaussian_file
     code, out = run_cli(

@@ -1,18 +1,19 @@
-"""The float32 Gram screen against brute force.
+"""The float32 Gram screen, and the direct scan below it, against brute force.
 
 The pair sweep, ``class_distance_stats`` and the classifier screen squared
-distances in float32 and decide in float64. Each must give exactly what an
-O(n^2) scan of the float64 coordinate differences gives. The layouts put
-pairs at 2 eps (1 +- 1e-7) and queries at eps (1 +- 1e-7) far from the
-centroid, where the float32 Gram error dwarfs eps^2, and are then shifted
-and scaled.
+distances in float32 and decide in float64; below ``SCREEN_MIN_SIZE``
+coordinates they decide every pair or row in float64. Each must give, on
+both sides of the constant, exactly what an O(n^2) scan of the float64
+coordinate differences gives. The layouts put pairs at 2 eps (1 +- 1e-7)
+and queries at eps (1 +- 1e-7) far from the centroid, where the float32
+Gram error dwarfs eps^2, and are then shifted and scaled.
 """
 
 import math
 
 import numpy as np
 import pytest
-from test_bounds import full_scan_classifier
+from test_bounds import each_side, full_scan_classifier
 
 from optloss.bounds import SoftClassifierTable, class_distance_stats, evaluate_classifier
 from optloss.data import from_arrays
@@ -83,7 +84,7 @@ offsets = pytest.mark.parametrize("offset", [0.0, 1e6])
 @cases
 @scales
 @offsets
-def test_pair_sweep_matches_a_scan(d, scale, offset):
+def test_pair_sweep_matches_a_scan(d, scale, offset, monkeypatch):
     ds, eps, inside, outside = placed(d, scale, offset)
     i, j, d2 = scan_pairs(ds)
     try:
@@ -91,18 +92,19 @@ def test_pair_sweep_matches_a_scan(d, scale, offset):
     except OverflowError:
         threshold = math.inf
     edge = d2 <= threshold
-    graph = build_conflict_graph(ds, eps)
-    assert graph.edge_list() == list(zip(i[edge].tolist(), j[edge].tolist()))
-    assert graph.radii[2].tobytes() == (0.5 * np.sqrt(d2[edge])).tobytes()
-    if math.isfinite(threshold):
-        found = set(graph.edge_list())
-        assert found >= set(inside) and not found & set(outside)
+    for _ in each_side(monkeypatch, ds.points):
+        graph = build_conflict_graph(ds, eps)
+        assert graph.edge_list() == list(zip(i[edge].tolist(), j[edge].tolist()))
+        assert graph.radii[2].tobytes() == (0.5 * np.sqrt(d2[edge])).tobytes()
+        if math.isfinite(threshold):
+            found = set(graph.edge_list())
+            assert found >= set(inside) and not found & set(outside)
 
 
 @cases
 @scales
 @offsets
-def test_class_distance_stats_match_a_scan(d, scale, offset):
+def test_class_distance_stats_match_a_scan(d, scale, offset, monkeypatch):
     ds, _, _, _ = placed(d, scale, offset)
     i, j, d2 = scan_pairs(ds)
     nearest = np.full(ds.num_points, np.inf)
@@ -110,38 +112,44 @@ def test_class_distance_stats_match_a_scan(d, scale, offset):
     np.minimum.at(nearest, j, d2)
     nearest = np.sqrt(nearest)
     expected = np.array([nearest[ds.labels == c].mean() for c in range(3)])
-    assert class_distance_stats(ds).tobytes() == expected.tobytes()
+    for _ in each_side(monkeypatch, ds.points):
+        assert class_distance_stats(ds).tobytes() == expected.tobytes()
 
 
 @cases
 @scales
 @offsets
-def test_classifier_matches_a_scan(d, scale, offset):
+def test_classifier_matches_a_scan(d, scale, offset, monkeypatch):
     rng = np.random.default_rng(d)
     points, labels, _, _ = boundary_layout(rng, d)
     queries = [points[v] + (1.0 + side * BOUNDARY) * unit(rng, d)
                for side in (-1, 1) for v in rng.choice(len(points) - BULK, 6) + BULK]
     queries += list(rng.normal(size=(4, d)))
-    table = SoftClassifierTable((points + offset) * scale, labels, 3, scale,
-                                rng.uniform(0.0, 1.0, size=len(points)))
-    for query in queries:
-        query = (query + offset) * scale
-        with np.errstate(over="ignore"):
-            want = full_scan_classifier(table, query)
-        assert np.array_equal(evaluate_classifier(table, query), want)
+    q = rng.uniform(0.0, 1.0, size=len(points))
+    for screened in each_side(monkeypatch, points):
+        table = SoftClassifierTable((points + offset) * scale, labels, 3, scale, q)
+        assert (table._screen is not None) == screened
+        for query in queries:
+            query = (query + offset) * scale
+            with np.errstate(over="ignore"):
+                want = full_scan_classifier(table, query)
+            assert np.array_equal(evaluate_classifier(table, query), want)
 
 
 @cases
-def test_classifier_query_at_the_edge_of_float64(d):
+def test_classifier_query_at_the_edge_of_float64(d, monkeypatch):
     rng = np.random.default_rng(d)
     points, labels, _, _ = boundary_layout(rng, d)
-    table = SoftClassifierTable(points, labels, 3, 1e300, rng.uniform(0.0, 1.0, len(points)))
+    q = rng.uniform(0.0, 1.0, len(points))
     far = np.zeros(d)
     far[0] = 1e300
-    for query in (far, -far, np.zeros(d), points[-1]):
-        with np.errstate(over="ignore"):
-            want = full_scan_classifier(table, query)
-        assert np.array_equal(evaluate_classifier(table, query), want)
+    for screened in each_side(monkeypatch, points):
+        table = SoftClassifierTable(points, labels, 3, 1e300, q)
+        assert (table._screen is not None) == screened
+        for query in (far, -far, np.zeros(d), points[-1]):
+            with np.errstate(over="ignore"):
+                want = full_scan_classifier(table, query)
+            assert np.array_equal(evaluate_classifier(table, query), want)
 
 
 def gamma(k):
