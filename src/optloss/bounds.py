@@ -38,7 +38,7 @@ from .hypergraph import (
     _budget,
     _cross_class_pairs,
     _f32_at_least,
-    _gram_screen,
+    _gram_slack,
     _GramScreen,
     _incidence_of,
     _unit_scale,
@@ -448,21 +448,30 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
     return AdversarialStrategy(per_vertex, cover_cost=float(z.sum() + y.sum()))
 
 
+# coordinates (rows x dimension) from which a classifier table screens its
+# rows in float32 before deciding them in float64; below it every row is
+# decided from float64 differences, which is cheaper there: the measured
+# crossover lies near 600 coordinates at d = 2, 1,350 at d = 4 and 3,000 at d = 64
+SCREEN_MIN_SIZE = 1024
+
+
 @dataclass(frozen=True)
 class SoftClassifierTable:
     """Optimal packing vector plus the support needed to evaluate it anywhere.
 
-    Construction checks the support: ``points`` a nonempty finite (n, d)
-    float array, ``labels`` n integers in 0..num_classes-1, ``q`` n values
-    in [0, 1] and ``epsilon`` finite and >= 0; anything else raises a
-    ValueError. It also builds, once, a (K, n) table of each class's q,
-    zero off the class, that ``evaluate_classifier`` takes the largest of.
-    A support of ``SCREEN_MIN_SIZE`` coordinates (n d) or more also gets
-    the float32 ``_GramScreen`` of the centred support that
-    ``evaluate_classifier`` screens with, and the query-independent part of
-    its bound; a smaller one is scanned directly. The table is frozen and
-    keeps read-only copies of its arrays, so neither a reassigned field nor
-    a write to the caller's arrays can leave that state stale.
+    Construction checks the support: ``num_classes`` an integer >= 1 (a
+    numpy integer too), ``points`` a nonempty finite (n, d) float array,
+    ``labels`` n integers in 0..num_classes-1, ``q`` n values in [0, 1] and
+    ``epsilon`` finite and >= 0; anything else raises a ValueError. It also
+    builds, once, a (K, n) table of each class's q, zero off the class,
+    that ``evaluate_classifier`` takes the largest of. A support of
+    ``SCREEN_MIN_SIZE`` coordinates (n d) or more, short of d u = 1 where
+    no screen bound holds, also gets the float32 ``_GramScreen`` of the
+    centred support that ``evaluate_classifier`` screens with, and the
+    query-independent part of its bound; any other is scanned directly.
+    The table is frozen and keeps read-only copies of its arrays, so
+    neither a reassigned field nor a write to the caller's arrays can leave
+    that state stale.
     """
 
     points: np.ndarray
@@ -487,6 +496,8 @@ class SoftClassifierTable:
         points = np.array(self.points, dtype=float)
         labels = np.array(self.labels)
         q = np.array(self.q, dtype=float) + 0.0  # a -0.0 (HiGHS writes some) becomes 0.0
+        if not isinstance(self.num_classes, (int, np.integer)) or self.num_classes < 1:
+            raise ValueError(f"num_classes must be an integer >= 1, got {self.num_classes!r}")
         if points.ndim != 2 or not len(points) or not np.isfinite(points).all():
             raise ValueError("points must be a nonempty finite (n, d) array")
         n = len(points)
@@ -500,7 +511,8 @@ class SoftClassifierTable:
         class_q = np.zeros((self.num_classes, n))
         class_q[labels, np.arange(n)] = q
         centre = points.mean(axis=0)
-        screen = _gram_screen(points, centre)
+        screen = (_GramScreen(points, centre) if points.size >= SCREEN_MIN_SIZE
+                  and _gram_slack(points.shape[1]) < math.inf else None)
         scale = _unit_scale(points, centre) if screen is None else screen.scale
         base = shrink = math.nan  # no screen, no bound
         if screen is not None:
@@ -546,8 +558,9 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
     points whose closed ball of radius eps * (1 + REL_TOL) + 1e-12 contains
     the query (zero when there is none); leftover probability is spread
     uniformly over all classes. With ``side_info`` (a set of candidate
-    classes) only those classes compete for packing values; a class outside
-    0..K-1 there raises a ValueError, as does a non-finite query.
+    classes) only those classes compete for packing values; a class there
+    that is not an integer, or is outside 0..K-1, raises a ValueError, as
+    does a non-finite query.
 
     Each row is decided by the float64 norm of its coordinate difference
     from the query, and one whose square overflows has an infinite norm. A
@@ -566,6 +579,9 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
         )
     k = table.num_classes
     if side_info is not None:
+        side_info = list(side_info)
+        if not all(isinstance(c, (int, np.integer)) for c in side_info):
+            raise ValueError(f"side_info classes must be integers, got {side_info}")
         classes, allowed = set(range(k)), {int(c) for c in side_info}
         if not allowed <= classes:
             raise ValueError(f"side_info names classes outside 0..{k - 1}: "
@@ -611,11 +627,9 @@ def class_distance_stats(dataset: LabeledDataset) -> np.ndarray:
     # from the coordinate differences of its screened pairs. The slack is
     # twice a Gram value's error, as the minimum may be off one way and the
     # pair the other, plus u of the largest norm for ties among the float64
-    # distances; each bound is rounded up by one float32 step. A direct
-    # tile holds the float64 distances themselves, and its slack is 0
+    # distances; each bound is rounded up by one float32 step
     def near(g, screen):
-        slack = (0.0 if screen is None else
-                 _f32_at_least(2.0 * screen.slack(2.0 * screen.top) + F32_UNIT * screen.top))
+        slack = _f32_at_least(2.0 * screen.slack(2.0 * screen.top) + F32_UNIT * screen.top)
         up = np.float32(np.inf)
         row = np.nextafter(g.min(axis=1, keepdims=True) + slack, up)
         col = np.nextafter(g.min(axis=0) + slack, up)

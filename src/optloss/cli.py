@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -38,7 +37,10 @@ def _out_dir(args) -> Path:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".tmp.")
+    # os.open applies the umask to 0o666, as open() does; mkstemp would
+    # give 0o600. The random name keeps concurrent writers apart
+    tmp = str(path.parent / f"{path.name}.tmp.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

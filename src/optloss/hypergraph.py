@@ -41,13 +41,6 @@ F64_TINY = 2.0 ** -1074
 # points per side of a Gram tile of the cross-class distance sweeps
 SWEEP_BLOCK = 2048
 
-# coordinates (rows x dimension) from which the pair sweep and the classifier
-# screen squared distances in float32 before deciding them in float64;
-# below it they decide every pair or row from float64 differences, which is
-# cheaper there: the measured crossovers of the classifier and the sweep at
-# d = 2, 4 and 64 lie between about 600 and 3,000 coordinates
-SCREEN_MIN_SIZE = 1024
-
 # bytes of float64 coordinates per chunk of the exact distance refinement
 # and of the float32 cast of a Gram screen
 REFINE_BYTES = 1 << 20
@@ -250,16 +243,7 @@ class _GramScreen:
 
     def slack(self, norms: float) -> float:
         """Bound on the error of a screen value whose two norms sum to at most norms."""
-        return self.rel * norms + self.floor
-
-
-def _gram_screen(points: np.ndarray, centre: np.ndarray | None = None) -> _GramScreen | None:
-    """The points' ``_GramScreen``; None below ``SCREEN_MIN_SIZE`` coordinates,
-    where a direct float64 scan is cheaper, and from d u = 1 on, where no
-    screen bound holds."""
-    if points.size < SCREEN_MIN_SIZE or _gram_slack(points.shape[1]) == math.inf:
-        return None
-    return _GramScreen(points, centre)
+        return self.rel * norms + self.floor if self.rel < math.inf else math.inf
 
 
 def _cross_class_pairs(points: np.ndarray, labels: np.ndarray, keep):
@@ -272,45 +256,29 @@ def _cross_class_pairs(points: np.ndarray, labels: np.ndarray, keep):
     ``keep(g, screen)`` masks the pairs passed on, whose ids u < v and d2
     from float64 coordinate differences follow, ``REFINE_BYTES`` of
     differences at a time. Centring keeps g free of cancellation far from 0.
-    Below ``SCREEN_MIN_SIZE`` coordinates there is no screen: a tile holds
-    every pair's d2, from the same differences, and ``keep(d2, None)``
-    masks the pairs yielded.
     """
     order = np.argsort(labels, kind="stable")
     centre = points.mean(axis=0)
     points = points[order]
     points -= centre
-    screen = _gram_screen(points)
-    if screen is not None:
-        rows, sq = screen.rows, screen.sq.astype(np.float32)
+    screen = _GramScreen(points)
+    rows, sq = screen.rows, screen.sq.astype(np.float32)
     step = max(1, REFINE_BYTES // points[0].nbytes)
     ends = np.cumsum(np.bincount(labels))
-
-    def pairs(ii, jj, d2):
-        u, v = order[ii], order[jj]
-        return np.minimum(u, v), np.maximum(u, v), d2
-
     for a0, a1 in zip([0, *ends[:-1]], ends):
         for i0 in range(a0, a1, SWEEP_BLOCK):
             i1 = min(i0 + SWEEP_BLOCK, a1)
             for j0 in range(a1, len(points), SWEEP_BLOCK):
-                j1 = min(j0 + SWEEP_BLOCK, len(points))
-                if screen is None:
-                    diff = (np.repeat(points[i0:i1], j1 - j0, axis=0)
-                            - np.tile(points[j0:j1], (i1 - i0, 1)))
-                    d2 = np.einsum("ij,ij->i", diff, diff).reshape(i1 - i0, j1 - j0)
-                    ii, jj = np.nonzero(keep(d2, None))
-                    yield pairs(ii + i0, jj + j0, d2[ii, jj])
-                    continue
-                g = rows[i0:i1] @ rows[j0:j1].T
+                g = rows[i0:i1] @ rows[j0:j0 + SWEEP_BLOCK].T
                 g *= -2.0
                 g += sq[i0:i1, None]
-                g += sq[None, j0:j1]
+                g += sq[None, j0:j0 + SWEEP_BLOCK]
                 ii, jj = np.nonzero(keep(g, screen))
                 ii, jj = ii + i0, jj + j0
                 for s in range(0, len(ii), step):
                     diff = points[ii[s:s + step]] - points[jj[s:s + step]]
-                    yield pairs(ii[s:s + step], jj[s:s + step], np.einsum("ij,ij->i", diff, diff))
+                    u, v = order[ii[s:s + step]], order[jj[s:s + step]]
+                    yield np.minimum(u, v), np.maximum(u, v), np.einsum("ij,ij->i", diff, diff)
 
 
 def build_conflict_graph(dataset, epsilon: float) -> ConflictHypergraph:
@@ -321,8 +289,7 @@ def build_conflict_graph(dataset, epsilon: float) -> ConflictHypergraph:
     float32 Gram tiles, with no spatial index. A pair passes the screen
     unless its Gram value exceeds the scaled threshold by more than the
     screen's error bound; it is then decided, and its radius taken, from
-    float64 coordinate differences. Below ``SCREEN_MIN_SIZE`` coordinates
-    every pair is decided so, without a screen.
+    float64 coordinate differences.
     """
     graph = vertex_graph(dataset, epsilon)
     try:
@@ -331,8 +298,6 @@ def build_conflict_graph(dataset, epsilon: float) -> ConflictHypergraph:
         threshold = math.inf
 
     def keep(g, screen):
-        if screen is None:
-            return g <= threshold
         # a pair whose float64 d2 passes has a scaled squared distance of
         # at most the scaled threshold times 1 + u, which covers d2's rounding
         bound = (threshold * screen.scale * screen.scale * (1.0 + F32_UNIT)

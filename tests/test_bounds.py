@@ -820,6 +820,14 @@ def test_classifier_side_information_outside_classes_raises():
             evaluate_classifier(table, np.zeros(2), side_info={0, bad})
 
 
+@pytest.mark.parametrize("side_info", [[0.7], [2, 2.5]])
+def test_classifier_side_information_non_integer_classes_raise(side_info):
+    # int() would read [0.7] as class 0 and [2, 2.5] as {2}
+    table = SoftClassifierTable(**classifier_fields())
+    with pytest.raises(ValueError, match="must be integers"):
+        evaluate_classifier(table, np.zeros(2), side_info=side_info)
+
+
 def full_scan_classifier(table, query, side_info=None):
     """The classifier's rule over every support point, without a screen."""
     radius = table.epsilon * (1.0 + REL_TOL) + 1e-12
@@ -835,11 +843,13 @@ def full_scan_classifier(table, query, side_info=None):
 
 
 def each_side(monkeypatch, points):
-    """Patch ``SCREEN_MIN_SIZE`` to 0, then to inf, and yield whether the
-    points then get a Gram screen: True, then False."""
+    """Patch the classifier's ``SCREEN_MIN_SIZE`` to 0, then to inf, and
+    yield whether a table of the points then screens: True, then False."""
+    n = len(points)
     for size in (0, math.inf):
-        monkeypatch.setattr(hypergraph, "SCREEN_MIN_SIZE", size)
-        screened = hypergraph._gram_screen(points) is not None
+        monkeypatch.setattr(bounds, "SCREEN_MIN_SIZE", size)
+        table = SoftClassifierTable(points, np.zeros(n, dtype=int), 1, 0.0, np.zeros(n))
+        screened = table._screen is not None
         assert screened == (size == 0)
         yield screened
 
@@ -933,12 +943,22 @@ def classifier_fields():
     ("epsilon", np.nan),
     ("epsilon", np.inf),
     ("epsilon", -0.1),
+    ("num_classes", 3.0),
+    ("num_classes", 0),
 ])
 def test_classifier_table_rejects_invalid_fields(field, value):
     fields = classifier_fields()
     fields[field] = value
     with pytest.raises(ValueError):
         SoftClassifierTable(**fields)
+
+
+def test_classifier_table_accepts_a_numpy_integer_class_count():
+    fields = classifier_fields()
+    query = np.array([0.5, 0.25])
+    want = evaluate_classifier(SoftClassifierTable(**fields), query)
+    fields["num_classes"] = np.int64(3)
+    assert np.array_equal(evaluate_classifier(SoftClassifierTable(**fields), query), want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import re
 import shlex
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -518,6 +520,23 @@ def test_progress_goes_to_stderr_and_stdout_stays_one_line(tmp_path, capsys, mon
         "eps=2.6: 98 candidates tested", "eps=2.6: 162 candidates tested"]
     assert captured.out.count("\n") == 1
     assert json.loads(captured.out)["command"] == "bound"
+
+
+def test_written_files_follow_the_umask(tmp_path, capsys, gaussian_file):
+    path, _ = gaussian_file
+    old = os.umask(0o022)
+    try:
+        code, _ = run_cli(capsys, "gen-gaussian", "--per-class", "3",
+                          "--out", str(tmp_path / "gen"))
+        assert code == 0
+        code, _ = run_cli(capsys, "bound", "--data", str(path), "--epsilon", "0.1", "0.2",
+                          "--format", "both", "--jobs", "2", "--out", str(tmp_path / "bound"))
+        assert code == 0
+    finally:
+        os.umask(old)
+    written = [*(tmp_path / "gen").iterdir(), *(tmp_path / "bound").iterdir()]
+    assert len(written) >= 3
+    assert {stat.S_IMODE(p.stat().st_mode) for p in written} == {0o644}
 
 
 def test_a_failed_rename_leaves_no_temporary_file(tmp_path, capsys, monkeypatch,

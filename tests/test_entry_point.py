@@ -16,7 +16,7 @@ import pytest
 
 import optloss
 from optloss.cli import main
-from optloss.hypergraph import EXTEND_BATCH, SCREEN_MIN_SIZE, SWEEP_BLOCK
+from optloss.hypergraph import EXTEND_BATCH, SWEEP_BLOCK
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -143,13 +143,11 @@ def test_pair_graph_across_gram_tile_boundaries(tmp_path):
     # the pair sweep walks class-sorted strips in 2048 x 2048 Gram tiles: 2100
     # points of class 1 span two row tiles, and the 2200 later-class columns
     # of class 0 two column tiles; the pairs that build writes must equal a
-    # brute force over all cross-class coordinate differences. The 4500
-    # coordinates are enough for the sweep to screen
+    # brute force over all cross-class coordinate differences
     rng = np.random.default_rng(29)
     labels = rng.permutation(np.repeat([0, 1, 2], [50, 2100, 100]))
     assert (labels == 1).sum() > SWEEP_BLOCK
     pts = rng.normal(size=(labels.size, 2)) + 0.5 * labels[:, None]
-    assert pts.size >= SCREEN_MIN_SIZE
     data = write_dataset(tmp_path / "tiles.json", pts, labels)
     run("build", "--data", data, "--epsilon", 0.15, "--max-degree", 2, "--out", tmp_path)
     d2 = sum((x[:, None] - x[None, :]) ** 2 for x in pts.T)

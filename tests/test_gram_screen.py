@@ -1,12 +1,14 @@
-"""The float32 Gram screen, and the direct scan below it, against brute force.
+"""The float32 Gram screen against brute force.
 
 The pair sweep, ``class_distance_stats`` and the classifier screen squared
-distances in float32 and decide in float64; below ``SCREEN_MIN_SIZE``
-coordinates they decide every pair or row in float64. Each must give, on
-both sides of the constant, exactly what an O(n^2) scan of the float64
-coordinate differences gives. The layouts put pairs at 2 eps (1 +- 1e-7)
-and queries at eps (1 +- 1e-7) far from the centroid, where the float32
-Gram error dwarfs eps^2, and are then shifted and scaled.
+distances in float32 and decide in float64. The sweep always screens; a
+classifier table below ``optloss.bounds.SCREEN_MIN_SIZE`` coordinates
+decides every row in float64 instead. Each must give exactly what an
+O(n^2) scan of the float64 coordinate differences gives: the classifier
+on both sides of that constant, and the sweep also where no screen bound
+holds and the screen passes every pair. The layouts put pairs at 2 eps
+(1 +- 1e-7) and queries at eps (1 +- 1e-7) far from the centroid, where
+the float32 Gram error dwarfs eps^2, and are then shifted and scaled.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from test_bounds import each_side, full_scan_classifier
 
+from optloss import hypergraph
 from optloss.bounds import SoftClassifierTable, class_distance_stats, evaluate_classifier
 from optloss.data import from_arrays
 from optloss.hypergraph import F32_UNIT, REL_TOL, _gram_slack, build_conflict_graph
@@ -81,10 +84,7 @@ scales = pytest.mark.parametrize("scale", SCALES)
 offsets = pytest.mark.parametrize("offset", [0.0, 1e6])
 
 
-@cases
-@scales
-@offsets
-def test_pair_sweep_matches_a_scan(d, scale, offset, monkeypatch):
+def check_pair_sweep(d, scale, offset):
     ds, eps, inside, outside = placed(d, scale, offset)
     i, j, d2 = scan_pairs(ds)
     try:
@@ -92,19 +92,15 @@ def test_pair_sweep_matches_a_scan(d, scale, offset, monkeypatch):
     except OverflowError:
         threshold = math.inf
     edge = d2 <= threshold
-    for _ in each_side(monkeypatch, ds.points):
-        graph = build_conflict_graph(ds, eps)
-        assert graph.edge_list() == list(zip(i[edge].tolist(), j[edge].tolist()))
-        assert graph.radii[2].tobytes() == (0.5 * np.sqrt(d2[edge])).tobytes()
-        if math.isfinite(threshold):
-            found = set(graph.edge_list())
-            assert found >= set(inside) and not found & set(outside)
+    graph = build_conflict_graph(ds, eps)
+    assert graph.edge_list() == list(zip(i[edge].tolist(), j[edge].tolist()))
+    assert graph.radii[2].tobytes() == (0.5 * np.sqrt(d2[edge])).tobytes()
+    if math.isfinite(threshold):
+        found = set(graph.edge_list())
+        assert found >= set(inside) and not found & set(outside)
 
 
-@cases
-@scales
-@offsets
-def test_class_distance_stats_match_a_scan(d, scale, offset, monkeypatch):
+def check_class_distance_stats(d, scale, offset):
     ds, _, _, _ = placed(d, scale, offset)
     i, j, d2 = scan_pairs(ds)
     nearest = np.full(ds.num_points, np.inf)
@@ -112,8 +108,32 @@ def test_class_distance_stats_match_a_scan(d, scale, offset, monkeypatch):
     np.minimum.at(nearest, j, d2)
     nearest = np.sqrt(nearest)
     expected = np.array([nearest[ds.labels == c].mean() for c in range(3)])
-    for _ in each_side(monkeypatch, ds.points):
-        assert class_distance_stats(ds).tobytes() == expected.tobytes()
+    assert class_distance_stats(ds).tobytes() == expected.tobytes()
+
+
+@cases
+@scales
+@offsets
+def test_pair_sweep_matches_a_scan(d, scale, offset):
+    check_pair_sweep(d, scale, offset)
+
+
+@cases
+@scales
+@offsets
+def test_class_distance_stats_match_a_scan(d, scale, offset):
+    check_class_distance_stats(d, scale, offset)
+
+
+@cases
+@scales
+@offsets
+def test_sweep_without_a_screen_bound_matches_a_scan(d, scale, offset, monkeypatch):
+    # past d u = 1 no screen bound holds and the screen passes every pair
+    # to the float64 check; an infinite slack stands in for that d here
+    monkeypatch.setattr(hypergraph, "_gram_slack", lambda d: math.inf)
+    check_pair_sweep(d, scale, offset)
+    check_class_distance_stats(d, scale, offset)
 
 
 @cases

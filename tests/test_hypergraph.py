@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 from oracles import exact_triangle_radius, oracle_hyperedges, oracle_meb, oracle_meb_radius
-from test_bounds import each_side
 
 from optloss import bounds, hypergraph
 from optloss.data import LabeledDataset, from_arrays, gen_gaussian
@@ -123,15 +122,13 @@ def test_sweeps_match_double_loops_across_tiles(monkeypatch, k, d):
         assert graph.edge_list() == expected
         assert graph.radii[2] == pytest.approx([dist[e] / 2 for e in expected], rel=1e-12)
     assert len(graphs[0].pairs) >= 1
-    # both sides of SCREEN_MIN_SIZE: tiles of the Gram screen and of the direct scan
-    for _ in each_side(monkeypatch, pts):
-        for block in (3, 5, 7):
-            monkeypatch.setattr(hypergraph, "SWEEP_BLOCK", block)
-            for eps, graph in zip(budgets, graphs):
-                tiled = build_conflict_graph(ds, eps)
-                assert np.array_equal(tiled.pairs, graph.pairs)
-                assert tiled.radii[2].tobytes() == graph.radii[2].tobytes()
-            assert bounds.class_distance_stats(ds).tobytes() == default_stats.tobytes()
+    for block in (3, 5, 7):
+        monkeypatch.setattr(hypergraph, "SWEEP_BLOCK", block)
+        for eps, graph in zip(budgets, graphs):
+            tiled = build_conflict_graph(ds, eps)
+            assert np.array_equal(tiled.pairs, graph.pairs)
+            assert tiled.radii[2].tobytes() == graph.radii[2].tobytes()
+        assert bounds.class_distance_stats(ds).tobytes() == default_stats.tobytes()
 
 
 @pytest.mark.parametrize("block", [7, hypergraph.SWEEP_BLOCK])
