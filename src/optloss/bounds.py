@@ -33,6 +33,7 @@ from scipy.sparse.csgraph import connected_components
 from .data import LabeledDataset
 from .hypergraph import (
     F32_UNIT,
+    MAGNITUDE_LIMIT,
     REL_TOL,
     ConflictHypergraph,
     _budget,
@@ -41,7 +42,6 @@ from .hypergraph import (
     _gram_slack,
     _GramScreen,
     _incidence_of,
-    _unit_scale,
     build_conflict_graph,
     edge_witness,
     extend_hyperedges,
@@ -148,7 +148,8 @@ def _pairwise_losses(graph: ConflictHypergraph, tol: Tolerances,
     ``solve_packing`` takes its min-cut backend whenever the masses scale
     to integers, and the source-reachable min cut, the same for every
     maximum flow, falls apart into each pair's own. The loss of {i, j} is
-    one minus its conditional masses times q on its block.
+    the sum, exact (``math.fsum``), of its conditional masses times 1 - q on
+    its block.
 
     The union is certified at ``tol.feasibility_abs`` and relative gap
     ``tol.gap_rel * P_min / (K - 1)``. A block's dual residual and gap in
@@ -185,7 +186,7 @@ def _pairwise_losses(graph: ConflictHypergraph, tol: Tolerances,
     start = 0
     for (i, j), ids, mass in zip(class_pairs, columns, pair_mass):
         cond_mass = masses[ids] / mass
-        a[i, j] = a[j, i] = max(0.0, 1.0 - float(cond_mass @ sol.q[start:start + ids.size]))
+        a[i, j] = a[j, i] = max(0.0, math.fsum(cond_mass * (1.0 - sol.q[start:start + ids.size])))
         start += ids.size
     return PairwiseLossMatrix(a, class_names=class_names, backend=sol.backend)
 
@@ -454,24 +455,27 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
 # crossover lies near 600 coordinates at d = 2, 1,350 at d = 4 and 3,000 at d = 64
 SCREEN_MIN_SIZE = 1024
 
+# a screened query's scaled |x|^2 stays below this, so its float32 cast cannot overflow
+QUERY_REACH = 2.0 ** 100
+
 
 @dataclass(frozen=True)
 class SoftClassifierTable:
     """Optimal packing vector plus the support needed to evaluate it anywhere.
 
     Construction checks the support: ``num_classes`` an integer >= 1 (a
-    numpy integer too), ``points`` a nonempty finite (n, d) float array,
-    ``labels`` n integers in 0..num_classes-1, ``q`` n values in [0, 1] and
-    ``epsilon`` finite and >= 0; anything else raises a ValueError. It also
-    builds, once, a (K, n) table of each class's q, zero off the class,
-    that ``evaluate_classifier`` takes the largest of. A support of
-    ``SCREEN_MIN_SIZE`` coordinates (n d) or more, short of d u = 1 where
-    no screen bound holds, also gets the float32 ``_GramScreen`` of the
-    centred support that ``evaluate_classifier`` screens with, and the
-    query-independent part of its bound; any other is scanned directly.
-    The table is frozen and keeps read-only copies of its arrays, so
-    neither a reassigned field nor a write to the caller's arrays can leave
-    that state stale.
+    numpy integer too), ``points`` a nonempty (n, d) float array within
+    ``MAGNITUDE_LIMIT``, ``labels`` n integers in 0..num_classes-1, ``q`` n
+    values in [0, 1] and ``epsilon`` in [0, MAGNITUDE_LIMIT]; anything else
+    raises a ValueError. It also builds, once, a (K, n) table of each
+    class's q, zero off the class, that ``evaluate_classifier`` takes the
+    largest of. A support of ``SCREEN_MIN_SIZE`` coordinates (n d) or more,
+    short of d u = 1 where no screen bound holds, also gets the float32
+    ``_GramScreen`` of the centred support that ``evaluate_classifier``
+    screens with, and the query-independent part of its bound; any other is
+    scanned directly. The table is frozen and keeps read-only copies of its
+    arrays, so neither a reassigned field nor a write to the caller's arrays
+    can leave that state stale.
     """
 
     points: np.ndarray
@@ -482,15 +486,13 @@ class SoftClassifierTable:
     _radius: float = field(init=False, repr=False, compare=False)
     _class_q: np.ndarray = field(init=False, repr=False, compare=False)
     _centre: np.ndarray = field(init=False, repr=False, compare=False)
+    _inner: float = field(init=False, repr=False, compare=False)
     _screen: _GramScreen | None = field(init=False, repr=False, compare=False)
     # a screened row passes when its Gram value sq - 2 g + xx is at most the
     # scaled limit plus slack(top + xx), i.e. when sq - 2 g <= _base - _shrink * xx,
-    # for xx the query's |x|^2 times _scale^2; a query with xx >= _reach
-    # skips the screen, and its squared differences may overflow
-    _scale: float = field(init=False, repr=False, compare=False)
+    # for xx the query's |x|^2 times the screen's scale squared
     _base: float = field(init=False, repr=False, compare=False)
     _shrink: float = field(init=False, repr=False, compare=False)
-    _reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
@@ -498,8 +500,9 @@ class SoftClassifierTable:
         q = np.array(self.q, dtype=float) + 0.0  # a -0.0 (HiGHS writes some) becomes 0.0
         if not isinstance(self.num_classes, (int, np.integer)) or self.num_classes < 1:
             raise ValueError(f"num_classes must be an integer >= 1, got {self.num_classes!r}")
-        if points.ndim != 2 or not len(points) or not np.isfinite(points).all():
-            raise ValueError("points must be a nonempty finite (n, d) array")
+        if (points.ndim != 2 or not points.size  # min and max leave no temporary
+                or not (-MAGNITUDE_LIMIT <= points.min() and points.max() <= MAGNITUDE_LIMIT)):
+            raise ValueError("points must be a nonempty (n, d) array within MAGNITUDE_LIMIT")
         n = len(points)
         if (labels.shape != (n,) or labels.dtype.kind not in "iu"
                 or labels.min() < 0 or labels.max() >= self.num_classes):
@@ -511,26 +514,23 @@ class SoftClassifierTable:
         class_q = np.zeros((self.num_classes, n))
         class_q[labels, np.arange(n)] = q
         centre = points.mean(axis=0)
+        # a query within sqrt(inner) of the centre is within the limit, with room for rounding
+        inner = (max(0.0, MAGNITUDE_LIMIT - float(np.abs(centre).max())) / 2.0) ** 2
         screen = (_GramScreen(points, centre) if points.size >= SCREEN_MIN_SIZE
                   and _gram_slack(points.shape[1]) < math.inf else None)
-        scale = _unit_scale(points, centre) if screen is None else screen.scale
         base = shrink = math.nan  # no screen, no bound
         if screen is not None:
             # a row whose float64 distance passes has a scaled squared distance
             # of at most (radius * scale)^2 times 1 + u, which covers its rounding
-            limit = (radius * scale) * (radius * scale) * (1.0 + F32_UNIT)
+            limit = (radius * screen.scale) * (radius * screen.scale) * (1.0 + F32_UNIT)
             base, shrink = limit + screen.slack(screen.top), 1.0 - screen.rel
             screen.rows.flags.writeable = screen.sq.flags.writeable = False
-        # below xx = 2^100 no scaled query coordinate overflows float32; from
-        # a scale of 2^-450 on, no such query's squared float64 difference
-        # from a row overflows either
-        reach = 2.0 ** 100 if scale >= 2.0 ** -450 else -math.inf
         for array in (points, labels, q, class_q):
             array.flags.writeable = False
         for name, value in (("points", points), ("labels", labels), ("q", q),
                             ("epsilon", epsilon), ("_radius", radius), ("_class_q", class_q),
-                            ("_centre", centre), ("_screen", screen), ("_scale", scale),
-                            ("_base", base), ("_shrink", shrink), ("_reach", reach)):
+                            ("_centre", centre), ("_inner", inner), ("_screen", screen),
+                            ("_base", base), ("_shrink", shrink)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -560,16 +560,15 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
     uniformly over all classes. With ``side_info`` (a set of candidate
     classes) only those classes compete for packing values; a class there
     that is not an integer, or is outside 0..K-1, raises a ValueError, as
-    does a non-finite query.
+    does a query with a coordinate that is not finite or passes
+    ``MAGNITUDE_LIMIT``.
 
     Each row is decided by the float64 norm of its coordinate difference
-    from the query, and one whose square overflows has an infinite norm. A
-    table below ``SCREEN_MIN_SIZE`` coordinates decides every row so. On a
-    larger one, one float32 matrix-vector product in Gram form on the
-    table's ``_GramScreen`` first screens the rows, under the same error
-    bound as the pair sweep, so the answer is the one a full scan gives; a
-    query too far out for float32, or a support too wide for the squares of
-    float64, skips the screen.
+    from the query. A table below ``SCREEN_MIN_SIZE`` coordinates decides
+    every row so. On a larger one, one float32 matrix-vector product in
+    Gram form on the table's ``_GramScreen`` first screens the rows, under
+    the same error bound as the pair sweep, so the answer is the one a full
+    scan gives; a query too far out for float32 skips the screen.
     """
     query = np.asarray(query, dtype=float)
     if query.shape != (table.points.shape[1],):
@@ -587,12 +586,13 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
             raise ValueError(f"side_info names classes outside 0..{k - 1}: "
                              f"{sorted(allowed - classes)}")
     x = query - table._centre
-    # finite for every finite query short of overflow, which vdot does not warn of
-    xx = float(np.vdot(x, x)) * (table._scale * table._scale)
-    if not math.isfinite(xx) and not np.isfinite(query).all():
-        raise ValueError("query must be finite")
+    # vdot does not warn of overflow; a NaN fails both tests
+    xx = float(np.vdot(x, x))
+    if not xx <= table._inner and not np.abs(query).max() <= MAGNITUDE_LIMIT:
+        raise ValueError("query must be finite and within MAGNITUDE_LIMIT = 2^200")
     screen = table._screen
-    if screen is not None and xx < table._reach:
+    xx = xx * (screen.scale * screen.scale) if screen is not None else math.inf
+    if xx < QUERY_REACH:
         # the factor 2 of the Gram form rides, exactly, on the query's scale;
         # with rows below 1 and a query below 2^51, no value here is a NaN
         g2 = screen.rows @ (x * (2.0 * screen.scale)).astype(np.float32)
@@ -602,11 +602,7 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
             near = near[_norms(table.points[near] - query) <= table._radius]
             np.maximum.at(g, table.labels[near], table.q[near])  # q >= 0: empty class gets 0
     else:
-        if xx < table._reach:
-            dist = _norms(table.points - query)
-        else:  # a square that overflows is inf, and its row out of reach
-            with np.errstate(over="ignore"):
-                dist = _norms(table.points - query)
+        dist = _norms(table.points - query)
         g = np.maximum.reduce(table._class_q, axis=1, where=dist <= table._radius, initial=0.0)
     if side_info is not None and allowed != classes:
         g[sorted(classes - allowed)] = 0.0

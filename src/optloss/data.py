@@ -1,11 +1,11 @@
 """Dataset ingestion and synthetic generation.
 
-A labeled dataset is a finite-support distribution: points, integer class
-labels 0..K-1 with at least one point in every class, and positive
-probability masses summing to one. Loaders produce the empirical
-distribution of the file (uniform mass per row, exact duplicate rows
-merged), and the Gaussian generator uses a counter-based PRNG (Philox) with
-a documented sampling order so fixtures are portable.
+A labeled dataset is a finite-support distribution: points within
+``MAGNITUDE_LIMIT``, integer labels 0..K-1 with a point in every class, and
+positive masses summing to one. Loaders produce the empirical distribution
+of the file (uniform mass per row, exact duplicate rows merged), and the
+Gaussian generator uses a counter-based PRNG (Philox) with a documented
+sampling order so fixtures are portable.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .hypergraph import MAGNITUDE_LIMIT
 
 __all__ = [
     "LabeledDataset",
@@ -57,8 +59,9 @@ class LabeledDataset:
             raise ValueError("dataset needs at least one point with at least one feature")
         if self.labels.shape != (n,) or self.masses.shape != (n,):
             raise ValueError("points, labels and masses must agree in length")
-        if not np.all(np.isfinite(self.points)):
-            raise ValueError("points contain non-finite values")
+        # a NaN fails it too; min and max allocate no temporary
+        if not (-MAGNITUDE_LIMIT <= self.points.min() and self.points.max() <= MAGNITUDE_LIMIT):
+            raise ValueError("points must be finite and within MAGNITUDE_LIMIT = 2^200")
         # NaN would pass a "<= 0" test and the sum test alike
         if not np.all(np.isfinite(self.masses) & (self.masses > 0)):
             raise ValueError("masses must be finite and positive")

@@ -29,6 +29,10 @@ import scipy.sparse as sp
 # relative slack of every closed-ball test: a radius <= eps * (1 + REL_TOL) passes
 REL_TOL = 1e-9
 
+# the bound on every coordinate, query and budget: below it no float64 step overflows,
+# the tightest being _triangle_centre's numerator, 32 eps^5 < 2^1024 for sides <= 2 eps
+MAGNITUDE_LIMIT = 2.0 ** 200
+
 # unit roundoff of float32, the precision of the Gram screens
 F32_UNIT = 2.0 ** -24
 # the smallest normal float32: a float32 cast, product or sum loses at most
@@ -37,6 +41,10 @@ F32_TINY = 2.0 ** -126
 F32_MAX = float(np.finfo(np.float32).max)
 # the smallest float64: a float64 square loses at most this much to underflow
 F64_TINY = 2.0 ** -1074
+
+# a triangle whose sides are all below this is rescaled by a power of two
+# before its radius or centre is taken, so that nothing there underflows
+TINY_SIDE = 2.0 ** -200
 
 # points per side of a Gram tile of the cross-class distance sweeps
 SWEEP_BLOCK = 2048
@@ -157,10 +165,10 @@ class _RowIndex:
 
 
 def _budget(epsilon) -> float:
-    """The budget as a float, -0.0 as 0.0; a ValueError unless it is finite and >= 0."""
+    """The budget as a float, -0.0 as 0.0; a ValueError unless 0 <= it <= MAGNITUDE_LIMIT."""
     epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+    if not 0.0 <= epsilon <= MAGNITUDE_LIMIT:  # a NaN fails it
+        raise ValueError(f"epsilon must lie in [0, MAGNITUDE_LIMIT = 2^200], got {epsilon!r}")
     return epsilon + 0.0
 
 
@@ -292,10 +300,9 @@ def build_conflict_graph(dataset, epsilon: float) -> ConflictHypergraph:
     float64 coordinate differences.
     """
     graph = vertex_graph(dataset, epsilon)
-    try:
-        threshold = (2.0 * graph.epsilon * (1.0 + REL_TOL)) ** 2
-    except OverflowError:  # a float64 d2 of inf passes too
-        threshold = math.inf
+    # not ** 2, which can round off the square: a product scales exactly
+    reach = 2.0 * graph.epsilon * (1.0 + REL_TOL)
+    threshold = reach * reach
 
     def keep(g, screen):
         # a pair whose float64 d2 passes has a scaled squared distance of
@@ -385,9 +392,18 @@ def _triangle_radius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Minimum-enclosing-ball radius of triangles from squared side lengths.
 
     Obtuse or right: half the longest side. Acute: the circumradius
-    xyz / (4 * area) of the side lengths, the area by ``_area4``.
+    xyz / (4 * area) of the side lengths, the area by ``_area4``. A row
+    whose longest square is below ``TINY_SIDE^2`` is first divided by the
+    power of four that puts that square in [0.5, 2), and its radius is
+    multiplied by the root of that power: both steps are exact, and the
+    area's product of four factors then does not underflow.
     """
     longest = np.maximum(np.maximum(a, b), c)
+    tiny = longest < TINY_SIDE * TINY_SIDE
+    half = None
+    if tiny.any():
+        half = np.where(tiny, np.frexp(longest)[1] >> 1, 0)
+        a, b, c, longest = (np.ldexp(s, -2 * half) for s in (a, b, c, longest))
     obtuse = 2.0 * longest >= a + b + c
     # sqrt is monotone, so the sides' order is that of their squares
     x = np.sqrt(longest)
@@ -395,7 +411,8 @@ def _triangle_radius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     z = np.sqrt(np.minimum(np.minimum(a, b), c))
     with np.errstate(divide="ignore", invalid="ignore"):
         circum = x * y * z / _area4(x, y, z)
-    return np.where(obtuse, np.sqrt(longest / 4.0), circum)
+    radius = np.where(obtuse, np.sqrt(longest / 4.0), circum)
+    return radius if half is None else np.ldexp(radius, half)
 
 
 def _ball_radius(cands: np.ndarray, pair_index: _RowIndex, pair_d2: np.ndarray,
@@ -575,10 +592,15 @@ def _triangle_centre(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarr
     ``o + (|v|^2 (u.w) u - |u|^2 (v.w) v) / (2 |u x v|^2)``: o is the vertex
     opposite the longest side, u and v run from it to the others, w = u - v,
     and |u x v| is twice the area from ``_area4``. Neither term cancels on a
-    needle-like triangle.
+    needle-like triangle. A tiny triangle is taken on its offsets from p0,
+    times the power of two that puts them below 1: that scaling and its
+    undoing are exact, and no term of degree four or five then underflows.
     """
     pts = (p0, p1, p2)
     sides = [float(e @ e) for e in (p2 - p1, p0 - p2, p1 - p0)]
+    if 0.0 < max(sides) < TINY_SIDE * TINY_SIDE:
+        scale = _unit_scale(np.array(pts) - p0)
+        return p0 + _triangle_centre(0.0 * p0, (p1 - p0) * scale, (p2 - p0) * scale) / scale
     longest = int(np.argmax(sides))
     o, x, y = pts[longest], pts[(longest + 1) % 3], pts[(longest + 2) % 3]
     if 2.0 * sides[longest] >= sum(sides):

@@ -120,7 +120,10 @@ class LpSolution:
 
     @property
     def loss(self) -> float:
-        return 1.0 - self.objective
+        """The mass that q leaves out, sum p (1 - q), summed exactly
+        (``math.fsum``): 1 - objective for masses that sum to 1, and
+        exactly 0 where q is all ones."""
+        return math.fsum(self.lp.masses * (1.0 - self.q))
 
 
 class LpNonConvergenceError(RuntimeError):

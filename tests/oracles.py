@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's computation paths: enclosing balls
 come from exhaustive candidate enumeration with a Gram-matrix circumcenter
-solve (triangles also in exact rational arithmetic), couplings from extreme-point enumeration, and independent sets from
-full subset search.
+solve (a triangle's radius and centre also in exact rational arithmetic),
+couplings from extreme-point enumeration, and independent sets from full
+subset search.
 """
 
 import itertools
@@ -63,20 +64,46 @@ def oracle_meb_radius(points):
     return oracle_meb(points)[1]
 
 
-def exact_triangle_radius(points):
-    """Enclosing-ball radius of three points in exact rational arithmetic.
+def exact_triangle_ball(points):
+    """(squared radius, centre) of the enclosing ball of three points, in
+    exact rational arithmetic on the float coordinates.
 
-    The squared sides a, b, c are exact in the input coordinates. Obtuse or
-    right (2 max >= a + b + c): half the longest side; otherwise the
-    circumradius, R^2 = abc / (2(ab + bc + ca) - (a^2 + b^2 + c^2)). Only
-    the final square root rounds.
+    With squared sides a, b, c: obtuse or right (2 max >= a + b + c), half
+    the longest side and its midpoint; otherwise the circumball, with
+    R^2 = abc / (2(ab + bc + ca) - (a^2 + b^2 + c^2)) and centre
+    o + (|v|^2 (u.w) u - |u|^2 (v.w) v) / (2 |u x v|^2), where o is the
+    vertex opposite the longest side, u and v run from it to the others,
+    w = u - v and |u x v|^2 = |u|^2 |v|^2 - (u.v)^2 (Lagrange's identity, in
+    any dimension). The centre is a list of Fractions.
     """
     p = [[Fraction(float(x)) for x in row] for row in points]
-    a, b, c = (sum((s - t) ** 2 for s, t in zip(p[i], p[j])) for i, j in ((1, 2), (2, 0), (0, 1)))
-    longest = max(a, b, c)
-    if 2 * longest >= a + b + c:
-        return float(np.sqrt(float(longest / 4)))
-    return float(np.sqrt(float(a * b * c / (2 * (a * b + b * c + c * a) - (a * a + b * b + c * c)))))
+
+    def dot(s, t):
+        return sum(x * y for x, y in zip(s, t))
+
+    def minus(s, t):
+        return [x - y for x, y in zip(s, t)]
+
+    sides = [dot(minus(p[i], p[j]), minus(p[i], p[j])) for i, j in ((1, 2), (2, 0), (0, 1))]
+    a, b, c = sides
+    top = max(range(3), key=sides.__getitem__)
+    o, x, y = p[top], p[(top + 1) % 3], p[(top + 2) % 3]
+    if 2 * sides[top] >= a + b + c:
+        return sides[top] / 4, [(s + t) / 2 for s, t in zip(x, y)]
+    r2 = a * b * c / (2 * (a * b + b * c + c * a) - (a * a + b * b + c * c))
+    u, v = minus(x, o), minus(y, o)
+    w = minus(u, v)
+    cross2 = dot(u, u) * dot(v, v) - dot(u, v) ** 2
+    centre = [oi + (dot(v, v) * dot(u, w) * ui - dot(u, u) * dot(v, w) * vi) / (2 * cross2)
+              for oi, ui, vi in zip(o, u, v)]
+    return r2, centre
+
+
+def exact_triangle_radius(points):
+    """Enclosing-ball radius of three points from ``exact_triangle_ball``:
+    the squared radius is exact, and only its float and its square root
+    round."""
+    return float(np.sqrt(float(exact_triangle_ball(points)[0])))
 
 
 def sorted_triangle_radius(a, b, c):

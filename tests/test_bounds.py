@@ -275,7 +275,7 @@ def test_pairwise_union_certifies_every_pair_in_its_own_units(monkeypatch):
             edge_cover=sol.edge_cover[row:row + len(rows)] * unit,
             singleton_cover=sol.singleton_cover[col:col + size] * unit)
         assert verify_certificates(own, piece).ok
-        assert a.losses[i, j] == max(0.0, 1.0 - float(own.masses @ piece.q))
+        assert a.losses[i, j] == max(0.0, math.fsum(own.masses * (1.0 - piece.q)))
         col, row = col + size, row + len(rows)
     assert (col, row) == union.shape[::-1]
 

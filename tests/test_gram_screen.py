@@ -8,7 +8,9 @@ O(n^2) scan of the float64 coordinate differences gives: the classifier
 on both sides of that constant, and the sweep also where no screen bound
 holds and the screen passes every pair. The layouts put pairs at 2 eps
 (1 +- 1e-7) and queries at eps (1 +- 1e-7) far from the centroid, where
-the float32 Gram error dwarfs eps^2, and are then shifted and scaled.
+the float32 Gram error dwarfs eps^2, and are then shifted and scaled: at
+2^180 with the shift, to within 5 % of ``MAGNITUDE_LIMIT``, and at 1e200
+past it, where the loader and the classifier table refuse the layout.
 """
 
 import math
@@ -20,12 +22,18 @@ from test_bounds import each_side, full_scan_classifier
 from optloss import hypergraph
 from optloss.bounds import SoftClassifierTable, class_distance_stats, evaluate_classifier
 from optloss.data import from_arrays
-from optloss.hypergraph import F32_UNIT, REL_TOL, _gram_slack, build_conflict_graph
+from optloss.hypergraph import (
+    F32_UNIT,
+    MAGNITUDE_LIMIT,
+    REL_TOL,
+    _gram_slack,
+    build_conflict_graph,
+)
 
 pytestmark = pytest.mark.filterwarnings("error")
 
 DIMENSIONS = [1, 2, 3, 64, 784]
-SCALES = [1.0, 2.0 ** 60, 2.0 ** -60, 1e-30, 1e30, 1e200]
+SCALES = [1.0, 2.0 ** 60, 2.0 ** -60, 1e-30, 1e30, 2.0 ** 180, 1e200]
 BOUNDARY = 1e-7  # relative offset of the placed pairs and queries from the boundary
 FAR = 1000.0  # distance of the placed pairs and queries from the centroid, in eps
 
@@ -61,11 +69,16 @@ def boundary_layout(rng, d):
 
 
 def placed(d, scale, offset):
-    """The layout shifted by offset, then scaled with its eps."""
+    """The layout shifted by offset, then scaled with its eps; None past
+    ``MAGNITUDE_LIMIT``, where the loader refuses it."""
     rng = np.random.default_rng(d)
     points, labels, inside, outside = boundary_layout(rng, d)
-    ds = from_arrays((points + offset) * scale, labels, merge_duplicates=False)
-    return ds, scale, inside, outside
+    points = (points + offset) * scale
+    if scale > MAGNITUDE_LIMIT:
+        with pytest.raises(ValueError, match="MAGNITUDE_LIMIT"):
+            from_arrays(points, labels, merge_duplicates=False)
+        return None
+    return from_arrays(points, labels, merge_duplicates=False), scale, inside, outside
 
 
 def scan_pairs(ds):
@@ -85,23 +98,22 @@ offsets = pytest.mark.parametrize("offset", [0.0, 1e6])
 
 
 def check_pair_sweep(d, scale, offset):
-    ds, eps, inside, outside = placed(d, scale, offset)
+    if (layout := placed(d, scale, offset)) is None:
+        return
+    ds, eps, inside, outside = layout
     i, j, d2 = scan_pairs(ds)
-    try:
-        threshold = (2.0 * eps * (1.0 + REL_TOL)) ** 2
-    except OverflowError:
-        threshold = math.inf
-    edge = d2 <= threshold
+    edge = d2 <= (2.0 * eps * (1.0 + REL_TOL)) ** 2
     graph = build_conflict_graph(ds, eps)
     assert graph.edge_list() == list(zip(i[edge].tolist(), j[edge].tolist()))
     assert graph.radii[2].tobytes() == (0.5 * np.sqrt(d2[edge])).tobytes()
-    if math.isfinite(threshold):
-        found = set(graph.edge_list())
-        assert found >= set(inside) and not found & set(outside)
+    found = set(graph.edge_list())
+    assert found >= set(inside) and not found & set(outside)
 
 
 def check_class_distance_stats(d, scale, offset):
-    ds, _, _, _ = placed(d, scale, offset)
+    if (layout := placed(d, scale, offset)) is None:
+        return
+    ds = layout[0]
     i, j, d2 = scan_pairs(ds)
     nearest = np.full(ds.num_points, np.inf)
     np.minimum.at(nearest, i, d2)
@@ -146,30 +158,41 @@ def test_classifier_matches_a_scan(d, scale, offset, monkeypatch):
                for side in (-1, 1) for v in rng.choice(len(points) - BULK, 6) + BULK]
     queries += list(rng.normal(size=(4, d)))
     q = rng.uniform(0.0, 1.0, size=len(points))
+    points = (points + offset) * scale
+    if scale > MAGNITUDE_LIMIT:
+        with pytest.raises(ValueError, match="MAGNITUDE_LIMIT"):
+            SoftClassifierTable(points, labels, 3, 1.0, q)
+        return
     for screened in each_side(monkeypatch, points):
-        table = SoftClassifierTable((points + offset) * scale, labels, 3, scale, q)
+        table = SoftClassifierTable(points, labels, 3, scale, q)
         assert (table._screen is not None) == screened
         for query in queries:
             query = (query + offset) * scale
-            with np.errstate(over="ignore"):
-                want = full_scan_classifier(table, query)
-            assert np.array_equal(evaluate_classifier(table, query), want)
+            assert np.array_equal(evaluate_classifier(table, query),
+                                  full_scan_classifier(table, query))
 
 
 @cases
 def test_classifier_query_at_the_edge_of_float64(d, monkeypatch):
+    # the edge of the float64 domain, MAGNITUDE_LIMIT: at eps on it, queries
+    # on it get a scan's answer, and queries past it raise, on both sides
+    # of SCREEN_MIN_SIZE
     rng = np.random.default_rng(d)
     points, labels, _, _ = boundary_layout(rng, d)
     q = rng.uniform(0.0, 1.0, len(points))
-    far = np.zeros(d)
-    far[0] = 1e300
+    edge = np.zeros(d)
+    edge[0] = MAGNITUDE_LIMIT
+    past = np.zeros(d)
+    past[-1] = np.nextafter(MAGNITUDE_LIMIT, np.inf)
     for screened in each_side(monkeypatch, points):
-        table = SoftClassifierTable(points, labels, 3, 1e300, q)
+        table = SoftClassifierTable(points, labels, 3, MAGNITUDE_LIMIT, q)
         assert (table._screen is not None) == screened
-        for query in (far, -far, np.zeros(d), points[-1]):
-            with np.errstate(over="ignore"):
-                want = full_scan_classifier(table, query)
-            assert np.array_equal(evaluate_classifier(table, query), want)
+        for query in (edge, -edge, np.full(d, MAGNITUDE_LIMIT), np.zeros(d), points[-1]):
+            assert np.array_equal(evaluate_classifier(table, query),
+                                  full_scan_classifier(table, query))
+        for query in (past, -past, np.full(d, 1e300), np.full(d, np.nan)):
+            with pytest.raises(ValueError, match="MAGNITUDE_LIMIT"):
+                evaluate_classifier(table, query)
 
 
 def gamma(k):

@@ -1,6 +1,6 @@
 """Property tests: hyperedge extension and witnesses against the subset
-oracles, and the bound chain under label renaming and growing budgets and
-degrees.
+oracles, and the bound chain under label renaming, scaling by powers of
+two, and growing budgets and degrees.
 
 Needs ``hypothesis``; the module is skipped without it. Runs are
 derandomized and keep no example database, so they are reproducible.
@@ -16,7 +16,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from optloss.bounds import bound_report, optimal_loss  # noqa: E402
+from optloss.bounds import (  # noqa: E402
+    bound_report,
+    class_distance_stats,
+    optimal_loss,
+    pairwise_binary_losses,
+)
 from optloss.data import from_arrays  # noqa: E402
 from optloss.hypergraph import (  # noqa: E402
     build_conflict_graph,
@@ -115,6 +120,39 @@ def test_renaming_labels_leaves_the_bound_report_unchanged(instance, data):
     # the same vertices in the same order: every LP is the same LP
     assert report_values(reports[1]) == report_values(reports[0])
     assert reports[1].class_only_2 == pytest.approx(reports[0].class_only_2, abs=1e-12)
+
+
+def scaled_answers(points, labels, epsilon, k):
+    """Graph, report, pairwise losses and stats of the instance scaled by 2^k."""
+    ds = from_arrays(np.ldexp(points, k), labels, merge_duplicates=False)
+    eps = float(np.ldexp(epsilon, k))
+    graph = extend_hyperedges(build_conflict_graph(ds, eps), 3)
+    report = bound_report(ds, eps, m_max=3).to_json_dict()
+    del report["runtimes"], report["epsilon"]
+    return graph, report, pairwise_binary_losses(ds, eps).losses, class_distance_stats(ds)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(instance=instances(), k=st.integers(-330, 190))
+def test_scaling_by_a_power_of_two_scales_radii_and_keeps_every_answer(instance, k):
+    # the grid's coordinates times 2^k stay inside MAGNITUDE_LIMIT, and from
+    # k = -200 on down the triangles are tiny; every float64 step then
+    # scales exactly, so nothing but the radii and the distances moves
+    points, labels, epsilon = instance
+    graph, report, pairwise, stats = scaled_answers(points, labels, epsilon, 0)
+    for power in (k, -330, 190):  # the drawn power and both ends of the range
+        graph_k, report_k, pairwise_k, stats_k = scaled_answers(points, labels, epsilon, power)
+        assert graph_k.edge_list() == graph.edge_list()
+        assert graph_k.dominated.keys() == graph.dominated.keys()
+        for degree in graph.dominated:
+            assert np.array_equal(graph_k.dominated[degree], graph.dominated[degree])
+        for degree in graph.radii:
+            radii = np.ldexp(graph.radii[degree], power)
+            assert graph_k.radii[degree].tobytes() == radii.tobytes()
+        # L*(2), L*(3), class-only, Caro-Wei, hard loss, counts and histograms
+        assert report_k == report
+        assert pairwise_k.tobytes() == pairwise.tobytes()
+        assert stats_k.tobytes() == np.ldexp(stats, power).tobytes()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
