@@ -186,7 +186,7 @@ def _pairwise_losses(graph: ConflictHypergraph, tol: Tolerances,
     start = 0
     for (i, j), ids, mass in zip(class_pairs, columns, pair_mass):
         cond_mass = masses[ids] / mass
-        a[i, j] = a[j, i] = max(0.0, math.fsum(cond_mass * (1.0 - sol.q[start:start + ids.size])))
+        a[i, j] = a[j, i] = math.fsum(cond_mass * (1.0 - sol.q[start:start + ids.size]))
         start += ids.size
     return PairwiseLossMatrix(a, class_names=class_names, backend=sol.backend)
 
@@ -497,7 +497,7 @@ class SoftClassifierTable:
     def __post_init__(self):
         points = np.array(self.points, dtype=float)
         labels = np.array(self.labels)
-        q = np.array(self.q, dtype=float) + 0.0  # a -0.0 (HiGHS writes some) becomes 0.0
+        q = np.array(self.q, dtype=float) + 0.0  # a caller's -0.0 becomes 0.0
         if not isinstance(self.num_classes, (int, np.integer)) or self.num_classes < 1:
             raise ValueError(f"num_classes must be an integer >= 1, got {self.num_classes!r}")
         if (points.ndim != 2 or not points.size  # min and max leave no temporary
@@ -536,14 +536,8 @@ class SoftClassifierTable:
     @classmethod
     def from_solution(cls, dataset: LabeledDataset, epsilon: float,
                       sol: LpSolution) -> "SoftClassifierTable":
-        """The table of a solve's q, clipped to [0, 1] (HiGHS may leave it an ulp out)."""
-        return cls(
-            points=dataset.points,
-            labels=dataset.labels,
-            num_classes=dataset.num_classes,
-            epsilon=float(epsilon),
-            q=np.clip(sol.q, 0.0, 1.0),
-        )
+        """The table of a solve's q, which ``solve_packing`` returns in [0, 1]."""
+        return cls(dataset.points, dataset.labels, dataset.num_classes, float(epsilon), sol.q)
 
 
 def _norms(diff: np.ndarray) -> np.ndarray:
@@ -707,7 +701,7 @@ _REPORT_NOTES = (
 
 
 def _histogram(q: np.ndarray) -> dict:
-    counts, bin_edges = np.histogram(np.clip(q, 0.0, 1.0), bins=20, range=(0.0, 1.0))
+    counts, bin_edges = np.histogram(q, bins=20, range=(0.0, 1.0))
     return {"bin_edges": bin_edges.tolist(), "counts": counts.tolist()}
 
 
@@ -761,8 +755,7 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
         backends["pairwise"] = pairwise.backend
 
     t0 = time.perf_counter()
-    # the solver can return q a few ulps below 0; a caller's weights are checked as given
-    weights = np.clip(sol2.q, 0.0, None) if caro_wei_weights is None else caro_wei_weights
+    weights = sol2.q if caro_wei_weights is None else caro_wei_weights
     caro_wei = caro_wei_bound(graph, weights)
     runtimes["caro_wei"] = time.perf_counter() - t0
 

@@ -262,8 +262,7 @@ def cmd_strategy(args) -> int:
         "epsilon": eps,
         "max_degree": args.max_degree,
         "loss": loss,
-        # the q the classifier evaluates with: HiGHS may leave an ulp outside [0, 1]
-        "q": bd.SoftClassifierTable.from_solution(ds, eps, sol).q.tolist(),
+        "q": sol.q.tolist(),
         "over_covered_vertices": [
             vs.vertex_id for vs in strategy.per_vertex if vs.over_covered
         ],

@@ -592,23 +592,26 @@ def _triangle_centre(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarr
     ``o + (|v|^2 (u.w) u - |u|^2 (v.w) v) / (2 |u x v|^2)``: o is the vertex
     opposite the longest side, u and v run from it to the others, w = u - v,
     and |u x v| is twice the area from ``_area4``. Neither term cancels on a
-    needle-like triangle. A tiny triangle is taken on its offsets from p0,
-    times the power of two that puts them below 1: that scaling and its
-    undoing are exact, and no term of degree four or five then underflows.
+    needle-like triangle. A tiny triangle's sides, u and v are taken times
+    the power of two that puts its offsets below 1, and the circumcentre's
+    offset from o divided by it: both steps are exact, no term of degree
+    four or five then underflows, and the centre scales with the points.
     """
     pts = (p0, p1, p2)
-    sides = [float(e @ e) for e in (p2 - p1, p0 - p2, p1 - p0)]
+    offsets = (p2 - p1, p0 - p2, p1 - p0)
+    sides, scale = [float(e @ e) for e in offsets], 1.0
     if 0.0 < max(sides) < TINY_SIDE * TINY_SIDE:
-        scale = _unit_scale(np.array(pts) - p0)
-        return p0 + _triangle_centre(0.0 * p0, (p1 - p0) * scale, (p2 - p0) * scale) / scale
+        scale = _unit_scale(np.array(offsets))
+        sides = [float(e @ e) for e in np.array(offsets) * scale]
     longest = int(np.argmax(sides))
     o, x, y = pts[longest], pts[(longest + 1) % 3], pts[(longest + 2) % 3]
     if 2.0 * sides[longest] >= sum(sides):
         return (x + y) / 2.0
-    u, v = x - o, y - o
+    u, v = (x - o) * scale, (y - o) * scale
     w = u - v
     twice_area = _area4(*sorted(np.sqrt(sides), reverse=True)) / 2.0
-    return o + ((v @ v) * (u @ w) * u - (u @ u) * (v @ w) * v) / (2.0 * twice_area ** 2)
+    offset = ((v @ v) * (u @ w) * u - (u @ u) * (v @ w) * v) / (2.0 * twice_area * twice_area)
+    return o + offset / scale
 
 
 def edge_witness(points: np.ndarray, ids) -> np.ndarray:

@@ -99,7 +99,7 @@ class CertificateReport:
 
 @dataclass
 class LpSolution:
-    """Certified primal-dual pair for one packing solve.
+    """Certified primal-dual pair for one packing solve; q is in [0, 1], no -0.0.
 
     ``edge_cover`` is indexed by incidence rows; ``singleton_cover`` holds the
     duals of the q <= 1 bounds, one per vertex. ``backend`` names the solver:
@@ -260,7 +260,8 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
     Deterministic for a fixed instance and tolerance configuration. A pair
     LP whose rows join two classes of ``lp.incidence.labels``, with
     integer-scalable masses, is solved by min cut, any other by HiGHS; both
-    answers pass the same certificate check.
+    answers' q, clipped to [0, 1] plus 0.0 (HiGHS leaves -0.0, and values
+    a few ulps above 1), pass the same certificate check.
     Raises :class:`LpNonConvergenceError` if HiGHS ends with any model
     status other than optimal (its iteration limit, say), ``ValueError`` if
     HiGHS rejects the model or an option, and :class:`UncertifiedSolveError`
@@ -277,6 +278,7 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
         (q, z, y), backend = found, "flow"
     else:
         (q, z, y), backend = _highs_packing(p, B, tol), "highs"
+    q = np.clip(q, 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
     cert = _certificate(p, B, q, z, y, tol)
     sol = LpSolution(q, z, y, lp, backend, cert)
     if not cert.feasible:

@@ -1,16 +1,34 @@
-"""Independent brute-force oracles shared by the test modules.
+"""Independent brute-force oracles shared by the test modules, and the
+datasets several of them draw on.
 
-These deliberately avoid the library's computation paths: enclosing balls
-come from exhaustive candidate enumeration with a Gram-matrix circumcenter
-solve (a triangle's radius and centre also in exact rational arithmetic),
-couplings from extreme-point enumeration, and independent sets from full
-subset search.
+The oracles deliberately avoid the library's computation paths: enclosing
+balls come from exhaustive candidate enumeration with a Gram-matrix
+circumcenter solve (a triangle's radius and centre also in exact rational
+arithmetic), couplings from extreme-point enumeration, and independent sets
+from full subset search.
 """
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
+
+from optloss.data import from_arrays
+
+
+def random_dataset(rng, n, k, d, spread):
+    """n normal points in d dimensions times ``spread``, labels drawn from
+    k classes with every class present; duplicates are kept apart."""
+    pts = rng.normal(size=(n, d)) * spread
+    labels = rng.integers(0, k, size=n)
+    labels[:k] = np.arange(k)
+    return from_arrays(pts, labels, merge_duplicates=False)
+
+
+def triangle_dataset(side=1.0, masses=None):
+    """An equilateral triangle with the given side, one vertex per class."""
+    pts = side * np.array([(0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2)])
+    return from_arrays(pts, [0, 1, 2], masses=masses)
 
 
 def ball_through_subset(points, subset):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import oracle_meb
+from oracles import oracle_meb, random_dataset, triangle_dataset
 
 from optloss.bounds import (
     InstanceTooLargeError,
@@ -35,18 +35,6 @@ from optloss.lp_core import PackingLp, solve_packing, verify_certificates
 
 def announce(line):
     print(f"\n{line}")
-
-
-def triangle_dataset(masses=None):
-    pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2)])
-    return from_arrays(pts, [0, 1, 2], masses=masses)
-
-
-def random_dataset(rng, n, k, d):
-    pts = rng.normal(size=(n, d)) * 0.4
-    labels = rng.integers(0, k, size=n)
-    labels[:k] = np.arange(k)
-    return from_arrays(pts, labels, merge_duplicates=False)
 
 
 def scaled_epsilon(rng, ds):
@@ -95,7 +83,7 @@ def test_a2_duality_certificates_on_every_solve():
             lp = PackingLp(graph.masses, incidence(graph))
             solves.append((lp, solve_packing(lp)))
     for _ in range(20):
-        ds = random_dataset(rng, int(rng.integers(4, 20)), int(rng.integers(2, 5)), 2)
+        ds = random_dataset(rng, int(rng.integers(4, 20)), int(rng.integers(2, 5)), 2, spread=0.4)
         graph = extend_hyperedges(build_conflict_graph(ds, scaled_epsilon(rng, ds)), 3)
         lp = PackingLp(graph.masses, incidence(graph))
         solves.append((lp, solve_packing(lp)))
@@ -116,7 +104,7 @@ def test_a3_bound_chain_on_random_instances():
         k = int(rng.choice([2, 3, 4]))
         d = int(rng.choice([2, 5]))
         n = int(rng.integers(k, 25))
-        ds = random_dataset(rng, n, k, d)
+        ds = random_dataset(rng, n, k, d, spread=0.4)
         eps = scaled_epsilon(rng, ds)
         report = bound_report(ds, eps, m_max=4, hard_cap=30)
         chain = [
@@ -141,7 +129,7 @@ def test_a4_bipartite_collapse():
     rng = np.random.default_rng(404)
     for _ in range(50):
         n = int(rng.integers(4, 20))
-        ds = random_dataset(rng, n, 2, int(rng.choice([2, 5])))
+        ds = random_dataset(rng, n, 2, int(rng.choice([2, 5])), spread=0.4)
         eps = scaled_epsilon(rng, ds)
         loss, _, graph = optimal_loss(ds, eps, 2)
         hard, _ = hard_loss_bruteforce(graph)
@@ -292,7 +280,7 @@ def test_a9_full_scale_runs_refused_not_faked():
     refuses oversized instances instead of silently approximating, and the
     property suites above stand in for full-scale reproductions."""
     rng = np.random.default_rng(909)
-    ds = random_dataset(rng, 40, 3, 2)
+    ds = random_dataset(rng, 40, 3, 2, spread=0.4)
     graph = build_conflict_graph(ds, 0.4)
     with pytest.raises(InstanceTooLargeError):
         hard_loss_bruteforce(graph, cap=30)

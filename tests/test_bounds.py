@@ -10,7 +10,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import oracle_class_only, oracle_max_weight_independent
+from oracles import (
+    oracle_class_only,
+    oracle_max_weight_independent,
+    random_dataset,
+    triangle_dataset,
+)
 
 from optloss import bounds, hypergraph
 from optloss.bounds import (
@@ -43,18 +48,6 @@ from optloss.hypergraph import (
 from optloss.lp_core import PackingLp, solve_packing, verify_certificates
 
 
-def triangle_dataset(side=1.0, masses=None):
-    pts = side * np.array([(0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2)])
-    return from_arrays(pts, [0, 1, 2], masses=masses)
-
-
-def random_dataset(rng, n, k, d, spread=0.5):
-    pts = rng.normal(size=(n, d)) * spread
-    labels = rng.integers(0, k, size=n)
-    labels[:k] = np.arange(k)
-    return from_arrays(pts, labels, merge_duplicates=False)
-
-
 def oracle_mwis(ds, eps):
     """Exhaustive maximum-probability independent set."""
     graph = build_conflict_graph(ds, eps)
@@ -67,7 +60,7 @@ def oracle_mwis(ds, eps):
 
 def test_optimal_loss_zero_budget_distinct_points():
     rng = np.random.default_rng(0)
-    ds = random_dataset(rng, 10, 3, 2)
+    ds = random_dataset(rng, 10, 3, 2, spread=0.5)
     loss, _, _ = optimal_loss(ds, 0.0, 3)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
@@ -367,7 +360,7 @@ def test_caro_wei_triangle_uniform():
 def test_caro_wei_indicator_recovers_set_probability():
     rng = np.random.default_rng(61)
     for _ in range(10):
-        ds = random_dataset(rng, 12, 3, 2)
+        ds = random_dataset(rng, 12, 3, 2, spread=0.5)
         graph = build_conflict_graph(ds, float(rng.uniform(0.2, 0.8)))
         _, best_set = hard_loss_bruteforce(graph)
         w = np.zeros(12)
@@ -459,7 +452,7 @@ def test_rounding_triangle_always_single_vertex():
 
 def test_rounding_output_is_independent():
     rng = np.random.default_rng(71)
-    ds = random_dataset(rng, 15, 3, 2)
+    ds = random_dataset(rng, 15, 3, 2, spread=0.5)
     graph = build_conflict_graph(ds, 0.5)
     pairs = set(graph.edge_list())
     for seed in range(20):
@@ -535,7 +528,7 @@ def test_hard_loss_triangle_vs_soft():
 def test_hard_loss_matches_exhaustive_oracle():
     rng = np.random.default_rng(83)
     for _ in range(10):
-        ds = random_dataset(rng, int(rng.integers(4, 13)), 3, 2)
+        ds = random_dataset(rng, int(rng.integers(4, 13)), 3, 2, spread=0.5)
         eps = float(rng.uniform(0.2, 0.8))
         graph = build_conflict_graph(ds, eps)
         loss, _ = hard_loss_bruteforce(graph)
@@ -548,7 +541,7 @@ def test_hard_loss_sparse_graphs_match_exhaustive_oracle():
     rng = np.random.default_rng(84)
     for _ in range(40):
         n, k = int(rng.integers(4, 13)), int(rng.integers(2, 5))
-        base = random_dataset(rng, n, k, 2)
+        base = random_dataset(rng, n, k, 2, spread=0.5)
         ds = from_arrays(base.points, base.labels, masses=rng.dirichlet(np.ones(n)),
                          merge_duplicates=False)
         eps = float(rng.uniform(0.05, 0.5))
@@ -603,7 +596,7 @@ def test_hard_loss_bipartite_equals_lp():
 
 def test_hard_loss_refuses_large_instances():
     rng = np.random.default_rng(5)
-    ds = random_dataset(rng, 31, 3, 2)
+    ds = random_dataset(rng, 31, 3, 2, spread=0.5)
     graph = build_conflict_graph(ds, 0.3)
     with pytest.raises(InstanceTooLargeError):
         hard_loss_bruteforce(graph, cap=30)
@@ -696,7 +689,7 @@ def test_strategy_forced_overcoverage_is_normalized():
 
 def test_strategy_zero_budget_plays_unperturbed_points():
     rng = np.random.default_rng(55)
-    ds = random_dataset(rng, 8, 3, 2)
+    ds = random_dataset(rng, 8, 3, 2, spread=0.5)
     loss, sol, graph = optimal_loss(ds, 0.0, 3)
     strategy = extract_strategy(sol, graph)
     for vs in strategy.per_vertex:
@@ -707,7 +700,7 @@ def test_strategy_zero_budget_plays_unperturbed_points():
 def strategy_case(name):
     """(strategy, graph) of one case of the strategy JSON layout."""
     if name == "zero-budget":
-        ds = random_dataset(np.random.default_rng(55), 8, 3, 2)
+        ds = random_dataset(np.random.default_rng(55), 8, 3, 2, spread=0.5)
         _, sol, graph = optimal_loss(ds, 0.0, 3)
         return extract_strategy(sol, graph), graph
     masses = [0.5, 0.3, 0.2] if name == "triple" else None
@@ -996,7 +989,7 @@ def test_classifier_table_is_frozen():
 def test_classifier_guarantee_on_neighborhood_queries():
     rng = np.random.default_rng(15)
     for _ in range(5):
-        ds = random_dataset(rng, 10, 3, 2)
+        ds = random_dataset(rng, 10, 3, 2, spread=0.5)
         eps = float(rng.uniform(0.2, 0.6))
         loss, sol, _ = optimal_loss(ds, eps, 3)  # m = K: full hypergraph
         table = SoftClassifierTable.from_solution(ds, eps, sol)
@@ -1015,7 +1008,7 @@ def test_strategy_and_classifier_close_the_duality_gap():
     # reproduces the LP loss (complementary slackness at m = K)
     rng = np.random.default_rng(27)
     for _ in range(8):
-        ds = random_dataset(rng, int(rng.integers(5, 13)), 3, 2)
+        ds = random_dataset(rng, int(rng.integers(5, 13)), 3, 2, spread=0.5)
         eps = float(rng.uniform(0.2, 0.7))
         loss, sol, graph = optimal_loss(ds, eps, 3)
         strategy = extract_strategy(sol, graph)
@@ -1077,7 +1070,7 @@ def test_class_distance_stats_gram_blocks_stay_small(monkeypatch):
 
 def test_class_distance_stats_matches_double_loop():
     rng = np.random.default_rng(33)
-    ds = random_dataset(rng, 20, 3, 3)
+    ds = random_dataset(rng, 20, 3, 3, spread=0.5)
     stats = class_distance_stats(ds)
     for c in range(3):
         members = np.nonzero(ds.labels == c)[0]

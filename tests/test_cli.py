@@ -16,6 +16,7 @@ from optloss import bounds as bd
 from optloss import cli
 from optloss import data as dt
 from optloss import hypergraph as hg
+from optloss import lp_core
 from optloss.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -186,23 +187,43 @@ def test_strategy_outputs(tmp_path, capsys, gaussian_file):
             dists = np.linalg.norm(ds.points[members] - witness, axis=1)
             assert dists.max() <= 2.4 * (1 + 1e-9)
     qdoc = json.loads((tmp_path / "classifier_eps2.4_m3.json").read_text())
-    assert np.allclose(qdoc["q"], sol.q, atol=1e-9)
+    assert np.array(qdoc["q"]).tobytes() == sol.q.tobytes()
 
 
 def test_strategy_classifier_document_rebuilds_its_table(tmp_path, capsys):
     # HiGHS leaves a q of this instance at 1.0000000000000004; the document
-    # holds the q the classifier evaluates with, which a table accepts
+    # holds the solve's q, inside [0, 1], which a table accepts
     ds = dt.gen_gaussian(num_classes=3, per_class=8, seed=10)
     path = tmp_path / "g.json"
     path.write_text(dt.dataset_to_json(ds))
     loss, sol, graph = bd.optimal_loss(ds, 3.0, 3)
-    assert sol.q.max() > 1.0
+    raw_q, _, _ = lp_core._highs_packing(sol.lp.masses, sol.lp.incidence.matrix,
+                                         lp_core.Tolerances())
+    assert raw_q.max() > 1.0
     code, out = run_cli(capsys, "strategy", "--data", str(path), "--epsilon", "3",
                         "--max-degree", "3", "--out", str(tmp_path))
     assert code == 0
     doc = json.loads((tmp_path / "classifier_eps3_m3.json").read_text())
     table = bd.SoftClassifierTable(ds.points, ds.labels, ds.num_classes, doc["epsilon"], doc["q"])
     assert table.q.tobytes() == bd.SoftClassifierTable.from_solution(ds, 3.0, sol).q.tobytes()
+
+
+def test_strategy_builds_no_classifier_table(tmp_path, capsys, monkeypatch, gaussian_file):
+    built = []
+    post_init = bd.SoftClassifierTable.__post_init__
+
+    def counted(table):
+        built.append(table)
+        post_init(table)
+
+    monkeypatch.setattr(bd.SoftClassifierTable, "__post_init__", counted)
+    path, ds = gaussian_file
+    bd.SoftClassifierTable(ds.points, ds.labels, ds.num_classes, 2.4, np.zeros(ds.num_points))
+    assert len(built) == 1  # the count sees a construction
+    code, _ = run_cli(capsys, "strategy", "--data", str(path), "--epsilon", "2.4",
+                      "--max-degree", "3", "--out", str(tmp_path))
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_stats_outputs(tmp_path, capsys, gaussian_file):
@@ -467,6 +488,17 @@ def test_readme_cli_examples_run(tmp_path, capsys):
                 for arg in argv]
         code, out = run_cli(capsys, *argv)
         assert code == 0, (argv, out)
+
+
+def test_readme_quick_start_prints_the_values_in_its_comments(capsys):
+    section = README.read_text().split("\n## Library quick start\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    # each value a print's comment promises, as in "print(loss)  # 0.6667: ..."
+    promised = [float(v) for v in re.findall(r"^print\(.*\)\s+# ([0-9.]+)", block, re.M)]
+    assert promised == [0.6667, 0.3333]
+    exec(compile(block, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert [round(float(line), 4) for line in printed[:2]] == promised
 
 
 def write_idx_pair(tmp_path):

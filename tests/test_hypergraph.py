@@ -6,7 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import exact_triangle_radius, oracle_hyperedges, oracle_meb, oracle_meb_radius
+from oracles import (
+    exact_triangle_radius,
+    oracle_hyperedges,
+    oracle_meb,
+    oracle_meb_radius,
+    random_dataset,
+    triangle_dataset,
+)
 
 from optloss import bounds, hypergraph
 from optloss.data import LabeledDataset, from_arrays, gen_gaussian
@@ -20,18 +27,6 @@ from optloss.hypergraph import (
     vertex_graph,
 )
 from optloss.lp_core import PackingLp, solve_packing
-
-
-def random_dataset(rng, n, k, d, spread=1.0):
-    pts = rng.normal(size=(n, d)) * spread
-    labels = rng.integers(0, k, size=n)
-    labels[:k] = np.arange(k)  # every class present
-    return from_arrays(pts, labels, merge_duplicates=False)
-
-
-def triangle_dataset(side=1.0, masses=None):
-    pts = side * np.array([(0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2)])
-    return from_arrays(pts, [0, 1, 2], masses=masses)
 
 
 def test_collinear_chain_edges():
@@ -74,7 +69,7 @@ def test_same_class_pair_never_an_edge():
 def test_degree2_edges_match_bruteforce_double_loop():
     rng = np.random.default_rng(12)
     for _ in range(20):
-        ds = random_dataset(rng, n=int(rng.integers(3, 25)), k=3, d=2)
+        ds = random_dataset(rng, n=int(rng.integers(3, 25)), k=3, d=2, spread=1.0)
         eps = float(rng.uniform(0.1, 1.5))
         graph = build_conflict_graph(ds, eps)
         expected = set()
@@ -163,6 +158,23 @@ def test_tight_triple_has_degree3_edge():
     assert e3 == (0, 1, 2)
     witness = edge_witness(graph.points, e3)
     assert np.linalg.norm(triangle_dataset().points - witness, axis=1).max() <= 0.6 * (1 + 1e-9)
+
+
+def test_triangle_witness_scales_by_a_power_of_two_bit_for_bit():
+    # edge (5, 14, 23) of the small-batch workload's seed-4 instance S16-K3-d4,
+    # whose squared twice-area came out of a scalar ** 2 that was not the
+    # rounded square: scaled by 2^-2, 2^3 or 2^7 its witness moved by an ulp
+    # in three coordinates. At 2^-250 the triangle is tiny, and its centre
+    # is computed on offsets scaled back up, which must land on the same bits
+    pts = np.array([
+        [-1.5320076423269025, 0.0025193677125205927, 0.7189994129888806, 0.14462409172114465],
+        [-1.237048723726469, 0.9701138124296782, -0.7338203247546604, 1.2618804289609022],
+        [0.621135288881316, 0.43720924554165713, -0.22505344999952895, -0.47519398831638404],
+    ])
+    witness = edge_witness(pts, (0, 1, 2))
+    for power in (-2, 3, 7, -250):
+        scaled = edge_witness(np.ldexp(pts, power), (0, 1, 2))
+        assert scaled.tobytes() == np.ldexp(witness, power).tobytes()
 
 
 TRIANGLES_2D = {
@@ -287,7 +299,7 @@ def test_extension_matches_subset_oracle_random(monkeypatch):
     for k in (3, 4):
         for d in (1, 2, 3, 5):
             for _ in range(2):
-                ds = random_dataset(rng, n=int(rng.integers(k + 2, 15)), k=k, d=d)
+                ds = random_dataset(rng, n=int(rng.integers(k + 2, 15)), k=k, d=d, spread=1.0)
                 dist = np.linalg.norm(ds.points[:, None] - ds.points[None], axis=2)
                 eps = float(rng.uniform(0.3, 0.7)) * float(np.median(dist))
                 monkeypatch.setattr(hypergraph, "EXTEND_BATCH", int(rng.integers(1, 6)))
@@ -589,7 +601,7 @@ def test_budget_must_be_finite_and_nonnegative(eps):
 
 
 def test_graph_json_lists_the_vertices_and_edges():
-    ds = random_dataset(np.random.default_rng(13), 30, 3, 2)
+    ds = random_dataset(np.random.default_rng(13), 30, 3, 2, spread=1.0)
     graph = extend_hyperedges(build_conflict_graph(ds, 0.6), 3)
     assert graph.edge_counts().keys() == {2, 3}
     doc = json.loads(graph_to_json(graph))

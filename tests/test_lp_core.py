@@ -9,7 +9,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from optloss import lp_core
-from optloss.data import LabeledDataset, from_arrays
+from optloss.bounds import optimal_loss
+from optloss.data import LabeledDataset, from_arrays, gen_gaussian
 from optloss.hypergraph import (
     IncidenceMatrix,
     build_conflict_graph,
@@ -292,6 +293,36 @@ def random_bipartite_lp(rng):
     counts = rng.integers(1, 4, size=n).astype(float)
     counts[int(rng.integers(n))] = 1.0  # the scale 1 / min mass is then the total
     return make_lp(rows, counts / counts.sum(), side.astype(np.int64))
+
+
+def assert_q_in_the_unit_box(q):
+    """Every entry in [0, 1], and none of them -0.0."""
+    assert ((q >= 0.0) & (q <= 1.0)).all()
+    assert not np.signbit(q).any()
+
+
+def test_every_backend_returns_q_in_the_unit_box_without_negative_zero():
+    rng = np.random.default_rng(79)
+    lps = [random_lp(rng, n=int(rng.integers(6, 30))) for _ in range(20)]
+    lps += [random_bipartite_lp(rng) for _ in range(20)] + [make_lp([], [0.5, 0.5])]
+    backends = set()
+    for lp in lps:
+        sol = solve_packing(lp)
+        backends.add(sol.backend)
+        assert_q_in_the_unit_box(sol.q)
+    assert backends == {"flow", "highs"}
+
+
+def test_solve_packing_clips_a_highs_q_that_strays_from_the_unit_box():
+    _, sol, _ = optimal_loss(gen_gaussian(3, 8, seed=10), 3.0, 3)
+    raw, _, _ = lp_core._highs_packing(sol.lp.masses, sol.lp.incidence.matrix, Tolerances())
+    # HiGHS's own answer: one entry two ulps past 1 and 15 entries of -0.0
+    assert raw.max() == 1.0000000000000004
+    assert np.count_nonzero((raw == 0.0) & np.signbit(raw)) == 15
+    assert sol.backend == "highs"
+    assert_q_in_the_unit_box(sol.q)
+    assert sol.q.tobytes() == (np.clip(raw, 0.0, 1.0) + 0.0).tobytes()
+    assert verify_certificates(sol.lp, sol).ok
 
 
 def test_flow_backend_matches_highs_on_bipartite_pair_lps():

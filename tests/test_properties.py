@@ -137,7 +137,8 @@ def scaled_answers(points, labels, epsilon, k):
 def test_scaling_by_a_power_of_two_scales_radii_and_keeps_every_answer(instance, k):
     # the grid's coordinates times 2^k stay inside MAGNITUDE_LIMIT, and from
     # k = -200 on down the triangles are tiny; every float64 step then
-    # scales exactly, so nothing but the radii and the distances moves
+    # scales exactly, so nothing but the radii, the witnesses and the
+    # distances moves
     points, labels, epsilon = instance
     graph, report, pairwise, stats = scaled_answers(points, labels, epsilon, 0)
     for power in (k, -330, 190):  # the drawn power and both ends of the range
@@ -149,6 +150,9 @@ def test_scaling_by_a_power_of_two_scales_radii_and_keeps_every_answer(instance,
         for degree in graph.radii:
             radii = np.ldexp(graph.radii[degree], power)
             assert graph_k.radii[degree].tobytes() == radii.tobytes()
+        for ids in graph.edge_list():
+            witness = np.ldexp(edge_witness(graph.points, ids), power)
+            assert edge_witness(graph_k.points, ids).tobytes() == witness.tobytes()
         # L*(2), L*(3), class-only, Caro-Wei, hard loss, counts and histograms
         assert report_k == report
         assert pairwise_k.tobytes() == pairwise.tobytes()
