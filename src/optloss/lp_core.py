@@ -12,16 +12,28 @@ Two backends solve it. An LP whose rows all pair a vertex of one class with
 a vertex of another, over two classes in all, is bipartite by its labels;
 with masses that are integers under one scale it is a minimum-weight vertex
 cover, and a max-flow min cut solves it exactly (backend ``"flow"``). Every
-other LP goes to HiGHS (backend ``"highs"``), called through scipy's binding
-with the options ``linprog(method="highs")`` sets: the answers are linprog's
-bit for bit, without its per-call input cleaning and option checks, which
-took about two thirds of a 30-vertex solve. An answer outside the
-certificate's feasibility tolerance is rerun once with tighter HiGHS
-tolerances (see ``_highs_packing``). The choice depends only on the
-LP itself: its rows, masses and labels. Every solve is certified the same
-way whatever the backend: feasibility residuals and the duality gap are
-recomputed from the returned vectors, and a solve that cannot be certified
-raises instead of returning silently.
+other LP goes to HiGHS (backend ``"highs"``), called through scipy's binding,
+in one of two forms chosen by the widest row:
+
+- A *wide* LP, with a row of more than two entries (a hyperedge of degree
+  3 or more), is given to HiGHS as its dual, the covering LP, which has one
+  row per vertex where the packing form has one per hyperedge; HiGHS's
+  primal simplex solves it about twice as fast on the benchmark's L*(3)
+  and L*(4). Above ``GENERATION_ROWS`` rows its hyperedge columns are
+  generated in rounds (see ``_highs_covering``).
+- A pair LP gets the packing form with the options
+  ``linprog(method="highs")`` sets: the answers are linprog's bit for bit,
+  without its per-call input cleaning and option checks, which took about
+  two thirds of a 30-vertex solve. Caro-Wei reads L*(2)'s q, and the
+  covering form's optimum, as good but another, moves it.
+
+An answer outside the certificate's feasibility tolerance is rerun once with
+tighter HiGHS tolerances (see ``_run_certifiable``). The choice depends
+only on the LP itself: its rows, masses and labels. Every solve is
+certified the same way whatever the backend: feasibility residuals and the
+duality gap are recomputed from the returned vectors over the full
+incidence, and a solve that cannot be certified raises instead of
+returning silently.
 """
 
 from __future__ import annotations
@@ -35,6 +47,15 @@ from scipy.optimize._highspy import _core as highspy
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .hypergraph import IncidenceMatrix
+
+# A wide LP (a row of more than two entries) of more rows than this generates
+# its covering columns in rounds; up to it, every column goes in at once. The
+# two cross between 23,685 and 24,891 rows. Measured on L*(3) of
+# gen_gaussian(3, n, seed=7) at eps 2.6, on a 2-vCPU Xeon (all at once vs
+# generated): 79-106 ms vs 94-130 ms at 23,685 rows (n = 125), 142-182 ms vs
+# 123-143 ms at 24,891 (n = 130) and 254-276 ms vs 219-225 ms at 29,888
+# (n = 140).
+GENERATION_ROWS = 24_000
 
 __all__ = [
     "Tolerances",
@@ -259,9 +280,12 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
 
     Deterministic for a fixed instance and tolerance configuration. A pair
     LP whose rows join two classes of ``lp.incidence.labels``, with
-    integer-scalable masses, is solved by min cut, any other by HiGHS; both
-    answers' q, clipped to [0, 1] plus 0.0 (HiGHS leaves -0.0, and values
-    a few ulps above 1), pass the same certificate check.
+    integer-scalable masses, is solved by min cut; a wide LP (a row of more
+    than two entries) by HiGHS on its covering dual, with its columns
+    generated in rounds above ``GENERATION_ROWS`` rows; any other by HiGHS
+    in packing form. Every answer's q, clipped to [0, 1] plus 0.0 (HiGHS
+    leaves -0.0, and values a few ulps above 1), passes the same certificate
+    check over every row of the incidence.
     Raises :class:`LpNonConvergenceError` if HiGHS ends with any model
     status other than optimal (its iteration limit, say), ``ValueError`` if
     HiGHS rejects the model or an option, and :class:`UncertifiedSolveError`
@@ -276,6 +300,8 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
         found = _flow_packing(p, B, lp.incidence.labels)
     if found is not None:
         (q, z, y), backend = found, "flow"
+    elif B.getnnz(axis=1).max() > 2:
+        (q, z, y), backend = _highs_covering(p, B, tol), "highs"
     else:
         (q, z, y), backend = _highs_packing(p, B, tol), "highs"
     q = np.clip(q, 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
@@ -295,46 +321,25 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
 
 
 def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
-    """(q, z, y) from HiGHS, called through scipy's binding.
+    """(q, z, y) of a pair LP from HiGHS, called through scipy's binding.
 
     HiGHS gets the model and the options that ``linprog(method="highs")``
     passes it: presolve on, the dual simplex strategy, both iteration limits
     at ``tol.max_iterations`` and no output. So it returns linprog's vertex.
     z and y are linprog's marginals negated and clipped at 0: the row duals,
     and the column duals of the columns HiGHS leaves at their upper bound 1.
-
-    HiGHS stops at its own feasibility tolerances, 1e-7 by default, and may
-    leave a vertex lighter than that uncovered. When its reported primal or
-    dual infeasibility exceeds ``tol.feasibility_abs``, both tolerances are
-    set to ``max(1e-10, tol.feasibility_abs / 10)`` and the same model runs
-    once more, warm. They are not set before the first run, which would move
-    HiGHS off linprog's vertex on LPs that need no rerun.
     """
     m, n = B.shape
     A = B.tocsc()
     A.sum_duplicates()  # a row listing a vertex twice gives it coefficient 2
-    highs = highspy._Highs()
-    for name, value in (("output_flag", False), ("log_to_console", False),
-                        ("presolve", "on"), ("simplex_strategy", 1),  # 1: dual simplex
-                        ("simplex_iteration_limit", tol.max_iterations),
-                        ("ipm_iteration_limit", tol.max_iterations)):
-        _set_option(highs, name, value)
+    highs = _highs_model(tol, presolve="on", simplex_strategy=1)  # 1: dual simplex
     # the array overload: no HighsLp to fill field by field; integrality 0 is continuous
     status = highs.passModel(n, m, A.nnz, highspy.MatrixFormat.kColwise,
                              highspy.ObjSense.kMinimize, 0.0, -p, np.zeros(n), np.ones(n),
                              np.full(m, -math.inf), np.ones(m), A.indptr, A.indices, A.data,
                              np.zeros(n, np.int32))
-    if status == highspy.HighsStatus.kError:
-        raise ValueError("HiGHS rejects the packing LP: an incidence entry is inf or huge")
-    _run_to_optimum(highs)
-    info = highs.getInfo()
-    if max(info.max_primal_infeasibility, info.max_dual_infeasibility) > tol.feasibility_abs:
-        # HiGHS's own 1e-7 tolerances let it stop short of the certificate:
-        # rerun the same model, warm, with tolerances below it
-        tight = max(1e-10, tol.feasibility_abs / 10)
-        for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
-            _set_option(highs, name, tight)
-        _run_to_optimum(highs)
+    _check_loaded(status, "packing")
+    _run_certifiable(highs, tol)
 
     solution = highs.getSolution()
     at_upper = (np.fromiter(map(int, highs.getBasis().col_status), dtype=np.int64, count=n)
@@ -344,9 +349,127 @@ def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
     return np.asarray(solution.col_value), z, y
 
 
+def _highs_covering(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
+    """(q, z, y) of a wide LP from HiGHS's primal simplex on its dual.
+
+    The model is the covering LP ``min 1^T z + 1^T y  s.t.  B^T z + y >= p,
+    z, y >= 0``, presolve off: one row per vertex, a column z_e per
+    hyperedge it holds, then a column y_v per vertex. q is its row duals, z
+    and y its column values. An LP of at most ``GENERATION_ROWS`` rows gets
+    every z column at once. A larger one starts from the rows that
+    ``_row_nominator`` names at q = 1, the y columns' duals, and then, in
+    rounds, appends those it names at the model's q to the warm model as
+    columns, until no row outside it is violated beyond
+    ``tol.feasibility_abs``. z is 0 on every row never added.
+    """
+    m, n = B.shape
+    nominate = _row_nominator(B, tol.feasibility_abs) if m > GENERATION_ROWS else None
+    rows = np.arange(m) if nominate is None else nominate(np.ones(n))
+    starts, index, value = _columns_of(B.copy() if nominate is None else B[rows])
+    k, nnz = rows.size, value.size
+    highs = _highs_model(tol, presolve="off", simplex_strategy=4)  # 4: primal simplex
+    status = highs.passModel(
+        k + n, n, nnz + n, highspy.MatrixFormat.kColwise, highspy.ObjSense.kMinimize, 0.0,
+        np.ones(k + n), np.zeros(k + n), np.full(k + n, math.inf), p, np.full(n, math.inf),
+        np.concatenate([starts, nnz + np.arange(n, dtype=np.int32)]),
+        np.concatenate([index, np.arange(n, dtype=np.int32)]),
+        np.concatenate([value, np.ones(n)]), np.zeros(k + n, np.int32))
+    _check_loaded(status, "covering")
+    columns = [rows]
+    while True:
+        _run_certifiable(highs, tol)
+        q = np.asarray(highs.getSolution().row_dual)
+        if nominate is None or (rows := nominate(q)).size == 0:
+            break
+        starts, index, value = _columns_of(B[rows])
+        _check_loaded(highs.addCols(rows.size, np.ones(rows.size), np.zeros(rows.size),
+                                    np.full(rows.size, math.inf), value.size, starts, index,
+                                    value), "covering")
+        columns.append(rows)
+
+    value = np.asarray(highs.getSolution().col_value)
+    z = np.zeros(m)
+    z[np.concatenate(columns)] = np.concatenate([value[:k], value[k + n:]])
+    return q, z, value[k:k + n]
+
+
+def _columns_of(rows: sp.csr_matrix):
+    """(starts, indices, values) of ``rows`` as HiGHS columns, one per row:
+    duplicate entries summed in place, so a row listing a vertex twice
+    gives it coefficient 2."""
+    rows.sum_duplicates()
+    return rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32), rows.data
+
+
+def _row_nominator(B: sp.csr_matrix, threshold: float):
+    """The nominations of column generation, as a function of q.
+
+    Each call returns, sorted, one row per vertex: among the vertex's
+    incident rows not returned before, the first of the largest excess
+    ``B q - 1``, where that excess exceeds ``threshold``. The maximum is one
+    ``np.maximum.reduceat`` over the vertex-major (CSC) entries, with no sort.
+    """
+    C = B.tocsc()
+    degree = np.diff(C.indptr)
+    starts, lengths = C.indptr[:-1][degree > 0], degree[degree > 0]
+    owner = np.repeat(np.arange(B.shape[1]), degree)
+    taken = np.zeros(B.shape[0], dtype=bool)
+
+    def nominate(q: np.ndarray) -> np.ndarray:
+        excess = B @ q - 1.0
+        excess[taken] = -math.inf
+        entry = excess[C.indices]
+        best = np.repeat(np.maximum.reduceat(entry, starts), lengths)
+        hit = np.flatnonzero((entry == best) & (entry > threshold))
+        # hits are in vertex order: keep each vertex's first
+        hit = hit[np.diff(owner[hit], prepend=-1) != 0]
+        rows = np.unique(C.indices[hit])
+        taken[rows] = True
+        return rows
+
+    return nominate
+
+
+def _highs_model(tol: Tolerances, **options):
+    """An empty HiGHS instance with no output, both iteration limits at
+    ``tol.max_iterations`` and the given options."""
+    highs = highspy._Highs()
+    for name, value in (("output_flag", False), ("log_to_console", False),
+                        *options.items(),
+                        ("simplex_iteration_limit", tol.max_iterations),
+                        ("ipm_iteration_limit", tol.max_iterations)):
+        _set_option(highs, name, value)
+    return highs
+
+
+def _check_loaded(status, form: str) -> None:
+    if status == highspy.HighsStatus.kError:
+        raise ValueError(f"HiGHS rejects the {form} LP: an incidence entry is inf or huge")
+
+
 def _set_option(highs, name: str, value) -> None:
     if highs.setOptionValue(name, value) == highspy.HighsStatus.kError:
         raise ValueError(f"HiGHS rejects {name} = {value!r}")
+
+
+def _run_certifiable(highs, tol: Tolerances) -> None:
+    """Run HiGHS to an optimum its answer can be certified at.
+
+    HiGHS stops at its own feasibility tolerances, 1e-7 by default, and may
+    leave a vertex lighter than that uncovered. When its reported primal or
+    dual infeasibility exceeds ``tol.feasibility_abs``, both tolerances are
+    set to ``max(1e-10, tol.feasibility_abs / 10)`` and the same model runs
+    once more, warm; later runs of the model keep them. They are not set
+    before the first run, which would move HiGHS off linprog's vertex on
+    LPs that need no rerun.
+    """
+    _run_to_optimum(highs)
+    info = highs.getInfo()
+    if max(info.max_primal_infeasibility, info.max_dual_infeasibility) > tol.feasibility_abs:
+        tight = max(1e-10, tol.feasibility_abs / 10)
+        for name in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+            _set_option(highs, name, tight)
+        _run_to_optimum(highs)
 
 
 def _run_to_optimum(highs) -> None:

@@ -193,12 +193,13 @@ def test_strategy_outputs(tmp_path, capsys, gaussian_file):
 def test_strategy_classifier_document_rebuilds_its_table(tmp_path, capsys):
     # HiGHS leaves a q of this instance at 1.0000000000000004; the document
     # holds the solve's q, inside [0, 1], which a table accepts
-    ds = dt.gen_gaussian(num_classes=3, per_class=8, seed=10)
+    ds = dt.gen_gaussian(num_classes=3, per_class=8, seed=29)
     path = tmp_path / "g.json"
     path.write_text(dt.dataset_to_json(ds))
     loss, sol, graph = bd.optimal_loss(ds, 3.0, 3)
-    raw_q, _, _ = lp_core._highs_packing(sol.lp.masses, sol.lp.incidence.matrix,
-                                         lp_core.Tolerances())
+    # a wide LP, so the q is the covering path's
+    raw_q, _, _ = lp_core._highs_covering(sol.lp.masses, sol.lp.incidence.matrix,
+                                          lp_core.Tolerances())
     assert raw_q.max() > 1.0
     code, out = run_cli(capsys, "strategy", "--data", str(path), "--epsilon", "3",
                         "--max-degree", "3", "--out", str(tmp_path))

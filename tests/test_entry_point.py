@@ -239,3 +239,26 @@ def test_each_demo_runs_without_a_warning(demo, tmp_path):
     done = run_python(str(demo), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_a_failing_hypothesis_test_reports_its_example_and_the_run_goes_on(tmp_path):
+    # under the repo's filterwarnings = ["error"], hypothesis's report hook
+    # used to raise a deprecation as an INTERNALERROR: pytest stopped with
+    # "1 failed", no falsifying example and the second test never run
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_two.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "Falsifying example: test_fails(" in done.stdout
+    assert "1 failed, 1 passed" in done.stdout

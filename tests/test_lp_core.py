@@ -1,7 +1,10 @@
 """Packing LP solves, duality certificates, determinism."""
 
+import importlib.util
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +148,23 @@ def test_certificates_flag_a_nan_in_any_vector():
 def test_incidence_entry_highs_cannot_use_raises(entry, error, message):
     matrix = sp.csr_matrix(np.array([[1.0, entry], [1.0, 1.0]]))
     lp = PackingLp(np.array([0.5, 0.5]), IncidenceMatrix(matrix, np.arange(2)))
+    with pytest.raises(error, match=message):
+        solve_packing(lp)
+
+
+@pytest.mark.parametrize("generation_rows", [lp_core.GENERATION_ROWS, 0])
+@pytest.mark.parametrize("entry, error, message", [
+    (np.nan, UncertifiedSolveError, "primal=nan"),
+    (np.inf, ValueError, "HiGHS rejects the covering LP"),
+    (1e300, ValueError, "HiGHS rejects the covering LP"),
+])
+def test_incidence_entry_the_covering_form_cannot_use_raises(monkeypatch, entry, error,
+                                                             message, generation_rows):
+    # a row of three makes the LP wide; with generation the entry's row
+    # joins in a round (inf, 1e300) or never (nan, whose excess is no maximum)
+    monkeypatch.setattr(lp_core, "GENERATION_ROWS", generation_rows)
+    matrix = sp.csr_matrix(np.array([[1.0, entry, 1.0], [1.0, 1.0, 0.0]]))
+    lp = PackingLp(np.full(3, 1 / 3), IncidenceMatrix(matrix, np.arange(3)))
     with pytest.raises(error, match=message):
         solve_packing(lp)
 
@@ -314,11 +334,13 @@ def test_every_backend_returns_q_in_the_unit_box_without_negative_zero():
 
 
 def test_solve_packing_clips_a_highs_q_that_strays_from_the_unit_box():
-    _, sol, _ = optimal_loss(gen_gaussian(3, 8, seed=10), 3.0, 3)
-    raw, _, _ = lp_core._highs_packing(sol.lp.masses, sol.lp.incidence.matrix, Tolerances())
-    # HiGHS's own answer: one entry two ulps past 1 and 15 entries of -0.0
+    _, sol, _ = optimal_loss(gen_gaussian(3, 8, seed=29), 3.0, 3)
+    B = sol.lp.incidence.matrix
+    assert B.getnnz(axis=1).max() == 3  # a wide LP: the covering path's q
+    raw, _, _ = lp_core._highs_covering(sol.lp.masses, B, Tolerances())
+    # HiGHS's own answer: one entry two ulps past 1 and 16 entries of -0.0
     assert raw.max() == 1.0000000000000004
-    assert np.count_nonzero((raw == 0.0) & np.signbit(raw)) == 15
+    assert np.count_nonzero((raw == 0.0) & np.signbit(raw)) == 16
     assert sol.backend == "highs"
     assert_q_in_the_unit_box(sol.q)
     assert sol.q.tobytes() == (np.clip(raw, 0.0, 1.0) + 0.0).tobytes()
@@ -435,17 +457,23 @@ def test_highs_binding_matches_linprog_bit_for_bit():
         repeated_vertex_lp(),
     ]
     widths = set()
-    y_paid = 0
+    y_paid = wide = 0
     for lp in lps:
         p, B = lp.masses, lp.incidence.matrix
         widths |= set(np.diff(B.indptr).tolist())
-        got = lp_core._highs_packing(p, B, Tolerances())
         want = linprog_packing(p, B)
+        if B.getnnz(axis=1).max() > 2:
+            # a wide LP takes the covering path: linprog's optimum, not its vertex
+            assert solve_packing(lp).objective == pytest.approx(p @ want[0], abs=1e-9)
+            wide += 1
+            continue
+        got = lp_core._highs_packing(p, B, Tolerances())
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         y_paid += int(np.any(got[2] > 0))
     # pairs and triples both occur, and the q <= 1 duals are read off some columns
     assert {2, 3} <= widths
+    assert 0 < wide < len(lps)
     assert y_paid > 0
 
 
@@ -500,3 +528,151 @@ def test_uncertified_highs_answer_raises(monkeypatch, corrupt, message):
     with pytest.raises(UncertifiedSolveError, match=message) as info:
         solve_packing(lp)
     assert info.value.solution.backend == "highs"
+
+
+# --------------------------------------------------------- covering path
+
+
+def random_wide_lp(rng):
+    """Rows of width 2-4 over the first n - 2 vertices, the last two isolated;
+    the first row has width 3, it repeats at the end, and one more row lists
+    a vertex twice, kept as two entries."""
+    n = int(rng.integers(7, 25))
+    rows = [rng.choice(n - 2, size=3, replace=False)]
+    rows += [rng.choice(n - 2, size=int(rng.integers(2, 5)), replace=False)
+             for _ in range(int(rng.integers(2, 30)))]
+    rows += [rows[0], np.append(rows[-1], rows[-1][0])]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    matrix = sp.csr_matrix((np.ones(indptr[-1]), np.concatenate(rows), indptr),
+                           shape=(len(rows), n))
+    counts = rng.integers(1, 4, size=n).astype(float)
+    return PackingLp(counts / counts.sum(), IncidenceMatrix(matrix, np.arange(n) % 3))
+
+
+def wide_lps(rng, count):
+    """``count`` random wide LPs, half from ``random_wide_lp`` and half from
+    ``random_lp`` where its extension finds a triangle."""
+    lps = [random_wide_lp(rng) for _ in range(count // 2)]
+    while len(lps) < count:
+        lp = random_lp(rng, n=int(rng.integers(8, 30)))
+        if lp.incidence.matrix.getnnz(axis=1).max() > 2:
+            lps.append(lp)
+    return lps
+
+
+def test_wide_lps_take_the_covering_path_with_linprogs_optimum(monkeypatch):
+    def unused(p, B, tol):
+        raise AssertionError("a wide LP reached the packing form")
+
+    monkeypatch.setattr(lp_core, "_highs_packing", unused)
+    rng = np.random.default_rng(83)
+    lps = wide_lps(rng, 40)
+    repeats = twice = isolated = 0
+    for lp in lps:
+        B = lp.incidence.matrix
+        sol = solve_packing(lp)
+        assert sol.backend == "highs"
+        assert verify_certificates(lp, sol).ok
+        assert sol.objective == pytest.approx(highs_objective(lp), abs=1e-9)
+        rows = [tuple(B.indices[a:b]) for a, b in zip(B.indptr, B.indptr[1:])]
+        repeats += len(set(rows)) < len(rows)
+        twice += any(len(set(r)) < len(r) for r in rows)
+        isolated += int(np.any(B.getnnz(axis=0) == 0))
+    # every kind of input occurred
+    assert min(repeats, twice, isolated) > 0
+
+
+def test_highs_covering_reruns_when_its_own_tolerance_misses_the_certificate(monkeypatch):
+    # L*(3) of 60 Dirichlet-weighted points: the lightest mass, 1.7e-8, lies
+    # between the certificate's 1e-8 and HiGHS's 1e-7; without the rerun the
+    # dual residual reads 1.7e-8
+    rng = np.random.default_rng(29)
+    pts = rng.normal(size=(60, 2)) * 0.5
+    ds = LabeledDataset(pts, np.arange(60) % 3, rng.dirichlet(np.full(60, 0.5)))
+    graph = extend_hyperedges(build_conflict_graph(ds, 0.2), 3)
+    lp = PackingLp(graph.masses, incidence(graph))
+    assert lp.incidence.matrix.getnnz(axis=1).max() == 3
+    set_option, tightened = lp_core._set_option, []
+
+    def recorded(highs, name, value):
+        if name == "primal_feasibility_tolerance":
+            tightened.append(value)
+        set_option(highs, name, value)
+
+    monkeypatch.setattr(lp_core, "_set_option", recorded)
+    sol = solve_packing(lp)
+    assert tightened == [1e-9]
+    assert sol.backend == "highs"
+    assert verify_certificates(lp, sol).ok
+
+
+# ------------------------------------------------------- column generation
+
+
+def small_batch_lps(monkeypatch):
+    """The wide L*(3) and L*(4) LPs of the benchmark's small-batch workload,
+    seed 0 (its instances have m_max = K, 3 or 4)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    lps = []
+    for inst in workloads.small_batch(0):
+        graph = build_conflict_graph(inst.dataset, inst.epsilon)
+        for m in range(3, inst.m_max + 1):
+            graph = extend_hyperedges(graph, m)
+            lp = PackingLp(graph.masses, incidence(graph))
+            if lp.incidence.matrix.getnnz(axis=1).max() > 2:
+                lps.append(lp)
+    return lps
+
+
+def record_nominations(monkeypatch):
+    """Patch ``_row_nominator`` to record, per solve, every row it returns."""
+    nominator, solves = lp_core._row_nominator, []
+
+    def recording(B, threshold):
+        nominate, added = nominator(B, threshold), np.zeros(B.shape[0], dtype=bool)
+        solves.append(added)
+
+        def recorded(q):
+            rows = nominate(q)
+            added[rows] = True
+            return rows
+
+        return recorded
+
+    monkeypatch.setattr(lp_core, "_row_nominator", recording)
+    return solves
+
+
+def test_column_generation_matches_the_all_at_once_solve(monkeypatch):
+    rng = np.random.default_rng(89)
+    g60 = extend_hyperedges(build_conflict_graph(gen_gaussian(per_class=60, seed=7), 2.6), 3)
+    batch = small_batch_lps(monkeypatch)
+    assert any(np.diff(lp.incidence.matrix.indptr).max() == 4 for lp in batch)  # L*(4)
+    lps = [PackingLp(g60.masses, incidence(g60))] + wide_lps(rng, 20) + batch
+    whole = [solve_packing(lp) for lp in lps]  # all at or below GENERATION_ROWS
+    monkeypatch.setattr(lp_core, "GENERATION_ROWS", 0)
+    solves = record_nominations(monkeypatch)
+    for lp, want in zip(lps, whole):
+        sol = solve_packing(lp)
+        added = solves[-1]
+        assert abs(sol.loss - want.loss) <= 1e-9
+        assert sol.certificate == verify_certificates(lp, sol)  # over the full incidence
+        assert sol.certificate.ok
+        assert np.all(sol.edge_cover[~added] == 0.0)
+    assert len(solves) == len(lps)
+    # G60/2.6/3 has 4,936 rows; the rounds add a fraction of them
+    assert np.count_nonzero(solves[0]) < 4936 // 2
+
+
+def test_iteration_limit_raises_in_a_generation_round(monkeypatch):
+    monkeypatch.setattr(lp_core, "GENERATION_ROWS", 0)
+    solves = record_nominations(monkeypatch)
+    lp = random_wide_lp(np.random.default_rng(97))
+    with pytest.raises(LpNonConvergenceError, match="Iteration limit reached") as info:
+        solve_packing(lp, Tolerances(max_iterations=1))
+    assert info.value.status == lp_core.highspy.HighsModelStatus.kIterationLimit
+    assert np.any(solves[0])  # a round with nominated columns ran
