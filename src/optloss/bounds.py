@@ -198,13 +198,16 @@ def class_only_bound(pairwise: PairwiseLossMatrix, priors) -> float:
     doubly stochastic matrices s. By Birkhoff these are the convex hull of
     (P + P^T) / 2 over permutation matrices P, so the optimum is half the
     best assignment of the symmetric weights C_ij = priors_i a_ij +
-    priors_j a_ji (C_ii = 0, a fixed point).
+    priors_j a_ji (C_ii = 0, a fixed point). Priors that are not a
+    distribution over the K classes raise a ValueError.
     """
     a = pairwise.losses
     k = a.shape[0]
     priors = np.asarray(priors, dtype=float)
     if priors.shape != (k,):
         raise ValueError("priors length must match the number of classes")
+    if not np.all(np.isfinite(priors) & (priors >= 0)):
+        raise ValueError("priors must be finite and nonnegative")
     if abs(priors.sum() - 1.0) > 1e-9:
         raise ValueError("priors must sum to 1")
 
@@ -394,23 +397,22 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
     """Turn the dual cover into the adversary's conditional distributions.
 
     Edge e containing vertex v receives probability proportional to its cover
-    z_e; the singleton cover plays the unperturbed point. Over-covered
-    vertices (total cover above p_v) are normalized proportionally, which is
-    one of the equally good feasible choices. Witnesses are computed here,
-    once per played edge; the unperturbed play's witness is the point itself.
+    z_e; the singleton cover, the mass the edges leave uncovered, plays the
+    unperturbed point. Over-covered vertices (edge cover alone above p_v)
+    are normalized proportionally, one of the equally good feasible choices.
+    Witnesses are computed here, once per played edge; the unperturbed
+    play's is the point itself. ``cover_cost`` is the dual objective.
     """
     B = sol.lp.incidence.matrix
     B_cols = B.tocsc()
-    z = sol.edge_cover
-    y = sol.singleton_cover
     points = graph.points
     # one mask over the CSC entries picks every vertex's played rows, those
     # of positive cover; vertex v's are entries cuts[v]:cuts[v + 1]
-    cover = z[B_cols.indices]
+    cover = sol.edge_cover[B_cols.indices]
     plays = cover > 0.0
     cuts = np.concatenate([[0], np.cumsum(plays)])[B_cols.indptr].tolist()
     play_rows, play_cover = B_cols.indices[plays].tolist(), cover[plays].tolist()
-    singleton, masses = y.tolist(), sol.lp.masses.tolist()
+    singleton, masses = sol.singleton_cover.tolist(), sol.lp.masses.tolist()
     played: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
     per_vertex: list[VertexStrategy] = []
     for v, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
@@ -446,7 +448,7 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
                 over_covered=total > masses[v] + tol.feasibility_abs,
             )
         )
-    return AdversarialStrategy(per_vertex, cover_cost=float(z.sum() + y.sum()))
+    return AdversarialStrategy(per_vertex, cover_cost=sol.certificate.dual_objective)
 
 
 # coordinates (rows x dimension) from which a classifier table screens its

@@ -75,9 +75,13 @@ class LabeledDataset:
         if missing.size:
             raise ValueError(f"labels must be 0..K-1 with a point in every class: "
                              f"class {missing[0]} has none")
-        if self.class_names is not None and len(self.class_names) != classes.size:
-            raise ValueError(f"class_names has length {len(self.class_names)}, "
-                             f"labels have {classes.size} classes")
+        names = self.class_names
+        if names is not None:
+            if not (isinstance(names, list) and all(isinstance(c, str) for c in names)):
+                raise ValueError(f"class_names must be a list of strings, got {names!r}")
+            if len(names) != classes.size:
+                raise ValueError(f"class_names has length {len(names)}, "
+                                 f"labels have {classes.size} classes")
 
     @property
     def num_points(self) -> int:
@@ -208,7 +212,7 @@ def subset(dataset: LabeledDataset, classes, per_class_cap: int | None = None) -
     """Restrict to the given classes, keeping the first ``per_class_cap``
     vertices of each class in file order; masses become uniform.
 
-    ``classes`` refer to the dataset's label ids (0..K-1), each listed once.
+    ``classes`` are integer label ids of the dataset (0..K-1), each once.
     """
     classes = list(classes)
     if not classes:
@@ -217,6 +221,8 @@ def subset(dataset: LabeledDataset, classes, per_class_cap: int | None = None) -
         raise ValueError(f"per-class cap must be at least 1, got {per_class_cap}")
     k = dataset.num_classes
     for i, c in enumerate(classes):
+        if not isinstance(c, (int, np.integer)):
+            raise ValueError(f"class {c!r} is not an integer class id")
         if c < 0 or c >= k:
             raise ValueError(f"class {c} not present (dataset has {k} classes)")
         if c in classes[:i]:

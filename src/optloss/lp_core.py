@@ -27,13 +27,13 @@ in one of two forms chosen by the widest row:
   two thirds of a 30-vertex solve. Caro-Wei reads L*(2)'s q, and the
   covering form's optimum, as good but another, moves it.
 
-An answer outside the certificate's feasibility tolerance is rerun once with
-tighter HiGHS tolerances (see ``_run_certifiable``). The choice depends
-only on the LP itself: its rows, masses and labels. Every solve is
-certified the same way whatever the backend: feasibility residuals and the
-duality gap are recomputed from the returned vectors over the full
-incidence, and a solve that cannot be certified raises instead of
-returning silently.
+The choice depends only on the LP: its rows, masses and labels. A HiGHS
+answer outside the certificate's feasibility tolerance is rerun once with
+tighter tolerances (see ``_run_certifiable``). Every backend returns only
+(q, z); y is the mass z leaves uncovered, ``max(p - B^T z, 0)``, the
+cheapest y that makes z dual feasible (Neumaier & Shcherbina, Math.
+Programming 99, 2004). Residuals and gap are recomputed from the vectors
+over the full incidence, and a solve that fails them raises.
 """
 
 from __future__ import annotations
@@ -120,10 +120,12 @@ class CertificateReport:
 
 @dataclass
 class LpSolution:
-    """Certified primal-dual pair for one packing solve; q is in [0, 1], no -0.0.
+    """Certified primal-dual pair for one packing solve.
 
-    ``edge_cover`` is indexed by incidence rows; ``singleton_cover`` holds the
-    duals of the q <= 1 bounds, one per vertex. ``backend`` names the solver:
+    q is in [0, 1] and ``edge_cover`` (z, indexed by incidence rows) is
+    nonnegative, neither holding -0.0. ``singleton_cover`` holds the duals of
+    the q <= 1 bounds, one per vertex: the mass the edges leave uncovered,
+    ``max(p - B^T z, 0)``. ``backend`` names the solver:
     ``"flow"`` (min cut; also the closed form of an LP without rows) or
     ``"highs"``. ``certificate`` is the report the vectors were judged by.
     """
@@ -219,7 +221,7 @@ def _mass_scale(p: np.ndarray) -> tuple[float, np.ndarray] | None:
 
 
 def _flow_packing(p: np.ndarray, B: sp.csr_matrix, labels: np.ndarray):
-    """(q, z, y) of a two-class pair LP from a max-flow min cut, or None.
+    """(q, z) of a two-class pair LP from a max-flow min cut, or None.
 
     Qualifies when every row is a pair with coefficient 1 whose two vertices
     have different labels, the rows together use exactly two labels and the
@@ -227,10 +229,9 @@ def _flow_packing(p: np.ndarray, B: sp.csr_matrix, labels: np.ndarray):
     first row's first vertex, side B every other vertex. The network is
     s -> a (cap w_a), a -> b (cap sum(w) + 1), b -> t (cap w_b); the vertices
     on the source side of the residual cut, in A, and off it, in B, form a
-    maximum-weight independent set, q is its 0/1 indicator, z is the edge
-    flow over the scale and y the uncovered mass.
+    maximum-weight independent set, q is its 0/1 indicator and z is the edge
+    flow over the scale.
     """
-    B = B.tocsr()
     if np.any(np.diff(B.indptr) != 2) or np.any(B.data != 1.0):
         return None
     ends = B.indices.reshape(-1, 2).astype(np.int64)
@@ -271,40 +272,43 @@ def _flow_packing(p: np.ndarray, B: sp.csr_matrix, labels: np.ndarray):
     _, first = np.unique(a * n + b, return_index=True)
     z = np.zeros(a.shape[0])
     z[first] = np.asarray(flow[a[first], b[first]], dtype=float).ravel() / scale
-    y = np.maximum(p - B.T @ z, 0.0)
-    return q, z, y
+    return q, z
 
 
 def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
     """Solve the packing LP and return a certified primal-dual pair.
 
-    Deterministic for a fixed instance and tolerance configuration. A pair
-    LP whose rows join two classes of ``lp.incidence.labels``, with
-    integer-scalable masses, is solved by min cut; a wide LP (a row of more
-    than two entries) by HiGHS on its covering dual, with its columns
-    generated in rounds above ``GENERATION_ROWS`` rows; any other by HiGHS
-    in packing form. Every answer's q, clipped to [0, 1] plus 0.0 (HiGHS
-    leaves -0.0, and values a few ulps above 1), passes the same certificate
-    check over every row of the incidence.
+    Deterministic for a fixed instance and tolerance configuration; the
+    module docstring says which backend takes which LP. Each gets the
+    incidence as canonical CSR (a row listing a vertex twice gives it
+    coefficient 2; copied only when not canonical) and returns (q, z). q
+    clipped to [0, 1] and z to [0, inf), each plus 0.0 (HiGHS leaves -0.0,
+    and values a few ulps outside), and ``y = max(p - B^T z, 0)`` pass one
+    certificate check over every row.
     Raises :class:`LpNonConvergenceError` if HiGHS ends with any model
     status other than optimal (its iteration limit, say), ``ValueError`` if
     HiGHS rejects the model or an option, and :class:`UncertifiedSolveError`
     if the certificates fail.
     """
     p = lp.masses
-    B = lp.incidence.matrix
+    B = lp.incidence.matrix.tocsr()
+    if not B.has_canonical_format:
+        B = B.copy()
+        B.sum_duplicates()
     if B.shape[0] == 0:
         # no constraints beyond the box: q = 1 and the singleton cover pays p
-        found = np.ones(p.shape[0]), np.zeros(0), p.copy()
+        found = np.ones(p.shape[0]), np.zeros(0)
     else:
         found = _flow_packing(p, B, lp.incidence.labels)
     if found is not None:
-        (q, z, y), backend = found, "flow"
+        (q, z), backend = found, "flow"
     elif B.getnnz(axis=1).max() > 2:
-        (q, z, y), backend = _highs_covering(p, B, tol), "highs"
+        (q, z), backend = _highs_covering(p, B, tol), "highs"
     else:
-        (q, z, y), backend = _highs_packing(p, B, tol), "highs"
+        (q, z), backend = _highs_packing(p, B, tol), "highs"
     q = np.clip(q, 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
+    z = np.maximum(z, 0.0) + 0.0  # which zero maximum keeps is unspecified
+    y = np.maximum(p - B.T @ z, 0.0)
     cert = _certificate(p, B, q, z, y, tol)
     sol = LpSolution(q, z, y, lp, backend, cert)
     if not cert.feasible:
@@ -321,17 +325,15 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
 
 
 def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
-    """(q, z, y) of a pair LP from HiGHS, called through scipy's binding.
+    """(q, z) of a pair LP from HiGHS, called through scipy's binding.
 
     HiGHS gets the model and the options that ``linprog(method="highs")``
     passes it: presolve on, the dual simplex strategy, both iteration limits
-    at ``tol.max_iterations`` and no output. So it returns linprog's vertex.
-    z and y are linprog's marginals negated and clipped at 0: the row duals,
-    and the column duals of the columns HiGHS leaves at their upper bound 1.
+    at ``tol.max_iterations`` and no output. So it returns linprog's vertex:
+    q is linprog's x, and z its row marginals negated.
     """
     m, n = B.shape
     A = B.tocsc()
-    A.sum_duplicates()  # a row listing a vertex twice gives it coefficient 2
     highs = _highs_model(tol, presolve="on", simplex_strategy=1)  # 1: dual simplex
     # the array overload: no HighsLp to fill field by field; integrality 0 is continuous
     status = highs.passModel(n, m, A.nnz, highspy.MatrixFormat.kColwise,
@@ -342,20 +344,16 @@ def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
     _run_certifiable(highs, tol)
 
     solution = highs.getSolution()
-    at_upper = (np.fromiter(map(int, highs.getBasis().col_status), dtype=np.int64, count=n)
-                == int(highspy.HighsBasisStatus.kUpper))
-    z = np.maximum(-np.asarray(solution.row_dual), 0.0)
-    y = np.maximum(-np.where(at_upper, solution.col_dual, 0.0), 0.0)
-    return np.asarray(solution.col_value), z, y
+    return np.asarray(solution.col_value), -np.asarray(solution.row_dual)
 
 
 def _highs_covering(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
-    """(q, z, y) of a wide LP from HiGHS's primal simplex on its dual.
+    """(q, z) of a wide LP from HiGHS's primal simplex on its dual.
 
     The model is the covering LP ``min 1^T z + 1^T y  s.t.  B^T z + y >= p,
     z, y >= 0``, presolve off: one row per vertex, a column z_e per
-    hyperedge it holds, then a column y_v per vertex. q is its row duals, z
-    and y its column values. An LP of at most ``GENERATION_ROWS`` rows gets
+    hyperedge it holds, then a column y_v per vertex. q is its row duals and
+    z its z column values. An LP of at most ``GENERATION_ROWS`` rows gets
     every z column at once. A larger one starts from the rows that
     ``_row_nominator`` names at q = 1, the y columns' duals, and then, in
     rounds, appends those it names at the model's q to the warm model as
@@ -365,7 +363,7 @@ def _highs_covering(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
     m, n = B.shape
     nominate = _row_nominator(B, tol.feasibility_abs) if m > GENERATION_ROWS else None
     rows = np.arange(m) if nominate is None else nominate(np.ones(n))
-    starts, index, value = _columns_of(B.copy() if nominate is None else B[rows])
+    starts, index, value = _columns_of(B if nominate is None else B[rows])
     k, nnz = rows.size, value.size
     highs = _highs_model(tol, presolve="off", simplex_strategy=4)  # 4: primal simplex
     status = highs.passModel(
@@ -390,14 +388,11 @@ def _highs_covering(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
     value = np.asarray(highs.getSolution().col_value)
     z = np.zeros(m)
     z[np.concatenate(columns)] = np.concatenate([value[:k], value[k + n:]])
-    return q, z, value[k:k + n]
+    return q, z
 
 
 def _columns_of(rows: sp.csr_matrix):
-    """(starts, indices, values) of ``rows`` as HiGHS columns, one per row:
-    duplicate entries summed in place, so a row listing a vertex twice
-    gives it coefficient 2."""
-    rows.sum_duplicates()
+    """(starts, indices, values) of ``rows`` as HiGHS columns, one per row."""
     return rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32), rows.data
 
 

@@ -413,6 +413,18 @@ def test_bound_functions_reject_arguments_out_of_range(call, message):
         call()
 
 
+@pytest.mark.parametrize("priors, message", [
+    ([1.5, -0.25, -0.25], "priors must be finite and nonnegative"),  # used to return 0.25
+    ([np.nan, 0.5, 0.5], "priors must be finite and nonnegative"),  # used to reach scipy
+    ([np.inf, 0.5, 0.5], "priors must be finite and nonnegative"),
+    ([0.5, 0.25, 0.2], "priors must sum to 1"),
+])
+def test_class_only_bound_rejects_priors_that_are_not_a_distribution(priors, message):
+    a = 1.0 - np.eye(3)
+    with pytest.raises(ValueError, match=message):
+        class_only_bound(PairwiseLossMatrix(a), priors)
+
+
 def test_bound_report_rejects_negative_caro_wei_weights():
     # a caller's -5 used to be clipped to 0, giving a certified caro_wei of 0.4157
     ds = gen_gaussian(3, 20, seed=1)

@@ -198,8 +198,8 @@ def test_strategy_classifier_document_rebuilds_its_table(tmp_path, capsys):
     path.write_text(dt.dataset_to_json(ds))
     loss, sol, graph = bd.optimal_loss(ds, 3.0, 3)
     # a wide LP, so the q is the covering path's
-    raw_q, _, _ = lp_core._highs_covering(sol.lp.masses, sol.lp.incidence.matrix,
-                                          lp_core.Tolerances())
+    raw_q, _ = lp_core._highs_covering(sol.lp.masses, sol.lp.incidence.matrix,
+                                       lp_core.Tolerances())
     assert raw_q.max() > 1.0
     code, out = run_cli(capsys, "strategy", "--data", str(path), "--epsilon", "3",
                         "--max-degree", "3", "--out", str(tmp_path))
@@ -341,6 +341,19 @@ def test_a_class_names_list_of_the_wrong_length_is_rejected_at_load(tmp_path, ca
     code, out = run_cli(capsys, *argv, "--data", str(path), "--out", str(tmp_path / "out"))
     assert code == 2
     assert out["type"] == "ValueError" and "class_names has length 1" in out["error"]
+    assert not list(tmp_path.glob("out/*"))
+
+
+def test_class_names_that_are_not_a_list_are_rejected_at_load(tmp_path, capsys):
+    # "abc" used to load; pairwise then exited 2 with a TypeError
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({"points": [[0.0], [1.0], [2.0]], "labels": [0, 1, 2],
+                                "masses": [0.5, 0.25, 0.25], "class_names": "abc"}))
+    code, out = run_cli(capsys, "pairwise", "--epsilon", "0.6", "--data", str(path),
+                        "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out["type"] == "ValueError"
+    assert "class_names must be a list of strings" in out["error"]
     assert not list(tmp_path.glob("out/*"))
 
 

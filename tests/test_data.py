@@ -117,6 +117,16 @@ def test_subset_errors_and_warning():
     assert sub.num_points == 1
 
 
+@pytest.mark.parametrize("names", [None, ["a", "b", "c"]], ids=["unnamed", "named"])
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+def test_subset_rejects_a_class_id_that_is_not_an_integer(names, bad):
+    # unnamed, [0, 1.5] used to return class 0 alone; named, it raised a TypeError
+    ds = LabeledDataset(np.arange(6.0)[:, None], [0, 0, 1, 1, 2, 2], np.full(6, 1 / 6), names)
+    with pytest.raises(ValueError, match=f"class {bad!r} is not an integer class id"):
+        subset(ds, [0, bad])
+    assert subset(ds, [0, np.int64(1)]).num_points == 4
+
+
 @pytest.mark.parametrize("cap", [-1, 0])
 def test_subset_rejects_a_cap_below_one(cap):
     # -1 used to slice idx[:-1], silently dropping each class's last point
@@ -300,6 +310,19 @@ def test_class_names_must_name_every_class(names):
     doc = json.loads(dataset_doc([0, 1, 2], [0.5, 0.25, 0.25]))
     with pytest.raises(ValueError, match=message):
         dataset_from_json(json.dumps({**doc, "class_names": names}))
+
+
+@pytest.mark.parametrize("names", ["abc", ("a", "b", "c"), ["a", "b", 3]])
+def test_class_names_must_be_a_list_of_strings(names):
+    # "abc" for three classes used to load; pairwise then failed with a
+    # TypeError and stats wrote "classes": "abc"
+    message = "class_names must be a list of strings"
+    with pytest.raises(ValueError, match=message):
+        LabeledDataset(np.arange(3.0)[:, None], [0, 1, 2], np.full(3, 1 / 3), names)
+    doc = json.loads(dataset_doc([0, 1, 2], [0.5, 0.25, 0.25]))
+    if not isinstance(names, tuple):  # JSON writes a tuple as a list
+        with pytest.raises(ValueError, match=message):
+            dataset_from_json(json.dumps({**doc, "class_names": names}))
 
 
 @pytest.mark.parametrize("labels, message", [

@@ -1,6 +1,7 @@
 """Packing LP solves, duality certificates, determinism."""
 
 import importlib.util
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -47,12 +48,14 @@ def make_lp(rows, masses, labels=None):
     return PackingLp(np.asarray(masses, float), IncidenceMatrix(matrix, labels))
 
 
-def random_lp(rng, n=12, k=3):
+def random_lp(rng, n=12, k=3, m=3):
     pts = rng.normal(size=(n, 2)) * 0.5
     labels = rng.integers(0, k, size=n)
     labels[:k] = np.arange(k)
     ds = from_arrays(pts, labels, merge_duplicates=False)
-    graph = extend_hyperedges(build_conflict_graph(ds, float(rng.uniform(0.2, 0.8))), 3)
+    graph = build_conflict_graph(ds, float(rng.uniform(0.2, 0.8)))
+    if m > 2:
+        graph = extend_hyperedges(graph, m)
     return PackingLp(graph.masses, incidence(graph))
 
 
@@ -337,7 +340,7 @@ def test_solve_packing_clips_a_highs_q_that_strays_from_the_unit_box():
     _, sol, _ = optimal_loss(gen_gaussian(3, 8, seed=29), 3.0, 3)
     B = sol.lp.incidence.matrix
     assert B.getnnz(axis=1).max() == 3  # a wide LP: the covering path's q
-    raw, _, _ = lp_core._highs_covering(sol.lp.masses, B, Tolerances())
+    raw, _ = lp_core._highs_covering(sol.lp.masses, B, Tolerances())
     # HiGHS's own answer: one entry two ulps past 1 and 16 entries of -0.0
     assert raw.max() == 1.0000000000000004
     assert np.count_nonzero((raw == 0.0) & np.signbit(raw)) == 16
@@ -433,12 +436,19 @@ def test_unscalable_masses_take_highs():
 
 
 def linprog_packing(p, B):
-    """(q, z, y) as ``linprog(method="highs")`` gives them, with its marginals."""
+    """(q, z) as ``linprog(method="highs")`` gives them, z its negated, clipped
+    constraint marginals."""
     res = linprog(c=-p, A_ub=B, b_ub=np.ones(B.shape[0]), bounds=(0.0, 1.0), method="highs",
                   options={"maxiter": Tolerances().max_iterations})
     assert res.status == 0
-    return (res.x, np.maximum(-res.ineqlin.marginals, 0.0),
-            np.maximum(-res.upper.marginals, 0.0))
+    return res.x, np.maximum(-res.ineqlin.marginals, 0.0)
+
+
+def canonical(B):
+    """``B`` as the canonical CSR that ``solve_packing`` hands its backends."""
+    B = B.tocsr(copy=True)
+    B.sum_duplicates()
+    return B
 
 
 def test_highs_binding_matches_linprog_bit_for_bit():
@@ -457,24 +467,22 @@ def test_highs_binding_matches_linprog_bit_for_bit():
         repeated_vertex_lp(),
     ]
     widths = set()
-    y_paid = wide = 0
+    wide = 0
     for lp in lps:
-        p, B = lp.masses, lp.incidence.matrix
+        p, B = lp.masses, canonical(lp.incidence.matrix)
         widths |= set(np.diff(B.indptr).tolist())
-        want = linprog_packing(p, B)
+        want_q, want_z = linprog_packing(p, B)
         if B.getnnz(axis=1).max() > 2:
             # a wide LP takes the covering path: linprog's optimum, not its vertex
-            assert solve_packing(lp).objective == pytest.approx(p @ want[0], abs=1e-9)
+            assert solve_packing(lp).objective == pytest.approx(p @ want_q, abs=1e-9)
             wide += 1
             continue
-        got = lp_core._highs_packing(p, B, Tolerances())
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-        y_paid += int(np.any(got[2] > 0))
-    # pairs and triples both occur, and the q <= 1 duals are read off some columns
+        q, z = lp_core._highs_packing(p, B, Tolerances())
+        assert np.array_equal(q, want_q)
+        assert np.array_equal(np.maximum(z, 0.0), want_z)
+    # pairs and triples both occur
     assert {2, 3} <= widths
     assert 0 < wide < len(lps)
-    assert y_paid > 0
 
 
 def repeated_vertex_lp():
@@ -520,8 +528,8 @@ def test_uncertified_highs_answer_raises(monkeypatch, corrupt, message):
     highs = lp_core._highs_packing
 
     def corrupted(p, B, tol):
-        q, z, y = highs(p, B, tol)
-        return corrupt(q), z, y
+        q, z = highs(p, B, tol)
+        return corrupt(q), z
 
     monkeypatch.setattr(lp_core, "_highs_packing", corrupted)
     lp = make_lp([(0, 1), (0, 2), (1, 2)], [0.2, 0.3, 0.5])  # odd cycle: HiGHS
@@ -676,3 +684,123 @@ def test_iteration_limit_raises_in_a_generation_round(monkeypatch):
         solve_packing(lp, Tolerances(max_iterations=1))
     assert info.value.status == lp_core.highspy.HighsModelStatus.kIterationLimit
     assert np.any(solves[0])  # a round with nominated columns ran
+
+
+# --------------------------------------------------------- dual completion
+
+
+def path_lps(rng, path, count):
+    """``count`` random LPs that ``solve_packing`` sends down ``path``."""
+    if path == "flow":
+        return [random_bipartite_lp(rng) for _ in range(count)]
+    if path == "packing":
+        # three-class pair graphs, and bipartite ones whose masses do not scale
+        lps = [random_lp(rng, n=int(rng.integers(6, 30)), m=2) for _ in range(count // 2)]
+        lps = [lp for lp in lps if lp.incidence.matrix.shape[0]]
+        while len(lps) < count:
+            lp = random_bipartite_lp(rng)
+            lps.append(PackingLp(rng.dirichlet(np.ones(lp.masses.shape[0])), lp.incidence))
+        return lps
+    if path == "no-rows":
+        return [make_lp([], rng.dirichlet(np.ones(int(rng.integers(1, 10)))))
+                for _ in range(count)]
+    return wide_lps(rng, count)  # "covering" and "generated"
+
+
+@pytest.mark.parametrize("path", ["flow", "packing", "covering", "generated", "no-rows"])
+def test_every_path_completes_y_as_the_mass_z_leaves_uncovered(monkeypatch, path):
+    if path == "generated":
+        monkeypatch.setattr(lp_core, "GENERATION_ROWS", 0)
+    backend = "flow" if path in ("flow", "no-rows") else "highs"
+    for lp in path_lps(np.random.default_rng(101), path, 20):
+        p, B = lp.masses, canonical(lp.incidence.matrix)
+        sol = solve_packing(lp)
+        assert sol.backend == backend
+        wide = B.shape[0] > 0 and B.getnnz(axis=1).max() > 2
+        assert wide == (path in ("covering", "generated"))
+        z = sol.edge_cover
+        assert (z >= 0.0).all() and not np.signbit(z).any()
+        assert sol.singleton_cover.tobytes() == np.maximum(p - B.T @ z, 0.0).tobytes()
+        assert sol.certificate.ok
+
+
+def noncanonical_forms(B):
+    """The canonical CSR ``B`` as CSC, and with each row's indices reversed."""
+    flipped = np.concatenate([np.arange(b - 1, a - 1, -1)
+                              for a, b in zip(B.indptr, B.indptr[1:])])
+    reversed_rows = sp.csr_matrix((B.data[flipped], B.indices[flipped], B.indptr), shape=B.shape)
+    return {"csc": B.tocsc(), "unsorted": reversed_rows}
+
+
+def listed_twice(B):
+    """(B with row 0's first vertex listed once more, as an extra entry of 1;
+    its canonical form, that vertex's entry plus 1)."""
+    twice = sp.csr_matrix((np.insert(B.data, 0, 1.0), np.insert(B.indices, 0, B.indices[0]),
+                           B.indptr + (np.arange(B.shape[0] + 1) > 0)), shape=B.shape)
+    once = B.copy()
+    once.data[0] += 1.0
+    return twice, once
+
+
+@pytest.mark.parametrize("form", ["csc", "unsorted", "listed-twice"])
+def test_a_noncanonical_incidence_solves_as_its_canonical_form(form):
+    rng = np.random.default_rng(103)
+    lps = [lp for path in ("flow", "packing", "covering") for lp in path_lps(rng, path, 4)]
+    backends = set()
+    for lp in lps:
+        B = canonical(lp.incidence.matrix)
+        assert B.has_canonical_format
+        if form == "listed-twice":
+            given, want = listed_twice(B)
+        else:
+            given, want = noncanonical_forms(B)[form], B
+        assert not (given.format == "csr" and given.has_canonical_format)
+        a = solve_packing(PackingLp(lp.masses, IncidenceMatrix(given, lp.incidence.labels)))
+        b = solve_packing(PackingLp(lp.masses, IncidenceMatrix(want, lp.incidence.labels)))
+        backends.add(b.backend)
+        assert a.backend == b.backend
+        assert a.certificate == b.certificate
+        for name in ("q", "edge_cover", "singleton_cover"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert backends == ({"highs"} if form == "listed-twice" else {"flow", "highs"})
+
+
+@pytest.mark.parametrize("backend, lp", [
+    ("_flow_packing", make_lp([(0, 1), (1, 2)], [0.25, 0.5, 0.25], [0, 1, 0])),
+    ("_highs_packing", make_lp([(0, 1), (0, 2), (1, 2)], [0.2, 0.3, 0.5])),
+    ("_highs_covering", make_lp([(0, 1, 2), (2, 3)], [0.25] * 4)),
+], ids=["flow", "packing", "covering"])
+@pytest.mark.parametrize("corrupt", [np.zeros_like, lambda z: z - 1.0],
+                         ids=["zeros", "minus-one"])
+def test_completing_y_cannot_hide_a_wrong_z(monkeypatch, backend, lp, corrupt):
+    assert solve_packing(lp).certificate.ok
+    solve = getattr(lp_core, backend)
+
+    def corrupted(*args):
+        q, z = solve(*args)
+        return q, corrupt(z)
+
+    monkeypatch.setattr(lp_core, backend, corrupted)
+    with pytest.raises(UncertifiedSolveError, match="duality gap") as info:
+        solve_packing(lp)
+    # z clips to 0, so y pays every vertex's whole mass: feasible, far from optimal
+    sol = info.value.solution
+    assert not sol.edge_cover.any()
+    assert sol.singleton_cover.tobytes() == lp.masses.tobytes()
+
+
+def test_the_installed_highs_binding_has_every_call_lp_core_makes():
+    # the oldest supported scipy must offer each of these; a missing one fails
+    # here by name rather than deep inside a solve
+    methods = {"passModel", "addCols", "setOptionValue", "run", "getModelStatus",
+               "modelStatusToString", "getInfo", "getSolution"}
+    members = {("HighsStatus", "kError"), ("MatrixFormat", "kColwise"),
+               ("ObjSense", "kMinimize"), ("HighsModelStatus", "kOptimal")}
+    source = Path(lp_core.__file__).read_text()
+    assert set(re.findall(r"\bhighs\.(\w+)\(", source)) == methods
+    assert set(re.findall(r"\bhighspy\.(\w+)\.(\w+)", source)) == members
+    highspy = lp_core.highspy
+    missing = [name for name in sorted(methods) if not hasattr(highspy._Highs, name)]
+    missing += [f"{enum}.{name}" for enum, name in sorted(members)
+                if not hasattr(getattr(highspy, enum, None), name)]
+    assert missing == []
