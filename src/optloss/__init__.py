@@ -16,7 +16,6 @@ from .bounds import (
     hard_loss_bruteforce,
     optimal_loss,
     pairwise_binary_losses,
-    randomized_independent_set,
 )
 from .data import LabeledDataset, gen_gaussian, load_csv, load_idx, subset
 from .hypergraph import (

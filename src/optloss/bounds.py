@@ -6,8 +6,8 @@ For a dataset, budget epsilon and truncation degree m this module computes:
   the exact optimal soft-classification loss.
 * ``pairwise_binary_losses`` / ``class_only_bound`` -- the coupling lower
   bound L*co(2) built from all one-versus-one binary problems.
-* ``caro_wei_bound`` / ``randomized_independent_set`` -- the weighted
-  Caro-Wei upper bound on hard-classifier loss and its rounding procedure.
+* ``caro_wei_bound`` -- the weighted Caro-Wei upper bound on
+  hard-classifier loss.
 * ``hard_loss_bruteforce`` -- exact maximum-weight-independent-set loss by
   branch and bound (small instances only).
 * ``extract_strategy`` / ``evaluate_classifier`` -- the optimal randomized
@@ -42,6 +42,7 @@ from .hypergraph import (
     _gram_slack,
     _GramScreen,
     _incidence_of,
+    _is_integer,
     build_conflict_graph,
     edge_witness,
     extend_hyperedges,
@@ -61,7 +62,6 @@ __all__ = [
     "pairwise_binary_losses",
     "class_only_bound",
     "caro_wei_bound",
-    "randomized_independent_set",
     "hard_loss_bruteforce",
     "extract_strategy",
     "evaluate_classifier",
@@ -243,28 +243,6 @@ def caro_wei_bound(graph: ConflictHypergraph, weights) -> float:
     denom = np.bincount(np.concatenate([v, u]), np.concatenate([w[u], w[v]]), n) + w
     mask = w > 0
     return 1.0 - float(np.sum(graph.masses[mask] * w[mask] / denom[mask]))
-
-
-def randomized_independent_set(graph: ConflictHypergraph, weights, seed: int = 0) -> np.ndarray:
-    """Round a weight vector into an independent set of the pair graph.
-
-    Simulates the first-arrival process of i.i.d. vertex draws proportional
-    to w: a vertex joins the set when it arrives before all of its neighbors.
-    Zero-weight vertices never arrive. Returns sorted vertex ids.
-    """
-    w = _vertex_weights(graph, weights)
-    n = graph.num_vertices
-    if not np.any(w > 0):
-        raise ValueError("weights must not be all zero")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    with np.errstate(divide="ignore", over="ignore"):
-        arrival = rng.exponential(size=n) / w  # inf where w == 0 or the quotient overflows
-    # a neighbor arriving no later blocks a vertex
-    u, v = graph.pairs.T
-    blocked = np.zeros(n, dtype=bool)
-    blocked[v[arrival[u] <= arrival[v]]] = True
-    blocked[u[arrival[v] <= arrival[u]]] = True
-    return np.flatnonzero((w > 0) & ~blocked)
 
 
 def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
@@ -500,7 +478,7 @@ class SoftClassifierTable:
         points = np.array(self.points, dtype=float)
         labels = np.array(self.labels)
         q = np.array(self.q, dtype=float) + 0.0  # a caller's -0.0 becomes 0.0
-        if not isinstance(self.num_classes, (int, np.integer)) or self.num_classes < 1:
+        if not _is_integer(self.num_classes) or self.num_classes < 1:
             raise ValueError(f"num_classes must be an integer >= 1, got {self.num_classes!r}")
         if (points.ndim != 2 or not points.size  # min and max leave no temporary
                 or not (-MAGNITUDE_LIMIT <= points.min() and points.max() <= MAGNITUDE_LIMIT)):
@@ -575,7 +553,7 @@ def evaluate_classifier(table: SoftClassifierTable, query, side_info=None) -> np
     k = table.num_classes
     if side_info is not None:
         side_info = list(side_info)
-        if not all(isinstance(c, (int, np.integer)) for c in side_info):
+        if not all(_is_integer(c) for c in side_info):
             raise ValueError(f"side_info classes must be integers, got {side_info}")
         classes, allowed = set(range(k)), {int(c) for c in side_info}
         if not allowed <= classes:

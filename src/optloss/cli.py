@@ -192,6 +192,10 @@ def _caro_wei_weights(args, ds):
 
 
 def cmd_bound(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.hard_cap < 0:
+        raise ValueError(f"--hard-cap must be at least 0, got {args.hard_cap}")
     epsilons = sorted(hg._budget(e) for e in args.epsilon)
     for a, b in zip(epsilons, epsilons[1:]):
         if f"{a:g}" == f"{b:g}":

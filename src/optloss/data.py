@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypergraph import MAGNITUDE_LIMIT
+from .hypergraph import MAGNITUDE_LIMIT, _is_integer
 
 __all__ = [
     "LabeledDataset",
@@ -217,11 +217,13 @@ def subset(dataset: LabeledDataset, classes, per_class_cap: int | None = None) -
     classes = list(classes)
     if not classes:
         raise ValueError("empty class list")
+    if per_class_cap is not None and not _is_integer(per_class_cap):
+        raise ValueError(f"per-class cap {per_class_cap!r} is not an integer")
     if per_class_cap is not None and per_class_cap < 1:
         raise ValueError(f"per-class cap must be at least 1, got {per_class_cap}")
     k = dataset.num_classes
     for i, c in enumerate(classes):
-        if not isinstance(c, (int, np.integer)):
+        if not _is_integer(c):
             raise ValueError(f"class {c!r} is not an integer class id")
         if c < 0 or c >= k:
             raise ValueError(f"class {c} not present (dataset has {k} classes)")

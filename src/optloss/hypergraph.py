@@ -172,6 +172,11 @@ def _budget(epsilon) -> float:
     return epsilon + 0.0
 
 
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool, which subclasses int, is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def vertex_graph(dataset, epsilon: float) -> ConflictHypergraph:
     """The dataset's support points as a graph without edges (max degree 1)."""
     epsilon = _budget(epsilon)

@@ -46,7 +46,7 @@ import scipy.sparse as sp
 from scipy.optimize._highspy import _core as highspy
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .hypergraph import IncidenceMatrix
+from .hypergraph import IncidenceMatrix, _is_integer
 
 # A wide LP (a row of more than two entries) of more rows than this generates
 # its covering columns in rounds; up to it, every column goes in at once. The
@@ -79,6 +79,8 @@ class Tolerances:
         # NaN would pass a "<= 0" test and then make every later check pass
         if not all(math.isfinite(v) and v > 0 for v in astuple(self)):
             raise ValueError("all tolerances must be finite and positive")
+        if not _is_integer(self.max_iterations):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
 
 
 @dataclass
@@ -111,7 +113,6 @@ class CertificateReport:
     gap_bound: float
     feasible: bool
     gap_ok: bool
-    complementary_slackness_violations: list[int]
 
     @property
     def ok(self) -> bool:
@@ -177,17 +178,15 @@ def _certificate(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray, z: np.ndarray,
         np.max(q - 1.0, initial=0.0),
         np.max(B @ q - 1.0, initial=0.0),
     ]))
-    cover = B.T @ z + y
     dual = float(np.max([
         np.max(-z, initial=0.0),
         np.max(-y, initial=0.0),
-        np.max(p - cover, initial=0.0),
+        np.max(p - (B.T @ z + y), initial=0.0),
     ]))
     objective = float(p @ q)
     dual_objective = float(z.sum() + y.sum())
     gap = abs(objective - dual_objective)
     gap_bound = tol.gap_rel * max(1.0, abs(objective))
-    over_covered = (q > tol.feasibility_abs) & (cover > p + tol.feasibility_abs)
     return CertificateReport(
         objective=objective,
         dual_objective=dual_objective,
@@ -197,7 +196,6 @@ def _certificate(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray, z: np.ndarray,
         gap_bound=gap_bound,
         feasible=(primal <= tol.feasibility_abs and dual <= tol.feasibility_abs),
         gap_ok=(gap <= gap_bound),
-        complementary_slackness_violations=np.flatnonzero(over_covered).tolist(),
     )
 
 
@@ -481,10 +479,7 @@ def verify_certificates(lp: PackingLp, sol: LpSolution,
     """Recompute all residuals from scratch, independently of the solver.
 
     The verdict is the one ``solve_packing`` raises on and keeps as
-    ``sol.certificate``, recomputed from ``sol``'s vectors. Also reports
-    complementary-slackness violations: vertices with q above tolerance
-    that are strictly over-covered (an optimal classifier gives up on
-    over-covered vertices, so both cannot hold at an exact optimum).
+    ``sol.certificate``, recomputed from ``sol``'s vectors.
     """
     return _certificate(lp.masses, lp.incidence.matrix, sol.q, sol.edge_cover,
                         sol.singleton_cover, tol)

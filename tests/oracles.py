@@ -5,7 +5,9 @@ The oracles deliberately avoid the library's computation paths: enclosing
 balls come from exhaustive candidate enumeration with a Gram-matrix
 circumcenter solve (a triangle's radius and centre also in exact rational
 arithmetic), couplings from extreme-point enumeration, and independent sets
-from full subset search.
+from full subset search. ``randomized_independent_set`` is the constructive
+side of the Caro-Wei bound: the rounding whose expected mass the bound
+promises, which acceptance test A6 samples.
 """
 
 import itertools
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from optloss.bounds import _vertex_weights
 from optloss.data import from_arrays
 
 
@@ -171,6 +174,28 @@ def oracle_max_weight_independent(pairs, weights):
             continue
         best = max(best, float(weights[members].sum()))
     return best
+
+
+def randomized_independent_set(graph, weights, seed=0):
+    """Round a weight vector into an independent set of the pair graph.
+
+    Simulates the first-arrival process of i.i.d. vertex draws proportional
+    to w: a vertex joins the set when it arrives before all of its neighbors.
+    Zero-weight vertices never arrive. Returns sorted vertex ids.
+    """
+    w = _vertex_weights(graph, weights)
+    n = graph.num_vertices
+    if not np.any(w > 0):
+        raise ValueError("weights must not be all zero")
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    with np.errstate(divide="ignore", over="ignore"):
+        arrival = rng.exponential(size=n) / w  # inf where w == 0 or the quotient overflows
+    # a neighbor arriving no later blocks a vertex
+    u, v = graph.pairs.T
+    blocked = np.zeros(n, dtype=bool)
+    blocked[v[arrival[u] <= arrival[v]]] = True
+    blocked[u[arrival[v] <= arrival[u]]] = True
+    return np.flatnonzero((w > 0) & ~blocked)
 
 
 def oracle_hyperedges(points, labels, epsilon, max_degree):

@@ -11,7 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import oracle_meb, random_dataset, triangle_dataset
+from oracles import (
+    oracle_meb,
+    random_dataset,
+    randomized_independent_set,
+    triangle_dataset,
+)
 
 from optloss.bounds import (
     InstanceTooLargeError,
@@ -20,7 +25,6 @@ from optloss.bounds import (
     class_distance_stats,
     hard_loss_bruteforce,
     optimal_loss,
-    randomized_independent_set,
 )
 from optloss.data import from_arrays, gen_gaussian, load_idx, subset
 from optloss.hypergraph import (

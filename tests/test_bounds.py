@@ -14,6 +14,7 @@ from oracles import (
     oracle_class_only,
     oracle_max_weight_independent,
     random_dataset,
+    randomized_independent_set,
     triangle_dataset,
 )
 
@@ -32,7 +33,6 @@ from optloss.bounds import (
     hard_loss_bruteforce,
     optimal_loss,
     pairwise_binary_losses,
-    randomized_independent_set,
 )
 from optloss.data import LabeledDataset, from_arrays, gen_gaussian
 from optloss.hypergraph import (
@@ -825,9 +825,10 @@ def test_classifier_side_information_outside_classes_raises():
             evaluate_classifier(table, np.zeros(2), side_info={0, bad})
 
 
-@pytest.mark.parametrize("side_info", [[0.7], [2, 2.5]])
+@pytest.mark.parametrize("side_info", [[0.7], [2, 2.5], [True], [0, np.True_]])
 def test_classifier_side_information_non_integer_classes_raise(side_info):
-    # int() would read [0.7] as class 0 and [2, 2.5] as {2}
+    # int() would read [0.7] as class 0 and [2, 2.5] as {2}; True, a
+    # subclass of int, used to allow class 1
     table = SoftClassifierTable(**classifier_fields())
     with pytest.raises(ValueError, match="must be integers"):
         evaluate_classifier(table, np.zeros(2), side_info=side_info)
@@ -950,6 +951,9 @@ def classifier_fields():
     ("epsilon", -0.1),
     ("num_classes", 3.0),
     ("num_classes", 0),
+    ("num_classes", True),
+    ("num_classes", np.True_),
+    ("num_classes", 2.5),
 ])
 def test_classifier_table_rejects_invalid_fields(field, value):
     fields = classifier_fields()

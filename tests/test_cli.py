@@ -1,6 +1,7 @@
 """CLI behavior: thin-shell equivalence with library calls, schemas, exits."""
 
 import csv
+import importlib
 import json
 import os
 import re
@@ -133,6 +134,28 @@ def test_bound_sweep_jobs_consistent(tmp_path, capsys, gaussian_file):
     )
     assert code1 == code2 == 0
     assert out1["losses"] == out2["losses"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bound_rejects_jobs_below_one_before_any_work(tmp_path, capsys, jobs):
+    # both used to run the sweep serially and exit 0; the missing data file
+    # shows that nothing was loaded before the check
+    code, out = run_cli(capsys, "bound", "--data", str(tmp_path / "absent.json"),
+                        "--epsilon", "2.4", "--jobs", jobs, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out == {"error": f"--jobs must be at least 1, got {jobs}",
+                   "type": "ValueError", "command": "bound"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_bound_rejects_a_negative_hard_cap_before_any_work(tmp_path, capsys):
+    # -5 used to skip the exact search and write "hard_bruteforce": null
+    code, out = run_cli(capsys, "bound", "--data", str(tmp_path / "absent.json"),
+                        "--epsilon", "2.4", "--hard-cap", "-5", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out == {"error": "--hard-cap must be at least 0, got -5",
+                   "type": "ValueError", "command": "bound"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_bound_monotone_in_epsilon(tmp_path, capsys, gaussian_file):
@@ -513,6 +536,17 @@ def test_readme_quick_start_prints_the_values_in_its_comments(capsys):
     exec(compile(block, str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert [round(float(line), 4) for line in printed[:2]] == promised
+
+
+def test_readme_dotted_names_exist():
+    # every backticked `optloss.<module>.<NAME>`, the prefix optional, such
+    # as `optloss.hypergraph.MAGNITUDE_LIMIT` or `lp_core.GENERATION_ROWS`
+    names = set(re.findall(r"`(?:optloss\.)?(bounds|cli|data|hypergraph|lp_core)\.(\w+)`",
+                           README.read_text()))
+    assert {("hypergraph", "MAGNITUDE_LIMIT"), ("bounds", "QUERY_REACH")} <= names
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(f"optloss.{module}"), name)]
+    assert missing == []
 
 
 def write_idx_pair(tmp_path):

@@ -118,9 +118,10 @@ def test_subset_errors_and_warning():
 
 
 @pytest.mark.parametrize("names", [None, ["a", "b", "c"]], ids=["unnamed", "named"])
-@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1", True, np.True_, 2.5])
 def test_subset_rejects_a_class_id_that_is_not_an_integer(names, bad):
-    # unnamed, [0, 1.5] used to return class 0 alone; named, it raised a TypeError
+    # unnamed, [0, 1.5] used to return class 0 alone; named, it raised a
+    # TypeError; True, a subclass of int, used to select class 1
     ds = LabeledDataset(np.arange(6.0)[:, None], [0, 0, 1, 1, 2, 2], np.full(6, 1 / 6), names)
     with pytest.raises(ValueError, match=f"class {bad!r} is not an integer class id"):
         subset(ds, [0, bad])
@@ -132,6 +133,14 @@ def test_subset_rejects_a_cap_below_one(cap):
     # -1 used to slice idx[:-1], silently dropping each class's last point
     ds = from_arrays([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [0, 1, 0, 1])
     with pytest.raises(ValueError, match=f"per-class cap must be at least 1, got {cap}"):
+        subset(ds, [0, 1], per_class_cap=cap)
+
+
+@pytest.mark.parametrize("cap", [True, np.True_, 2.5])
+def test_subset_rejects_a_cap_that_is_not_an_integer(cap):
+    # True used to keep one point per class; 2.5 raised a TypeError from slicing
+    ds = from_arrays([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [0, 1, 0, 1])
+    with pytest.raises(ValueError, match=rf"per-class cap {cap!r} is not an integer"):
         subset(ds, [0, 1], per_class_cap=cap)
 
 

@@ -108,7 +108,6 @@ def test_certificates_clean_solution():
     assert report.primal_residual <= 1e-8
     assert report.dual_residual <= 1e-8
     assert report.duality_gap <= 1e-6
-    assert report.complementary_slackness_violations == []
 
 
 def test_certificates_flag_corrupted_primal():
@@ -177,7 +176,8 @@ def test_certificates_flag_overcovered_positive_q():
     sol = solve_packing(lp)
     bad = replace(sol, edge_cover=sol.edge_cover + 0.5)
     report = verify_certificates(lp, bad)
-    assert len(report.complementary_slackness_violations) > 0
+    # the extra cover pays 0.5 more than the packing gains: the gap flags it
+    assert not report.gap_ok
 
 
 def test_strong_duality_on_random_instances():
@@ -248,7 +248,7 @@ def test_iteration_limit_raises_nonconvergence():
     assert info.value.status == lp_core.highspy.HighsModelStatus.kIterationLimit
 
 
-@pytest.mark.parametrize("limit", [2**31, 1.5])
+@pytest.mark.parametrize("limit", [2**31])
 def test_iteration_limit_highs_cannot_take_raises(limit):
     lp = make_lp([(0, 1), (0, 2), (1, 2)], [0.2, 0.3, 0.5])  # odd cycle: HiGHS
     with pytest.raises(ValueError, match="HiGHS rejects simplex_iteration_limit"):
@@ -283,6 +283,11 @@ def test_tolerances_validation():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 Tolerances(**{field: bad})
+    # these used to construct, and failed only at a HiGHS solve; a flow
+    # solve never read them
+    for bad in (True, np.True_, 1.5, 2.5):
+        with pytest.raises(ValueError, match=f"max_iterations must be an integer, got {bad!r}"):
+            Tolerances(max_iterations=bad)
 
 
 # ------------------------------------------------------------ flow backend
