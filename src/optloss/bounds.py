@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,15 +246,22 @@ def caro_wei_bound(graph: ConflictHypergraph, weights) -> float:
     return 1.0 - float(np.sum(graph.masses[mask] * w[mask] / denom[mask]))
 
 
+def _check_cap(name: str, cap) -> None:
+    if not _is_integer(cap) or cap < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {cap!r}")
+
+
 def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
     """Exact optimal hard-classifier loss by branch and bound.
 
     One minus the maximum probability of an independent set in the pair
     graph, searched one connected component at a time. The components'
     weights are summed exactly (``math.fsum``) and the loss clamped at 0.
-    Refuses instances above ``cap`` vertices rather than approximating.
-    Returns ``(loss, frozenset_of_vertex_ids)``.
+    Refuses instances above ``cap`` vertices rather than approximating;
+    ``cap`` must be an integer >= 0. Returns
+    ``(loss, frozenset_of_vertex_ids)``.
     """
+    _check_cap("cap", cap)
     n = graph.num_vertices
     if n > cap:
         raise InstanceTooLargeError(
@@ -685,6 +693,30 @@ def _histogram(q: np.ndarray) -> dict:
     return {"bin_edges": bin_edges.tolist(), "counts": counts.tolist()}
 
 
+# bound_report solves an L*(2) LP of at least this many rows on a worker
+# thread, from m_max = 3, while it extends the graph and solves the other
+# LPs; HiGHS releases the GIL while it runs. Below it the thread's GIL
+# hand-offs can cost more than the overlap saves: on bound_report(m_max=3)
+# of gen_gaussian(3, n, seed=3) at eps 2.4, threaded against inline on a
+# 2-vCPU Xeon (medians of 40-60 alternating runs, two series), +8 % to
+# +46 % at 3-186 rows and +4 % at 329; at 349-435 rows the series
+# disagreed, from +4 % to -17 %; from 567 rows on both gained, -1 % to
+# -29 %. At m_max = 2 only the pairwise union, which holds the GIL, would
+# overlap, and a fresh thread's malloc arena faults in L*(2)'s memory anew
+# (3,200 page faults on the benchmark's 11,000-row pairs-2d LP): +4 % to
+# +11 % there.
+OVERLAP_ROWS = 500
+
+
+def _timed_solve(lp: PackingLp, tol: Tolerances):
+    """``solve_packing(lp, tol)`` and its seconds. The solver is looked up
+    by this module's name when called, so a wrapper patched onto
+    ``bounds.solve_packing`` sees a worker's solve too."""
+    t0 = time.perf_counter()
+    sol = solve_packing(lp, tol)
+    return sol, time.perf_counter() - t0
+
+
 def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
                  tol: Tolerances = Tolerances(), hard_cap: int = 30,
                  caro_wei_weights=None, jobs: int = 1, progress=None) -> BoundReport:
@@ -693,45 +725,72 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
     Solves L*(m) for m = 2..m_max, the class-only coupling bound, the
     Caro-Wei upper bound (weights default to the degree-2 packing solution),
     and, when the instance is at most ``hard_cap`` vertices, the exact
-    hard-classifier loss. A degree whose extension accepts no edge has the
-    previous degree's LP, so its solution is reported again, not re-solved.
-    ``jobs`` is ignored (see ``extend_hyperedges``).
+    hard-classifier loss; ``hard_cap`` must be an integer >= 0. A degree
+    whose extension accepts no edge has the previous degree's LP, so its
+    solution is reported again, not re-solved.
+
+    From m_max = 3, an L*(2) LP of at least ``OVERLAP_ROWS`` rows is solved
+    on a worker thread, one per call and joined before the call returns,
+    while this thread extends the graph and solves L*(3..m_max) and the
+    pairwise union; Caro-Wei waits for it. Any other is solved first, on
+    this thread. Either way the answers are the same, and a failing L*(2)
+    raises its own error, as it would first in sequence.
+    ``runtimes["solve_2"]`` is L*(2)'s own time, so with the overlap the
+    runtimes may sum past the wall time. ``jobs`` is ignored, and controls
+    no thread here (see ``extend_hyperedges``).
     """
     k = dataset.num_classes
     if not 2 <= m_max:
         raise ValueError("m_max must be >= 2")
+    _check_cap("hard_cap", hard_cap)
     runtimes: dict[str, float] = {}
-    backends: dict[str, str] = {}
-    losses: dict[int, float] = {}
-    q_histograms: dict[int, dict] = {}
 
     t0 = time.perf_counter()
     graph = build_conflict_graph(dataset, epsilon)
     runtimes["build"] = time.perf_counter() - t0
 
-    sol2 = None
-    for m in range(2, m_max + 1):
-        if m > 2:
-            t0 = time.perf_counter()
-            graph = extend_hyperedges(graph, m, progress=progress)
-            runtimes[f"extend_{m}"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        # without an m-edge the incidence is L*(m-1)'s, row for row, and so is its solution
-        if m == 2 or len(graph.edges[m]):
-            sol = solve_packing(PackingLp(graph.masses, incidence(graph)), tol)
-        runtimes[f"solve_{m}"] = time.perf_counter() - t0
-        backends[f"solve_{m}"] = sol.backend
-        losses[m] = sol.loss
-        q_histograms[m] = _histogram(sol.q)
-        if m == 2:
-            sol2 = sol
+    t0 = time.perf_counter()
+    lp2 = PackingLp(graph.masses, incidence(graph))
+    runtimes["solve_2"] = time.perf_counter() - t0  # plus the solve's own time, below
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        if m_max > 2 and lp2.incidence.matrix.shape[0] >= OVERLAP_ROWS:
+            solve2 = worker.submit(_timed_solve, lp2, tol)
+        else:
+            solve2 = Future()
+            solve2.set_result(_timed_solve(lp2, tol))
+        try:
+            higher = {}  # (backend, loss, q histogram) of each degree above 2 that solves
+            for m in range(3, m_max + 1):
+                t0 = time.perf_counter()
+                graph = extend_hyperedges(graph, m, progress=progress)
+                runtimes[f"extend_{m}"] = time.perf_counter() - t0
+                t0 = time.perf_counter()
+                if len(graph.edges[m]):
+                    sol = solve_packing(PackingLp(graph.masses, incidence(graph)), tol)
+                    higher[m] = sol.backend, sol.loss, _histogram(sol.q)
+                runtimes[f"solve_{m}"] = time.perf_counter() - t0
 
-    class_only = None
-    if k >= 2:
-        t0 = time.perf_counter()
-        pairwise = _pairwise_losses(graph, tol, dataset.class_names)
-        class_only = class_only_bound(pairwise, dataset.class_priors())
-        runtimes["class_only"] = time.perf_counter() - t0
+            class_only = pairwise = None
+            if k >= 2:
+                t0 = time.perf_counter()
+                pairwise = _pairwise_losses(graph, tol, dataset.class_names)
+                class_only = class_only_bound(pairwise, dataset.class_priors())
+                runtimes["class_only"] = time.perf_counter() - t0
+        except Exception:
+            solve2.result()  # L*(2)'s error, first in sequence, takes precedence
+            raise
+        sol2, seconds = solve2.result()
+    runtimes["solve_2"] += seconds
+
+    backends: dict[str, str] = {}
+    losses: dict[int, float] = {}
+    q_histograms: dict[int, dict] = {}
+    part = sol2.backend, sol2.loss, _histogram(sol2.q)
+    for m in range(2, m_max + 1):
+        # without an m-edge the incidence is L*(m-1)'s, row for row, and so is its solution
+        part = higher.get(m, part)
+        backends[f"solve_{m}"], losses[m], q_histograms[m] = part
+    if pairwise is not None:
         backends["pairwise"] = pairwise.backend
 
     t0 = time.perf_counter()

@@ -76,11 +76,17 @@ class Tolerances:
     max_iterations: int = 200_000
 
     def __post_init__(self):
+        if not _is_integer(self.max_iterations):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        # HiGHS takes an iteration limit up to the int32 maximum and rejects
+        # more, but only when a solve sets it; a flow solve never would
+        limit = int(np.iinfo(np.int32).max)
+        if self.max_iterations > limit:
+            raise ValueError(f"max_iterations must be at most {limit}, the largest iteration "
+                             f"limit HiGHS takes, got {self.max_iterations!r}")
         # NaN would pass a "<= 0" test and then make every later check pass
         if not all(math.isfinite(v) and v > 0 for v in astuple(self)):
             raise ValueError("all tolerances must be finite and positive")
-        if not _is_integer(self.max_iterations):
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
 
 
 @dataclass

@@ -4,7 +4,9 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -45,7 +47,13 @@ from optloss.hypergraph import (
     incidence,
     vertex_graph,
 )
-from optloss.lp_core import PackingLp, solve_packing, verify_certificates
+from optloss.lp_core import (
+    LpNonConvergenceError,
+    PackingLp,
+    Tolerances,
+    solve_packing,
+    verify_certificates,
+)
 
 
 def oracle_mwis(ds, eps):
@@ -1206,3 +1214,115 @@ def test_degree_without_edges_reuses_the_previous_solution(monkeypatch, classes,
     assert {f"solve_{m}" for m in range(2, m_max + 1)} <= report.runtimes.keys()
     assert report_parts(report) == per_degree_chain(ds, 0.4, m_max)
     assert report.losses[m_max] == report.losses[2] > 0.0
+
+
+# ------------------------------------------------- L*(2) on a worker thread
+
+
+def report_on(monkeypatch, overlap, ds, eps, m_max, **kwargs):
+    """``bound_report`` with L*(2) solved on the worker always or never."""
+    monkeypatch.setattr(bounds, "OVERLAP_ROWS", 0 if overlap else sys.maxsize)
+    return bound_report(ds, eps, m_max=m_max, **kwargs)
+
+
+@pytest.mark.parametrize("k, per, eps, m_max, degrees", [
+    (3, 20, 2.8, 2, {2, 3}), (3, 20, 2.8, 3, {2, 3}),
+    (4, 12, 2.8, 2, {2, 3, 4}), (4, 12, 2.8, 3, {2, 3, 4}), (4, 12, 2.8, 4, {2, 3, 4}),
+    (4, 10, 3.0, 4, {2, 3, 4}),
+    (3, 20, 2.4, 3, {2}),  # no triple: L*(3) reports L*(2)'s solution
+])
+def test_l2_on_the_worker_reports_what_the_inline_solve_does(monkeypatch, k, per, eps, m_max,
+                                                             degrees):
+    ds = gen_gaussian(k, per, seed=1)
+    docs, keys = [], []
+    for overlap in (True, False):
+        report = report_on(monkeypatch, overlap, ds, eps, m_max)
+        doc = report.to_json_dict()
+        keys.append(list(doc.pop("runtimes")))
+        docs.append(json.dumps(doc))
+    assert report.edge_counts.keys() == {d for d in degrees if d <= m_max}
+    assert docs[0] == docs[1]
+    stages = [f"{stage}_{m}" for m in range(3, m_max + 1) for stage in ("extend", "solve")]
+    assert keys[0] == keys[1] == ["build", "solve_2", *stages, "class_only", "caro_wei"]
+    assert list(report.solver_backends) == [*[f"solve_{m}" for m in range(2, m_max + 1)],
+                                            "pairwise"]
+
+
+@pytest.mark.parametrize("m_max", [2, 4])
+@pytest.mark.parametrize("overlap", [True, False])
+def test_a_patched_solver_sees_every_lp_of_the_report(monkeypatch, overlap, m_max):
+    # the benchmark's certificate check patches bounds.solve_packing, and so
+    # must see L*(2) on the worker too
+    ds = gen_gaussian(4, 12, seed=1)
+    solve = bounds.solve_packing
+    seen = []
+
+    def recording(lp, tol):
+        sol = solve(lp, tol)
+        seen.append((sol, threading.current_thread() is threading.main_thread()))
+        return sol
+
+    monkeypatch.setattr(bounds, "solve_packing", recording)
+    report = report_on(monkeypatch, overlap, ds, 2.8, m_max)
+    n = ds.num_points
+    degree = {int(sol.lp.incidence.matrix.getnnz(axis=1).max()): (sol.loss, on_main)
+              for sol, on_main in seen if sol.lp.masses.size == n}
+    assert {m: loss for m, (loss, _) in degree.items()} == report.losses
+    # L*(2..m_max) and the pairwise union, whose vertex copies number (K - 1) n
+    assert len(seen) == m_max and sum(sol.lp.masses.size == 3 * n for sol, _ in seen) == 1
+    # at m_max = 2 no extension or higher LP could overlap the worker's solve
+    on_worker = overlap and m_max > 2
+    assert [on_main for _, (_, on_main) in sorted(degree.items())] == [
+        not on_worker, *[True] * (m_max - 2)]
+
+
+@pytest.mark.parametrize("overlap", [True, False])
+def test_l2_error_takes_precedence_over_a_later_stage(monkeypatch, overlap):
+    ds = gen_gaussian(3, 20, seed=1)
+    solve = bounds.solve_packing
+
+    def failing_l2(lp, tol):
+        if lp.masses.size == ds.num_points and lp.incidence.matrix.getnnz(axis=1).max() == 2:
+            raise LpNonConvergenceError("L*(2) stopped", None)
+        return solve(lp, tol)
+
+    def failing_extension(*args, **kwargs):
+        raise RuntimeError("extension failed")
+
+    before = threading.active_count()
+    monkeypatch.setattr(bounds, "extend_hyperedges", failing_extension)
+    with pytest.raises(RuntimeError, match="extension failed"):
+        report_on(monkeypatch, overlap, ds, 2.8, 3)
+    assert threading.active_count() == before
+    # L*(2) fails too: its error comes first in sequence, so it wins
+    monkeypatch.setattr(bounds, "solve_packing", failing_l2)
+    with pytest.raises(LpNonConvergenceError, match=re.escape("L*(2) stopped")):
+        report_on(monkeypatch, overlap, ds, 2.8, 3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("eps", [2.4, 2.8])
+def test_l2_iteration_limit_surfaces_from_the_worker(monkeypatch, eps):
+    ds = gen_gaussian(3, 20, seed=1)
+    before = threading.active_count()
+    with pytest.raises(LpNonConvergenceError, match="Iteration limit reached") as info:
+        report_on(monkeypatch, True, ds, eps, 3, tol=Tolerances(max_iterations=1))
+    # at eps 2.8, L*(3) stops too, on the calling thread, and is L*(2)'s
+    # context; at 2.4 there is no triple, so only L*(2) solves and stops
+    assert isinstance(info.value.__context__, LpNonConvergenceError) == (eps == 2.8)
+    assert threading.active_count() == before
+    report_on(monkeypatch, True, ds, eps, 3)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("bad", [-5, 2.5, True, np.True_])
+def test_exact_search_caps_must_be_integers_of_at_least_zero(bad):
+    # each used to skip the search without a word (hard_bruteforce None, where
+    # a cap of 30 gives 0.2), or to name a fractional cap in its refusal
+    ds = gen_gaussian(3, 5, seed=1)
+    message = re.escape(f"cap must be an integer >= 0, got {bad!r}")
+    with pytest.raises(ValueError, match=f"^hard_{message}"):
+        bound_report(ds, 2.4, hard_cap=bad)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        hard_loss_bruteforce(build_conflict_graph(ds, 2.4), cap=bad)
+    assert bound_report(ds, 2.4, hard_cap=30).hard_bruteforce == pytest.approx(0.2)

@@ -248,11 +248,17 @@ def test_iteration_limit_raises_nonconvergence():
     assert info.value.status == lp_core.highspy.HighsModelStatus.kIterationLimit
 
 
-@pytest.mark.parametrize("limit", [2**31])
+@pytest.mark.parametrize("limit", [2**31, pytest.param(np.int64(2**31), id="int64"),
+                                   pytest.param(10**400, id="10**400")])
 def test_iteration_limit_highs_cannot_take_raises(limit):
+    # refused at construction: it used to construct and fail only at a HiGHS
+    # solve, so an LP that took the flow backend never noticed
+    with pytest.raises(ValueError, match="max_iterations must be at most 2147483647"):
+        Tolerances(max_iterations=limit)
+    # the largest limit HiGHS takes still solves
     lp = make_lp([(0, 1), (0, 2), (1, 2)], [0.2, 0.3, 0.5])  # odd cycle: HiGHS
-    with pytest.raises(ValueError, match="HiGHS rejects simplex_iteration_limit"):
-        solve_packing(lp, Tolerances(max_iterations=limit))
+    sol = solve_packing(lp, Tolerances(max_iterations=2**31 - 1))
+    assert sol.backend == "highs"
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
