@@ -267,8 +267,12 @@ def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
         raise InstanceTooLargeError(
             f"{n} vertices exceeds the exact-search cap of {cap}"
         )
+    # the CSR of u -> v, rows grouped by u; a graph's pairs already are, and
+    # the stable sort then keeps them as they are
     u, v = graph.pairs.T
-    _, comp = connected_components(sp.csr_matrix((np.ones(u.size), (u, v)), shape=(n, n)),
+    indptr = np.append(0, np.cumsum(np.bincount(u, minlength=n)))
+    heads = v[np.argsort(u, kind="stable")]
+    _, comp = connected_components(sp.csr_matrix((np.ones(u.size), heads, indptr), shape=(n, n)),
                                    directed=False)
     # search bit r is vertex order[r]: by component, then decreasing mass, then id
     order = np.lexsort((np.arange(n), -graph.masses, comp))
@@ -688,9 +692,18 @@ _REPORT_NOTES = (
 )
 
 
+_BIN_EDGES = np.linspace(0.0, 1.0, 21)  # np.histogram's edges for 20 bins over [0, 1]
+
+
 def _histogram(q: np.ndarray) -> dict:
-    counts, bin_edges = np.histogram(q, bins=20, range=(0.0, 1.0))
-    return {"bin_edges": bin_edges.tolist(), "counts": counts.tolist()}
+    """``np.histogram(q, bins=20, range=(0.0, 1.0))`` of a q in [0, 1], as
+    lists, by numpy's own rule for equal bins: the index ``floor(20 q)``,
+    moved down one where q lies below its bin's left edge, and up one where
+    q reaches the next edge, except in the last bin, which holds 1.0."""
+    bins = np.minimum((q * 20).astype(np.intp), 19)
+    bins -= q < _BIN_EDGES[bins]
+    bins += (q >= _BIN_EDGES[bins + 1]) & (bins != 19)
+    return {"bin_edges": _BIN_EDGES.tolist(), "counts": np.bincount(bins, minlength=20).tolist()}
 
 
 # bound_report solves an L*(2) LP of at least this many rows on a worker

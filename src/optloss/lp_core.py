@@ -173,10 +173,11 @@ class UncertifiedSolveError(RuntimeError):
 
 
 def _certificate(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray, z: np.ndarray,
-                 y: np.ndarray, tol: Tolerances) -> CertificateReport:
+                 cover: np.ndarray, y: np.ndarray, tol: Tolerances) -> CertificateReport:
     """The certificate of a primal-dual pair, the one place that judges a
     solve: residuals and gap are recomputed from the vectors, over every
     vertex and row, and compared with the tolerances (a NaN residual fails).
+    ``cover`` is the mass the edges cover, ``B^T z``.
     """
     # np.max, not max: a NaN anywhere makes the residual NaN
     primal = float(np.max([
@@ -187,7 +188,7 @@ def _certificate(p: np.ndarray, B: sp.csr_matrix, q: np.ndarray, z: np.ndarray,
     dual = float(np.max([
         np.max(-z, initial=0.0),
         np.max(-y, initial=0.0),
-        np.max(p - (B.T @ z + y), initial=0.0),
+        np.max(p - (cover + y), initial=0.0),
     ]))
     objective = float(p @ q)
     dual_objective = float(z.sum() + y.sum())
@@ -231,64 +232,89 @@ def _flow_packing(p: np.ndarray, B: sp.csr_matrix, labels: np.ndarray):
     have different labels, the rows together use exactly two labels and the
     masses scale to integers w. Side A is every vertex with the label of the
     first row's first vertex, side B every other vertex. The network is
-    s -> a (cap w_a), a -> b (cap sum(w) + 1), b -> t (cap w_b); the vertices
-    on the source side of the residual cut, in A, and off it, in B, form a
-    maximum-weight independent set, q is its 0/1 indicator and z is the edge
-    flow over the scale.
+    s -> a (cap w_a), a -> b (cap sum(w) + 1), b -> t (cap w_b), one a -> b
+    arc per distinct row; the vertices on the source side of the residual
+    cut, in A, and off it, in B, form a maximum-weight independent set, q is
+    its 0/1 indicator and z is the edge flow over the scale, on each row's
+    first occurrence.
+
+    The network is built once, as an int32 CSR in canonical form. The rows
+    are made distinct and lexicographic first (a graph's incidence already
+    is); a stable sort by tail then lists each a's heads in increasing
+    order. ``maximum_flow`` returns the flow on that network plus a
+    zero-capacity reverse arc beside each arc, each row in column order. Its
+    arrays give the residual arcs the source side needs, with no
+    subtraction: s -> a while a is unsaturated, every a -> b (its capacity
+    exceeds any flow) and every reverse arc that carries flow (a negative
+    entry). The arcs into t, left out, are full at a maximum flow.
     """
     if np.any(np.diff(B.indptr) != 2) or np.any(B.data != 1.0):
         return None
-    ends = B.indices.reshape(-1, 2).astype(np.int64)
-    classes = labels[ends]
-    if np.any(classes[:, 0] == classes[:, 1]) or not np.isin(classes, classes[0]).all():
+    u, v = B.indices.reshape(-1, 2).T
+    side_a = labels == labels[u[0]]
+    u_in_a = side_a[u]
+    # each row joins side A to the first row's second label
+    if np.any(u_in_a == side_a[v]) or not (labels == labels[v[0]])[np.where(u_in_a, v, u)].all():
         return None
     integer = _mass_scale(p)
     if integer is None:
         return None
     scale, w = integer
-    n = p.shape[0]
-    side_a = labels == classes[0, 0]
+    w = w.astype(np.int32)
 
-    u, v = ends.T
-    a = np.where(side_a[u], u, v)
-    b = np.where(side_a[u], v, u)
-    big = int(w.sum()) + 1
+    first = None  # once the rows need sorting: each distinct row's first occurrence
+    if not np.all((u[1:] > u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] > v[:-1]))):
+        first = np.lexsort((v, u))
+        u, v = u[first], v[first]
+        distinct = np.append(True, (u[1:] != u[:-1]) | (v[1:] != v[:-1]))
+        first, u, v = first[distinct], u[distinct], v[distinct]
+        u_in_a = side_a[u]
+    n, m = p.shape[0], u.shape[0]
+    s, t = n, n + 1
     src = np.flatnonzero(side_a)
     snk = np.flatnonzero(~side_a)
-    s, t = n, n + 1
-    caps = sp.csr_matrix(
-        (np.concatenate([w[src], np.full(a.shape[0], big), w[snk]]).astype(np.int64),
-         (np.concatenate([np.full(src.shape[0], s), a, snk]),
-          np.concatenate([src, b, np.full(snk.shape[0], t)]))),
-        shape=(n + 2, n + 2),
-    )
-    np.minimum(caps.data, big, out=caps.data)  # repeated rows were summed
-    caps = caps.astype(np.int32)
-    flow = maximum_flow(caps, s, t).flow
+    tails = np.concatenate([np.where(u_in_a, u, v), snk, np.full(src.size, s)], dtype=np.int32)
+    heads = np.concatenate([np.where(u_in_a, v, u), np.full(snk.size, t), src], dtype=np.int32)
+    caps = np.concatenate([np.full(m, w.sum() + 1, dtype=np.int32), w[snk], w[src]])
+    arcs = np.argsort(tails, kind="stable")
+    indptr = np.zeros(n + 3, dtype=np.int32)
+    np.cumsum(np.bincount(tails, minlength=n + 2), out=indptr[1:])
+    network = sp.csr_matrix((caps[arcs], heads[arcs], indptr), shape=(n + 2, n + 2))
+    flow = maximum_flow(network, s, t).flow
 
-    residual = caps - flow  # C - F: free capacity forward, flow backward
-    residual.eliminate_zeros()
+    tail_in_a = np.repeat(np.append(side_a, [False, False]), np.diff(flow.indptr))
+    residual = tail_in_a | (flow.data < 0)
+    out_of_s = slice(flow.indptr[s], flow.indptr[s + 1])  # s has no reverse arc
+    residual[out_of_s] = flow.data[out_of_s] < w[src]
+    kept = np.append(0, np.cumsum(residual))[flow.indptr]
     reach = np.zeros(n + 2, dtype=bool)
-    reach[breadth_first_order(residual, s, return_predecessors=False)] = True
-    q = np.where(side_a, reach[:n], ~reach[:n]).astype(float)
+    reach[breadth_first_order(
+        sp.csr_matrix((np.ones(kept[-1]), flow.indices[residual], kept), shape=network.shape),
+        s, return_predecessors=False)] = True
+    q = (side_a == reach[:n]).astype(float)
 
-    # a repeated row carries its pair's flow once, on its first occurrence
-    _, first = np.unique(a * n + b, return_index=True)
-    z = np.zeros(a.shape[0])
-    z[first] = np.asarray(flow[a[first], b[first]], dtype=float).ravel() / scale
-    return q, z
+    # the flow's a -> b entries come in the network's order, the rows as arcs sorts them
+    z = np.empty(m)
+    z[arcs[arcs < m]] = flow.data[tail_in_a & (flow.indices < n)]
+    z /= scale
+    if first is None:
+        return q, z
+    every = np.zeros(B.shape[0])
+    every[first] = z
+    return q, every
 
 
 def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
     """Solve the packing LP and return a certified primal-dual pair.
 
     Deterministic for a fixed instance and tolerance configuration; the
-    module docstring says which backend takes which LP. Each gets the
-    incidence as canonical CSR (a row listing a vertex twice gives it
-    coefficient 2; copied only when not canonical) and returns (q, z). q
-    clipped to [0, 1] and z to [0, inf), each plus 0.0 (HiGHS leaves -0.0,
-    and values a few ulps outside), and ``y = max(p - B^T z, 0)`` pass one
-    certificate check over every row.
+    module docstring says which backend takes which LP. The incidence may be
+    any scipy sparse matrix or array; each backend gets it as canonical CSR
+    (a row listing a vertex twice gives it coefficient 2; copied only when
+    not canonical) and returns (q, z). q clipped to [0, 1] and z to
+    [0, inf), each plus 0.0 (HiGHS leaves -0.0, and values a few ulps
+    outside), and ``y = max(p - B^T z, 0)`` pass one certificate check over
+    every row, which reads the same ``B^T z``.
     Raises :class:`LpNonConvergenceError` if HiGHS ends with any model
     status other than optimal (its iteration limit, say), ``ValueError`` if
     HiGHS rejects the model or an option, and :class:`UncertifiedSolveError`
@@ -306,14 +332,15 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
         found = _flow_packing(p, B, lp.incidence.labels)
     if found is not None:
         (q, z), backend = found, "flow"
-    elif B.getnnz(axis=1).max() > 2:
+    elif np.diff(B.indptr).max() > 2:
         (q, z), backend = _highs_covering(p, B, tol), "highs"
     else:
         (q, z), backend = _highs_packing(p, B, tol), "highs"
     q = np.clip(q, 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
     z = np.maximum(z, 0.0) + 0.0  # which zero maximum keeps is unspecified
-    y = np.maximum(p - B.T @ z, 0.0)
-    cert = _certificate(p, B, q, z, y, tol)
+    cover = B.T @ z
+    y = np.maximum(p - cover, 0.0)
+    cert = _certificate(p, B, q, z, cover, y, tol)
     sol = LpSolution(q, z, y, lp, backend, cert)
     if not cert.feasible:
         raise UncertifiedSolveError(
@@ -380,7 +407,8 @@ def _highs_covering(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
     columns = [rows]
     while True:
         _run_certifiable(highs, tol)
-        q = np.asarray(highs.getSolution().row_dual)
+        solution = highs.getSolution()
+        q = np.asarray(solution.row_dual)
         if nominate is None or (rows := nominate(q)).size == 0:
             break
         starts, index, value = _columns_of(B[rows])
@@ -389,7 +417,7 @@ def _highs_covering(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
                                     value), "covering")
         columns.append(rows)
 
-    value = np.asarray(highs.getSolution().col_value)
+    value = np.asarray(solution.col_value)
     z = np.zeros(m)
     z[np.concatenate(columns)] = np.concatenate([value[:k], value[k + n:]])
     return q, z
@@ -487,5 +515,6 @@ def verify_certificates(lp: PackingLp, sol: LpSolution,
     The verdict is the one ``solve_packing`` raises on and keeps as
     ``sol.certificate``, recomputed from ``sol``'s vectors.
     """
-    return _certificate(lp.masses, lp.incidence.matrix, sol.q, sol.edge_cover,
+    B = lp.incidence.matrix
+    return _certificate(lp.masses, B, sol.q, sol.edge_cover, B.T @ sol.edge_cover,
                         sol.singleton_cover, tol)

@@ -7,15 +7,21 @@ circumcenter solve (a triangle's radius and centre also in exact rational
 arithmetic), couplings from extreme-point enumeration, and independent sets
 from full subset search. ``randomized_independent_set`` is the constructive
 side of the Caro-Wei bound: the rounding whose expected mass the bound
-promises, which acceptance test A6 samples.
+promises, which acceptance test A6 samples. ``sparse_flow_packing`` is the
+min-cut backend as scipy.sparse arithmetic writes it, the reference for
+``lp_core._flow_packing``, which reads the same cut off ``maximum_flow``'s
+arrays.
 """
 
 import itertools
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from optloss.bounds import _vertex_weights
+from optloss.lp_core import _mass_scale
 from optloss.data import from_arrays
 
 
@@ -214,3 +220,58 @@ def oracle_hyperedges(points, labels, epsilon, max_degree):
             and oracle_meb_radius(points[list(subset)]) <= epsilon * (1 + 1e-9)
         ]
     return out
+
+
+def sparse_flow_packing(p, B, labels):
+    """(q, z) of a two-class pair LP from a max-flow min cut, or None.
+
+    Qualifies when every row is a pair with coefficient 1 whose two vertices
+    have different labels, the rows together use exactly two labels and the
+    masses scale to integers w. Side A is every vertex with the label of the
+    first row's first vertex, side B every other vertex. The network is
+    s -> a (cap w_a), a -> b (cap sum(w) + 1), b -> t (cap w_b); the vertices
+    on the source side of the residual cut, in A, and off it, in B, form a
+    maximum-weight independent set, q is its 0/1 indicator and z is the edge
+    flow over the scale.
+    """
+    if np.any(np.diff(B.indptr) != 2) or np.any(B.data != 1.0):
+        return None
+    ends = B.indices.reshape(-1, 2).astype(np.int64)
+    classes = labels[ends]
+    if np.any(classes[:, 0] == classes[:, 1]) or not np.isin(classes, classes[0]).all():
+        return None
+    integer = _mass_scale(p)
+    if integer is None:
+        return None
+    scale, w = integer
+    n = p.shape[0]
+    side_a = labels == classes[0, 0]
+
+    u, v = ends.T
+    a = np.where(side_a[u], u, v)
+    b = np.where(side_a[u], v, u)
+    big = int(w.sum()) + 1
+    src = np.flatnonzero(side_a)
+    snk = np.flatnonzero(~side_a)
+    s, t = n, n + 1
+    caps = sp.csr_matrix(
+        (np.concatenate([w[src], np.full(a.shape[0], big), w[snk]]).astype(np.int64),
+         (np.concatenate([np.full(src.shape[0], s), a, snk]),
+          np.concatenate([src, b, np.full(snk.shape[0], t)]))),
+        shape=(n + 2, n + 2),
+    )
+    np.minimum(caps.data, big, out=caps.data)  # repeated rows were summed
+    caps = caps.astype(np.int32)
+    flow = maximum_flow(caps, s, t).flow
+
+    residual = caps - flow  # C - F: free capacity forward, flow backward
+    residual.eliminate_zeros()
+    reach = np.zeros(n + 2, dtype=bool)
+    reach[breadth_first_order(residual, s, return_predecessors=False)] = True
+    q = np.where(side_a, reach[:n], ~reach[:n]).astype(float)
+
+    # a repeated row carries its pair's flow once, on its first occurrence
+    _, first = np.unique(a * n + b, return_index=True)
+    z = np.zeros(a.shape[0])
+    z[first] = np.asarray(flow[a[first], b[first]], dtype=float).ravel() / scale
+    return q, z

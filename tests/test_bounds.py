@@ -570,6 +570,15 @@ def test_hard_loss_sparse_graphs_match_exhaustive_oracle():
         assert loss == pytest.approx(1.0 - ds.masses[sorted(chosen)].sum(), abs=1e-12)
 
 
+def test_hard_loss_does_not_depend_on_the_order_of_the_pair_rows():
+    # components come from a CSR grouped by each pair's first vertex
+    rng = np.random.default_rng(85)
+    for _ in range(40):
+        graph, _ = dense_rule_graph(rng, int(rng.integers(2, 14)))
+        shuffled = dataclasses.replace(graph, edges={2: rng.permutation(graph.pairs)})
+        assert hard_loss_bruteforce(shuffled) == hard_loss_bruteforce(graph)
+
+
 def test_hard_loss_takes_isolated_vertices_without_branching():
     n = 2000
     ds = from_arrays(10.0 * np.arange(float(n))[:, None], np.arange(n) % 3)
@@ -1154,6 +1163,20 @@ def test_bound_report_records_solver_backends():
     assert two.solver_backends == {"solve_2": "flow", "pairwise": "flow"}
     assert two.losses[2] == pytest.approx(1 / 3, abs=1e-12)
     assert two.caro_wei == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_histogram_matches_numpy_on_random_q_and_beside_every_edge():
+    # numpy corrects floor(20 q) by one bin within an ulp of an edge; the
+    # linspace edges and k / 20 differ in the last bit at some k
+    rng = np.random.default_rng(1009)
+    edges = np.concatenate([np.linspace(0.0, 1.0, 21), np.arange(21) / 20])
+    beside = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+    beside = beside[(beside >= 0.0) & (beside <= 1.0)]
+    for q in (rng.random(2000), beside, rng.integers(0, 21, 500) / 20, np.array([0.0]),
+              np.array([1.0]), np.zeros(0)):
+        counts, bin_edges = np.histogram(q, bins=20, range=(0.0, 1.0))
+        assert bounds._histogram(q) == {"bin_edges": bin_edges.tolist(),
+                                        "counts": counts.tolist()}
 
 
 def test_bound_report_contents():

@@ -735,6 +735,27 @@ def test_every_path_completes_y_as_the_mass_z_leaves_uncovered(monkeypatch, path
         assert sol.certificate.ok
 
 
+@pytest.mark.parametrize("form", [sp.csr_array, sp.coo_matrix, sp.coo_array])
+@pytest.mark.parametrize("path", ["flow", "packing", "covering", "generated"])
+def test_any_scipy_sparse_incidence_solves_as_its_csr_matrix(monkeypatch, path, form):
+    if path == "generated":
+        monkeypatch.setattr(lp_core, "GENERATION_ROWS", 0)
+    lps = path_lps(np.random.default_rng(107), path, 4)
+    if path == "packing":
+        lps.append(make_lp([(0, 1), (0, 2), (1, 2)], [0.2, 0.3, 0.5]))  # a triangle of pairs
+    if path == "covering":
+        lps.append(make_lp([(0, 1, 2)], [0.2, 0.3, 0.5]))  # one row of three vertices
+    for lp in lps:
+        want = solve_packing(lp)
+        given = PackingLp(lp.masses, IncidenceMatrix(form(lp.incidence.matrix),
+                                                     lp.incidence.labels))
+        got = solve_packing(given)
+        assert got.backend == want.backend == ("flow" if path == "flow" else "highs")
+        assert got.certificate == want.certificate == verify_certificates(given, got)
+        for name in ("q", "edge_cover", "singleton_cover"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def noncanonical_forms(B):
     """The canonical CSR ``B`` as CSC, and with each row's indices reversed."""
     flipped = np.concatenate([np.arange(b - 1, a - 1, -1)

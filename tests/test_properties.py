@@ -1,6 +1,7 @@
 """Property tests: hyperedge extension and witnesses against the subset
-oracles, and the bound chain under label renaming, scaling by powers of
-two, and growing budgets and degrees.
+oracles, the min-cut backend against its scipy.sparse reference, and the
+bound chain under label renaming, scaling by powers of two, and growing
+budgets and degrees.
 
 Needs ``hypothesis``; the module is skipped without it. Runs are
 derandomized and keep no example database, so they are reproducible.
@@ -10,7 +11,8 @@ import itertools
 
 import numpy as np
 import pytest
-from oracles import oracle_hyperedges, oracle_meb, oracle_meb_radius
+import scipy.sparse as sp
+from oracles import oracle_hyperedges, oracle_meb, oracle_meb_radius, sparse_flow_packing
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -28,6 +30,7 @@ from optloss.hypergraph import (  # noqa: E402
     edge_witness,
     extend_hyperedges,
 )
+from optloss.lp_core import _flow_packing  # noqa: E402
 
 # coordinates on a grid of eighths, exact in binary: duplicates, collinear and
 # cospherical sets and right angles come out exactly degenerate
@@ -100,6 +103,52 @@ def test_extension_matches_oracle_and_is_isometry_invariant(instance, data):
     assert sorted(relabelled) == sorted(edges)
     for ids, radius in relabelled.items():
         assert radius == pytest.approx(edges[ids], rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def two_label_pair_lps(draw):
+    """(p, B, labels) of a pair LP across two labels, as ``solve_packing``
+    hands it to the min-cut backend: rows drawn with repeats, as drawn or
+    sorted and distinct, side A's ids first or shuffled among side B's,
+    some vertices in no row (of any label), masses that do or do not scale
+    to integers, and now and then a row vertex relabelled."""
+    n_a, n_b = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    n = n_a + n_b + draw(st.integers(0, 3))  # the rest are isolated
+    ids = np.arange(n) if draw(st.booleans()) else np.array(draw(st.permutations(range(n))))
+    side_a, side_b = ids[:n_a], ids[n_a:n_a + n_b]
+    first, second, other = draw(st.permutations([0, 1, 2, 5]))[:3]
+    labels = np.array(draw(st.lists(st.sampled_from([first, second, other]),
+                                    min_size=n, max_size=n)))
+    labels[side_a], labels[side_b] = first, second
+    picks = draw(st.lists(st.tuples(st.integers(0, n_a - 1), st.integers(0, n_b - 1)),
+                          min_size=1, max_size=3 * (n_a + n_b)))
+    rows = [tuple(sorted((int(side_a[i]), int(side_b[j])))) for i, j in picks]
+    if draw(st.booleans()):
+        rows = sorted(set(rows))
+    if draw(st.integers(0, 3)) == 0:
+        # a row vertex relabelled: a row within one label, or across a third
+        row = draw(st.sampled_from(rows))
+        labels[row[draw(st.integers(0, 1))]] = draw(st.sampled_from([first, second, other]))
+    if draw(st.booleans()):
+        counts = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), float)
+        counts[draw(st.integers(0, n - 1))] = 1.0  # 1 / min mass is then the total
+        masses = counts / counts.sum()
+    else:
+        masses = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+        masses /= masses.sum()
+    ri = np.repeat(np.arange(len(rows)), 2)
+    B = sp.csr_matrix((np.ones(ri.size), (ri, np.ravel(rows))), shape=(len(rows), n))
+    return masses, B, labels
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(lp=two_label_pair_lps())
+def test_min_cut_read_off_the_flow_arrays_matches_the_sparse_reference(lp):
+    got, want = _flow_packing(*lp), sparse_flow_packing(*lp)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 def report_values(report):
