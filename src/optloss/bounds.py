@@ -24,7 +24,7 @@ import itertools
 import math
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +48,6 @@ from .hypergraph import (
     edge_witness,
     extend_hyperedges,
     incidence,
-    vertex_graph,
 )
 from .lp_core import LpSolution, PackingLp, Tolerances, solve_packing
 
@@ -71,9 +70,11 @@ __all__ = [
     "BOUND_CSV_HEADER",
     "PAIRWISE_NOTE",
     "SCHEMA_VERSION",
+    "HARD_CAP",
 ]
 
 SCHEMA_VERSION = 1  # of every JSON and CSV document the library and CLI write
+HARD_CAP = 30  # the most vertices the exact hard-classifier search takes by default
 PAIRWISE_NOTE = "entry (i,j) conditions on Y in {i,j} with prior-weighted masses"
 
 
@@ -87,17 +88,14 @@ def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
 
     Returns ``(loss, solution, graph)``. With m equal to the number of
     classes the value is the exact optimal soft-classification loss; smaller
-    m gives a lower bound. m = 1 is the degenerate unconstrained game with
-    loss zero. ``jobs`` is ignored (see ``extend_hyperedges``).
+    m gives a lower bound. m must be at least 2: L*(1), with no hyperedge,
+    is always 0. ``jobs`` is ignored (see ``extend_hyperedges``).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        graph = vertex_graph(dataset, epsilon)
-    else:
-        graph = build_conflict_graph(dataset, epsilon)
-        if m > 2:
-            graph = extend_hyperedges(graph, m)
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    graph = build_conflict_graph(dataset, epsilon)
+    if m > 2:
+        graph = extend_hyperedges(graph, m)
     sol = solve_packing(PackingLp(graph.masses, incidence(graph)), tol)
     return sol.loss, sol, graph
 
@@ -181,8 +179,7 @@ def _pairwise_losses(graph: ConflictHypergraph, tol: Tolerances,
     p_min = min(pair_mass)
     union = PackingLp(masses[np.concatenate(columns)] / p_min,
                       _incidence_of(rows, np.concatenate(sides).astype(np.int64)))
-    sol = solve_packing(union, Tolerances(tol.feasibility_abs, tol.gap_rel * p_min / (k - 1),
-                                          tol.max_iterations))
+    sol = solve_packing(union, replace(tol, gap_rel=tol.gap_rel * p_min / (k - 1)))
     a = np.zeros((k, k))
     start = 0
     for (i, j), ids, mass in zip(class_pairs, columns, pair_mass):
@@ -251,7 +248,7 @@ def _check_cap(name: str, cap) -> None:
         raise ValueError(f"{name} must be an integer >= 0, got {cap!r}")
 
 
-def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
+def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = HARD_CAP):
     """Exact optimal hard-classifier loss by branch and bound.
 
     One minus the maximum probability of an independent set in the pair
@@ -274,8 +271,8 @@ def hard_loss_bruteforce(graph: ConflictHypergraph, cap: int = 30):
     heads = v[np.argsort(u, kind="stable")]
     _, comp = connected_components(sp.csr_matrix((np.ones(u.size), heads, indptr), shape=(n, n)),
                                    directed=False)
-    # search bit r is vertex order[r]: by component, then decreasing mass, then id
-    order = np.lexsort((np.arange(n), -graph.masses, comp))
+    # search bit r is vertex order[r]: by component, decreasing mass, then id (a stable sort)
+    order = np.lexsort((-graph.masses, comp))
     rank = np.argsort(order)  # vertex -> search bit
     adj = [0] * n
     for a, b in rank[graph.pairs].tolist():
@@ -387,11 +384,11 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
     """Turn the dual cover into the adversary's conditional distributions.
 
     Edge e containing vertex v receives probability proportional to its cover
-    z_e; the singleton cover, the mass the edges leave uncovered, plays the
-    unperturbed point. Over-covered vertices (edge cover alone above p_v)
-    are normalized proportionally, one of the equally good feasible choices.
-    Witnesses are computed here, once per played edge; the unperturbed
-    play's is the point itself. ``cover_cost`` is the dual objective.
+    z_e; the singleton cover, the mass the edges leave uncovered, plays v's
+    own point if above ``tol.feasibility_abs`` or if v has no edge play.
+    Over-covered vertices (edge cover alone above p_v) are normalized
+    proportionally, one of the equally good feasible choices. Witnesses are
+    computed here, once per played edge. ``cover_cost`` is the dual objective.
     """
     B = sol.lp.incidence.matrix
     B_cols = B.tocsc()
@@ -415,18 +412,18 @@ def extract_strategy(sol: LpSolution, graph: ConflictHypergraph,
                 edge = played[r] = (ids, edge_witness(points, ids))
             edges.append(edge[0])
             witnesses.append(edge[1])
-        if singleton[v] > 0.0:
+        total = sum(weights)
+        if total + singleton[v] < masses[v] - tol.feasibility_abs:
+            raise ValueError(
+                f"vertex {v} is under-covered ({total + singleton[v]!r} < mass {masses[v]!r}); "
+                "the solution is not a certified cover"
+            )
+        if singleton[v] > tol.feasibility_abs:  # below it, uncovered mass is rounding
             edges.append(None)
             weights.append(singleton[v])
             witnesses.append(points[v])
-        total = sum(weights)
-        if total < masses[v] - tol.feasibility_abs:
-            raise ValueError(
-                f"vertex {v} is under-covered ({total!r} < mass {masses[v]!r}); "
-                "the solution is not a certified cover"
-            )
+            total += singleton[v]
         if not edges:
-            # only a vertex lighter than feasibility_abs gets here: play the point
             edges, weights, witnesses = [None], [masses[v]], [points[v]]
             total = masses[v]
         per_vertex.append(
@@ -731,7 +728,7 @@ def _timed_solve(lp: PackingLp, tol: Tolerances):
 
 
 def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
-                 tol: Tolerances = Tolerances(), hard_cap: int = 30,
+                 tol: Tolerances = Tolerances(), hard_cap: int = HARD_CAP,
                  caro_wei_weights=None, jobs: int = 1, progress=None) -> BoundReport:
     """Compute the full bound chain at one budget.
 

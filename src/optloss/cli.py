@@ -25,7 +25,6 @@ from . import data as dt
 from . import hypergraph as hg
 from .lp_core import Tolerances
 
-SCHEMA_VERSION = bd.SCHEMA_VERSION
 PROGRESS_EVERY = 1_000_000
 
 
@@ -86,8 +85,8 @@ def _progress_printer(label: str):
 
 
 def _load_dataset(args) -> dt.LabeledDataset:
-    if getattr(args, "idx_images", None):
-        if not getattr(args, "idx_labels", None):
+    if args.idx_images:
+        if not args.idx_labels:
             raise ValueError("--idx-images requires --idx-labels")
         ds = dt.load_idx(args.idx_images, args.idx_labels, normalization=args.normalize)
     elif args.data:
@@ -152,7 +151,7 @@ def cmd_gen_gaussian(args) -> int:
 
 
 def cmd_build(args) -> int:
-    eps = hg._budget(args.epsilon[0])
+    eps = hg._budget(args.epsilon)
     ds = _load_dataset(args)
     _check_max_degree(args, ds)
     graph = hg.build_conflict_graph(ds, eps)
@@ -178,12 +177,11 @@ def _check_max_degree(args, ds) -> None:
 
 
 def _caro_wei_weights(args, ds):
-    source = getattr(args, "caro_wei_weights", None)
-    if source is None:
+    if args.caro_wei_weights is None:
         return None  # degree-2 packing solution
-    if source == "uniform":
+    if args.caro_wei_weights == "uniform":
         return np.ones(ds.num_points)
-    weights = np.asarray(json.loads(Path(source).read_text()), dtype=float)
+    weights = np.asarray(json.loads(Path(args.caro_wei_weights).read_text()), dtype=float)
     if weights.shape != (ds.num_points,):
         raise ValueError(
             f"weights file has {weights.shape} entries, dataset has {ds.num_points}"
@@ -234,12 +232,12 @@ def cmd_bound(args) -> int:
 
 
 def cmd_pairwise(args) -> int:
-    eps = hg._budget(args.epsilon[0])
+    eps = hg._budget(args.epsilon)
     ds = _load_dataset(args)
     tol = _tolerances(args)
     matrix = bd.pairwise_binary_losses(ds, eps, tol)
     names = matrix.class_names or [str(i) for i in range(matrix.losses.shape[0])]
-    doc = {"schema_version": SCHEMA_VERSION, "epsilon": eps,
+    doc = {"schema_version": bd.SCHEMA_VERSION, "epsilon": eps,
            "classes": names, "losses": matrix.losses.tolist(), "note": bd.PAIRWISE_NOTE}
     rows = [[names[i]] + [repr(float(v)) for v in matrix.losses[i]]
             for i in range(len(names))]
@@ -251,7 +249,7 @@ def cmd_pairwise(args) -> int:
 
 
 def cmd_strategy(args) -> int:
-    eps = hg._budget(args.epsilon[0])
+    eps = hg._budget(args.epsilon)
     ds = _load_dataset(args)
     _check_max_degree(args, ds)
     tol = _tolerances(args)
@@ -262,7 +260,7 @@ def cmd_strategy(args) -> int:
     _write_atomic(strat_path, json.dumps(strategy.to_json_dict(), indent=2))
     q_path = outdir / f"classifier_eps{eps:g}_m{args.max_degree}.json"
     q_doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": bd.SCHEMA_VERSION,
         "epsilon": eps,
         "max_degree": args.max_degree,
         "loss": loss,
@@ -281,7 +279,7 @@ def cmd_stats(args) -> int:
     ds = _load_dataset(args)
     stats = bd.class_distance_stats(ds)
     names = ds.class_names or [str(i) for i in range(ds.num_classes)]
-    doc = {"schema_version": SCHEMA_VERSION, "classes": names,
+    doc = {"schema_version": bd.SCHEMA_VERSION, "classes": names,
            "mean_nearest_other_class_distance": stats.tolist()}
     rows = [[names[c], repr(float(stats[c]))] for c in range(len(stats))]
     written = _write_formats(_out_dir(args), "class_stats", args.format, doc,
@@ -309,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     build = subs.add_parser("build", help="build and export a conflict hypergraph")
     _add_dataset_args(build)
-    build.add_argument("--epsilon", type=float, nargs=1, required=True)
+    build.add_argument("--epsilon", type=float, required=True)
     build.add_argument("--max-degree", type=int, default=2)
     _add_flags(build)
     build.set_defaults(func=cmd_build)
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(bound)
     bound.add_argument("--epsilon", type=float, nargs="+", required=True)
     bound.add_argument("--max-degree", type=int, default=2)
-    bound.add_argument("--hard-cap", type=int, default=30,
+    bound.add_argument("--hard-cap", type=int, default=bd.HARD_CAP,
                        help="exact hard-classifier search only up to this many vertices")
     bound.add_argument("--caro-wei-weights", default=None,
                        help="'uniform' or a JSON file of per-vertex weights "
@@ -328,13 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pair = subs.add_parser("pairwise", help="one-versus-one optimal losses (heatmap data)")
     _add_dataset_args(pair)
-    pair.add_argument("--epsilon", type=float, nargs=1, required=True)
+    pair.add_argument("--epsilon", type=float, required=True)
     _add_flags(pair, "--tol-gap", "--format")
     pair.set_defaults(func=cmd_pairwise)
 
     strat = subs.add_parser("strategy", help="export the optimal adversary and classifier")
     _add_dataset_args(strat)
-    strat.add_argument("--epsilon", type=float, nargs=1, required=True)
+    strat.add_argument("--epsilon", type=float, required=True)
     strat.add_argument("--max-degree", type=int, default=2)
     _add_flags(strat, "--tol-gap")
     strat.set_defaults(func=cmd_strategy)

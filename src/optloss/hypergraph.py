@@ -114,8 +114,6 @@ class ConflictHypergraph:
     def boundary_tight_count(self) -> int:
         """Edges whose enclosing-ball radius sits within REL_TOL of epsilon."""
         radii = np.concatenate([np.zeros(0), *self.radii.values()])
-        if self.epsilon == 0:
-            return int(np.count_nonzero(radii == 0.0))
         return int(np.count_nonzero(np.abs(radii - self.epsilon) <= REL_TOL * self.epsilon))
 
 
@@ -348,7 +346,6 @@ def circumradius_batch(d2_stack: np.ndarray):
     batch, k, _ = d2_stack.shape
     radii = np.full(batch, np.nan)
     alphas = np.full((batch, k), np.nan)
-    ok = np.zeros(batch, dtype=bool)
     ones = np.ones((batch, k, 1))
     try:
         x = np.linalg.solve(d2_stack, ones)[..., 0]
@@ -367,12 +364,9 @@ def circumradius_batch(d2_stack: np.ndarray):
         & (denom > 0.0)
         & (resid <= 1e-9 * scale)
     )
-    idx = np.nonzero(good)[0]
-    if idx.size:
-        radii[idx] = np.sqrt(0.5 / denom[idx])
-        alphas[idx] = x[idx] / denom[idx, None]
-        ok[idx] = True
-    return radii, alphas, ok
+    radii[good] = np.sqrt(0.5 / denom[good])
+    alphas[good] = x[good] / denom[good, None]
+    return radii, alphas, good
 
 
 def _circumball(d2_stack: np.ndarray):

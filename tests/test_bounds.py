@@ -73,13 +73,6 @@ def test_optimal_loss_zero_budget_distinct_points():
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
-def test_optimal_loss_m1_is_unconstrained():
-    loss, sol, graph = optimal_loss(triangle_dataset(), 0.6, 1)
-    assert loss == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(sol.q, 1.0)
-    assert graph.edge_list() == []
-
-
 def test_optimal_loss_monotone_in_m():
     loss2, _, _ = optimal_loss(triangle_dataset(), 0.6, 2)
     loss3, _, _ = optimal_loss(triangle_dataset(), 0.6, 3)
@@ -401,7 +394,7 @@ def one_class_dataset():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: optimal_loss(triangle_dataset(), 0.5, 0), "m must be >= 1"),
+    (lambda: optimal_loss(triangle_dataset(), 0.5, 1), "m must be >= 2"),
     (lambda: bound_report(triangle_dataset(), 0.5, m_max=1), "m_max must be >= 2"),
     (lambda: pairwise_binary_losses(one_class_dataset(), 0.5), "need at least two classes"),
     (lambda: class_distance_stats(one_class_dataset()), "need at least two classes"),
@@ -787,6 +780,31 @@ def test_strategy_vertex_lighter_than_tolerance_plays_its_point():
     assert vs.probabilities.tolist() == [1.0]
     assert np.array_equal(vs.witnesses[0], ds.points[0])
     assert not vs.over_covered
+
+
+@pytest.mark.parametrize("seed, eps, m, residue", [
+    (3, 2.6, 3, [16, 34, 51]),  # y = 3.5e-18 at each
+    (8, 2.4, 2, [3, 22, 25, 33, 45, 47]),  # y = 6.9e-18 at each
+])
+def test_strategy_writes_no_null_play_of_rounding_size(seed, eps, m, residue):
+    # these vertices' edges cover their mass up to a rounding residue, which
+    # used to be written as a null play of probability about 2e-16
+    tol = Tolerances()
+    _, sol, graph = optimal_loss(gen_gaussian(3, 20, seed=seed), eps, m, tol=tol)
+    B = sol.lp.incidence.matrix
+    y = sol.singleton_cover
+    # the singleton cover stays the exact uncovered mass
+    assert np.array_equal(y, np.maximum(sol.lp.masses - B.T @ sol.edge_cover, 0.0))
+    assert np.flatnonzero((y > 0.0) & (y <= tol.feasibility_abs)).tolist() == residue
+    strategy = extract_strategy(sol, graph, tol)
+    assert strategy.cover_cost == sol.certificate.dual_objective
+    for vs in strategy.per_vertex:
+        assert vs.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+        null = [pr for e, pr in zip(vs.edges, vs.probabilities) if e is None]
+        assert all(pr > tol.feasibility_abs for pr in null)
+        assert (None in vs.edges) == (y[vs.vertex_id] > tol.feasibility_abs)
+    for v in residue:
+        assert None not in strategy.per_vertex[v].edges
 
 
 # ----------------------------------------------------------------- classifier
@@ -1253,10 +1271,12 @@ def report_on(monkeypatch, overlap, ds, eps, m_max, **kwargs):
     (4, 12, 2.8, 2, {2, 3, 4}), (4, 12, 2.8, 3, {2, 3, 4}), (4, 12, 2.8, 4, {2, 3, 4}),
     (4, 10, 3.0, 4, {2, 3, 4}),
     (3, 20, 2.4, 3, {2}),  # no triple: L*(3) reports L*(2)'s solution
+    (2, 40, 3.0, 3, {2}),  # 748 pair rows, which the min cut solves
 ])
 def test_l2_on_the_worker_reports_what_the_inline_solve_does(monkeypatch, k, per, eps, m_max,
                                                              degrees):
     ds = gen_gaussian(k, per, seed=1)
+    overlap_rows = bounds.OVERLAP_ROWS  # before report_on patches it
     docs, keys = [], []
     for overlap in (True, False):
         report = report_on(monkeypatch, overlap, ds, eps, m_max)
@@ -1269,6 +1289,9 @@ def test_l2_on_the_worker_reports_what_the_inline_solve_does(monkeypatch, k, per
     assert keys[0] == keys[1] == ["build", "solve_2", *stages, "class_only", "caro_wei"]
     assert list(report.solver_backends) == [*[f"solve_{m}" for m in range(2, m_max + 1)],
                                             "pairwise"]
+    if k == 2:
+        assert report.edge_counts[2] >= overlap_rows
+        assert report.solver_backends["solve_2"] == "flow"
 
 
 @pytest.mark.parametrize("m_max", [2, 4])
