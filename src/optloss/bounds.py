@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from .data import LabeledDataset
@@ -49,7 +48,15 @@ from .hypergraph import (
     extend_hyperedges,
     incidence,
 )
-from .lp_core import LpSolution, PackingLp, Tolerances, solve_packing
+from .lp_core import (
+    LpSolution,
+    PackingLp,
+    Tolerances,
+    _scipy_optimize_extension,
+    solve_packing,
+)
+
+linear_sum_assignment = _scipy_optimize_extension("_lsap").linear_sum_assignment
 
 __all__ = [
     "BoundReport",

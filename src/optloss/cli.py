@@ -170,6 +170,8 @@ def cmd_build(args) -> int:
 
 
 def _check_max_degree(args, ds) -> None:
+    if ds.num_classes < 2:
+        raise ValueError("need at least two classes")
     if args.max_degree < 2 or args.max_degree > ds.num_classes:
         raise ValueError(
             f"--max-degree must lie in [2, {ds.num_classes}] for this dataset"
@@ -181,7 +183,12 @@ def _caro_wei_weights(args, ds):
         return None  # degree-2 packing solution
     if args.caro_wei_weights == "uniform":
         return np.ones(ds.num_points)
-    weights = np.asarray(json.loads(Path(args.caro_wei_weights).read_text()), dtype=float)
+    doc = json.loads(Path(args.caro_wei_weights).read_text())
+    # JSON numbers only: numpy would read null as nan and true as 1
+    if not isinstance(doc, list) or not all(type(w) in (int, float) for w in doc):
+        raise ValueError(f"weights file {args.caro_wei_weights} must hold a JSON list of "
+                         f"{ds.num_points} numbers")
+    weights = np.asarray(doc, dtype=float)
     if weights.shape != (ds.num_points,):
         raise ValueError(
             f"weights file has {weights.shape} entries, dataset has {ds.num_points}"

@@ -12,8 +12,9 @@ Two backends solve it. An LP whose rows all pair a vertex of one class with
 a vertex of another, over two classes in all, is bipartite by its labels;
 with masses that are integers under one scale it is a minimum-weight vertex
 cover, and a max-flow min cut solves it exactly (backend ``"flow"``). Every
-other LP goes to HiGHS (backend ``"highs"``), called through scipy's binding,
-in one of two forms chosen by the widest row:
+other LP goes to HiGHS (backend ``"highs"``), called through scipy's compiled
+binding ``scipy.optimize._highspy._core``, in one of two forms chosen by the
+widest row:
 
 - A *wide* LP, with a row of more than two entries (a hyperedge of degree
   3 or more), is given to HiGHS as its dual, the covering LP, which has one
@@ -34,19 +35,54 @@ tighter tolerances (see ``_run_certifiable``). Every backend returns only
 cheapest y that makes z dual feasible (Neumaier & Shcherbina, Math.
 Programming 99, 2004). Residuals and gap are recomputed from the vectors
 over the full incidence, and a solve that fails them raises.
+
+The binding is loaded from its file by ``_scipy_optimize_extension``, as
+``bounds`` loads ``scipy.optimize._lsap``: importing it by name would first
+run ``scipy/optimize/__init__.py``, whose solvers optloss never calls.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.optimize._highspy import _core as highspy
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from .hypergraph import IncidenceMatrix, _is_integer
+
+
+def _scipy_optimize_extension(name: str):
+    """The compiled module ``scipy.optimize.<name>``, loaded from its file.
+
+    Importing it by name would run ``scipy/optimize/__init__.py``, which loads
+    linprog, minimize, shgo and the rest. The module goes into ``sys.modules``
+    under its real name before it runs, so a later ``import scipy.optimize``
+    reuses it instead of loading the binary a second time.
+    """
+    full_name = f"scipy.optimize.{name}"
+    if full_name in sys.modules:
+        return sys.modules[full_name]
+    base = os.path.join(os.path.dirname(scipy.__file__), "optimize", *name.split("."))
+    path = next((base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(base + suffix)), None)
+    if path is None:
+        raise ImportError(f"no compiled module {full_name} in {os.path.dirname(base)}",
+                          name=full_name)
+    spec = importlib.util.spec_from_file_location(full_name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full_name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+highspy = _scipy_optimize_extension("_highspy._core")
 
 # A wide LP (a row of more than two entries) of more rows than this generates
 # its covering columns in rounds; up to it, every column goes in at once. The

@@ -444,6 +444,39 @@ def test_bound_rejects_non_finite_caro_wei_weights(tmp_path, capsys, gaussian_fi
     assert not list(tmp_path.glob("out/*"))
 
 
+@pytest.mark.parametrize("doc", [{"a": 1}, ["x"], [None, 1.0], [True], [[1.0]]],
+                         ids=["object", "string", "null", "bool", "nested"])
+def test_bound_rejects_a_caro_wei_weights_file_that_is_not_a_list_of_numbers(
+        tmp_path, capsys, gaussian_file, doc):
+    # an object used to fail inside float() as "TypeError: float() argument
+    # must be a string or a real number, not 'dict'"
+    path, ds = gaussian_file
+    weight_file = tmp_path / "w.json"
+    weight_file.write_text(json.dumps(doc))
+    code, out = run_cli(
+        capsys, "bound", "--data", str(path), "--epsilon", "2.4",
+        "--caro-wei-weights", str(weight_file), "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert out["type"] == "ValueError"
+    assert out["error"] == (f"weights file {weight_file} must hold a JSON list of "
+                            f"{ds.num_points} numbers")
+    assert not list(tmp_path.glob("out/*"))
+
+
+@pytest.mark.parametrize("command", ["bound", "build", "strategy"])
+def test_degree_commands_refuse_a_one_class_dataset(tmp_path, capsys, command):
+    # the message used to read "--max-degree must lie in [2, 1]"
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"points": [[0.0], [1.0]], "labels": [0, 0],
+                                "masses": [0.5, 0.5]}))
+    code, out = run_cli(capsys, command, "--data", str(path), "--epsilon", "0.6",
+                        "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert out["error"] == "need at least two classes"
+    assert not list(tmp_path.glob("out/*"))
+
+
 def test_out_dir_from_environment(tmp_path, capsys, monkeypatch, gaussian_file):
     path, _ = gaussian_file
     monkeypatch.setenv("OPTLOSS_OUT", str(tmp_path / "envout"))

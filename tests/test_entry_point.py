@@ -232,6 +232,46 @@ def test_module_entry_point_passes_the_exit_status_on(tmp_path):
     assert not list(tmp_path.glob("reports/*"))
 
 
+def test_a_bound_report_leaves_scipy_optimize_unimported(tmp_path):
+    # lp_core and bounds load HiGHS's binding and _lsap from their files:
+    # scipy/optimize/__init__.py, and linprog, minimize and the rest it
+    # imports, never run; class_only_2 calls _lsap and both LPs go to HiGHS
+    done = run_python("-c", (
+        "import sys\n"
+        "import optloss\n"
+        "report = optloss.bound_report(optloss.gen_gaussian(3, 8, seed=3), 2.4, m_max=3)\n"
+        "assert report.solver_backends['solve_2'] == 'highs', report.solver_backends\n"
+        "assert report.solver_backends['solve_3'] == 'highs', report.solver_backends\n"
+        "assert report.class_only_2 > 0, report.class_only_2\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "assert sys.modules['scipy.optimize._highspy._core'] is optloss.lp_core.highspy\n"
+    ), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("first", ["optloss", "scipy.optimize"])
+def test_optloss_and_scipy_optimize_share_the_compiled_modules(tmp_path, first):
+    # whichever is imported first, each compiled module is loaded once, under
+    # its own name, and both linprog's HiGHS path and linear_sum_assignment work
+    done = run_python("-c", (
+        "import importlib, sys\n"
+        f"importlib.import_module({first!r})\n"
+        "import scipy.optimize\n"
+        "import optloss\n"
+        "from optloss import bounds, lp_core\n"
+        "assert sys.modules['scipy.optimize._highspy._core'] is lp_core.highspy\n"
+        "lsap = sys.modules['scipy.optimize._lsap'].linear_sum_assignment\n"
+        "assert bounds.linear_sum_assignment is lsap\n"
+        "res = scipy.optimize.linprog([1, 2], A_ub=[[-1, -1]], b_ub=[-1], method='highs')\n"
+        "assert res.status == 0 and res.x.tolist() == [1.0, 0.0], res\n"
+        "rows, cols = scipy.optimize.linear_sum_assignment([[1, 4], [3, 1]], maximize=True)\n"
+        "assert cols.tolist() == [1, 0], cols\n"
+        "report = optloss.bound_report(optloss.gen_gaussian(3, 8, seed=3), 2.4, m_max=3)\n"
+        "assert report.losses[3] >= report.losses[2] > 0, report.losses\n"
+    ), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.stem)
 def test_each_demo_runs_without_a_warning(demo, tmp_path):
     # the demos read strategies and witnesses through the public API; a

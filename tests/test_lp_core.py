@@ -836,3 +836,14 @@ def test_the_installed_highs_binding_has_every_call_lp_core_makes():
     missing += [f"{enum}.{name}" for enum, name in sorted(members)
                 if not hasattr(getattr(highspy, enum, None), name)]
     assert missing == []
+
+
+def test_a_compiled_scipy_module_that_is_not_there_raises_an_import_error():
+    # the error names the module and the directory searched, not a bare
+    # StopIteration from the suffix search, and leaves no sys.modules entry
+    where = str(Path(lp_core.highspy.__file__).parents[1])
+    with pytest.raises(ImportError) as info:
+        lp_core._scipy_optimize_extension("_no_such_module")
+    assert str(info.value) == f"no compiled module scipy.optimize._no_such_module in {where}"
+    assert info.value.name == "scipy.optimize._no_such_module"
+    assert "scipy.optimize._no_such_module" not in sys.modules
