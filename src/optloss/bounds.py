@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .data import LabeledDataset
 from .hypergraph import (
@@ -52,11 +51,12 @@ from .lp_core import (
     LpSolution,
     PackingLp,
     Tolerances,
-    _scipy_optimize_extension,
+    _scipy_module,
     solve_packing,
 )
 
-linear_sum_assignment = _scipy_optimize_extension("_lsap").linear_sum_assignment
+connected_components = _scipy_module("sparse.csgraph._traversal").connected_components
+linear_sum_assignment = _scipy_module("optimize._lsap").linear_sum_assignment
 
 __all__ = [
     "BoundReport",

@@ -188,7 +188,10 @@ def _caro_wei_weights(args, ds):
     if not isinstance(doc, list) or not all(type(w) in (int, float) for w in doc):
         raise ValueError(f"weights file {args.caro_wei_weights} must hold a JSON list of "
                          f"{ds.num_points} numbers")
-    weights = np.asarray(doc, dtype=float)
+    try:
+        weights = np.asarray(doc, dtype=float)
+    except OverflowError:  # an integer beyond float range, no more finite than 1e999
+        raise ValueError("weights must be finite and nonnegative") from None
     if weights.shape != (ds.num_points,):
         raise ValueError(
             f"weights file has {weights.shape} entries, dataset has {ds.num_points}"

@@ -444,6 +444,24 @@ def test_bound_rejects_non_finite_caro_wei_weights(tmp_path, capsys, gaussian_fi
     assert not list(tmp_path.glob("out/*"))
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_bound_rejects_a_caro_wei_weight_beyond_float_range(tmp_path, capsys, gaussian_file,
+                                                            sign):
+    # an integer literal of 401 digits used to exit as "OverflowError: int too
+    # large to convert to float", where 1e999 gets the weights ValueError
+    path, ds = gaussian_file
+    weight_file = tmp_path / "w.json"
+    weight_file.write_text(json.dumps([sign * 10**400] + [1] * (ds.num_points - 1)))
+    code, out = run_cli(
+        capsys, "bound", "--data", str(path), "--epsilon", "2.4",
+        "--caro-wei-weights", str(weight_file), "--out", str(tmp_path / "out"),
+    )
+    assert code == 2
+    assert out["type"] == "ValueError"
+    assert out["error"] == "weights must be finite and nonnegative"
+    assert not list(tmp_path.glob("out/*"))
+
+
 @pytest.mark.parametrize("doc", [{"a": 1}, ["x"], [None, 1.0], [True], [[1.0]]],
                          ids=["object", "string", "null", "bool", "nested"])
 def test_bound_rejects_a_caro_wei_weights_file_that_is_not_a_list_of_numbers(

@@ -233,17 +233,32 @@ def test_module_entry_point_passes_the_exit_status_on(tmp_path):
 
 
 def test_a_bound_report_leaves_scipy_optimize_unimported(tmp_path):
-    # lp_core and bounds load HiGHS's binding and _lsap from their files:
-    # scipy/optimize/__init__.py, and linprog, minimize and the rest it
-    # imports, never run; class_only_2 calls _lsap and both LPs go to HiGHS
+    # lp_core and bounds load HiGHS's binding, _lsap and four csgraph files
+    # from their files: scipy/optimize/__init__.py and linprog, minimize and
+    # the rest it imports never run, nor scipy/sparse/csgraph/__init__.py and
+    # the scipy.sparse.linalg and scipy.linalg its _laplacian imports.
+    # class_only_2 calls _lsap, both LPs go to HiGHS, the 24-point hard loss
+    # calls connected_components, and the pairwise union's min cut calls
+    # maximum_flow and breadth_first_order
     done = run_python("-c", (
         "import sys\n"
         "import optloss\n"
-        "report = optloss.bound_report(optloss.gen_gaussian(3, 8, seed=3), 2.4, m_max=3)\n"
+        "from optloss.bounds import optimal_loss\n"
+        "ds = optloss.gen_gaussian(3, 8, seed=3)\n"
+        "report = optloss.bound_report(ds, 2.4, m_max=3)\n"
         "assert report.solver_backends['solve_2'] == 'highs', report.solver_backends\n"
         "assert report.solver_backends['solve_3'] == 'highs', report.solver_backends\n"
+        "assert report.solver_backends['pairwise'] == 'flow', report.solver_backends\n"
         "assert report.class_only_2 > 0, report.class_only_2\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
+        "assert report.hard_bruteforce is not None\n"
+        "loss, sol, graph = optimal_loss(ds, 2.4, 3)\n"
+        "strategy = optloss.extract_strategy(sol, graph)\n"
+        "table = optloss.SoftClassifierTable.from_solution(ds, 2.4, sol)\n"
+        "assert optloss.evaluate_classifier(table, ds.points[0]).sum() > 0.999\n"
+        "loaded = [name for name in ('scipy.optimize', 'scipy.sparse.csgraph',\n"
+        "                            'scipy.sparse.linalg', 'scipy.linalg')\n"
+        "          if name in sys.modules]\n"
+        "assert loaded == [], loaded\n"
         "assert sys.modules['scipy.optimize._highspy._core'] is optloss.lp_core.highspy\n"
     ), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
@@ -268,6 +283,31 @@ def test_optloss_and_scipy_optimize_share_the_compiled_modules(tmp_path, first):
         "assert cols.tolist() == [1, 0], cols\n"
         "report = optloss.bound_report(optloss.gen_gaussian(3, 8, seed=3), 2.4, m_max=3)\n"
         "assert report.losses[3] >= report.losses[2] > 0, report.losses\n"
+    ), cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("first", ["optloss", "scipy.sparse.csgraph"])
+def test_optloss_and_scipy_csgraph_share_the_compiled_modules(tmp_path, first):
+    # whichever is imported first, csgraph's _flow and _traversal are loaded
+    # once, optloss calls the functions scipy.sparse.csgraph exports, and the
+    # package's other routines, _laplacian's among them, still work
+    done = run_python("-c", (
+        "import importlib\n"
+        f"importlib.import_module({first!r})\n"
+        "import numpy as np\n"
+        "import scipy.sparse.csgraph as csgraph\n"
+        "import optloss\n"
+        "from optloss import bounds, lp_core\n"
+        "assert csgraph.maximum_flow is lp_core.maximum_flow\n"
+        "assert csgraph.breadth_first_order is lp_core.breadth_first_order\n"
+        "assert csgraph.connected_components is bounds.connected_components\n"
+        "graph = np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0]])\n"
+        "assert csgraph.laplacian(graph).tolist() == [[2, -2, 0], [-2, 3, -1], [0, -1, 1]]\n"
+        "assert csgraph.shortest_path(graph)[0].tolist() == [0.0, 2.0, 3.0]\n"
+        "report = optloss.bound_report(optloss.gen_gaussian(3, 8, seed=3), 2.4, m_max=3)\n"
+        "assert report.solver_backends['pairwise'] == 'flow', report.solver_backends\n"
+        "assert report.hard_bruteforce is not None\n"
     ), cwd=tmp_path)
     assert done.returncode == 0, done.stderr
 

@@ -6,6 +6,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -840,10 +841,31 @@ def test_the_installed_highs_binding_has_every_call_lp_core_makes():
 
 def test_a_compiled_scipy_module_that_is_not_there_raises_an_import_error():
     # the error names the module and the directory searched, not a bare
-    # StopIteration from the suffix search, and leaves no sys.modules entry
-    where = str(Path(lp_core.highspy.__file__).parents[1])
-    with pytest.raises(ImportError) as info:
-        lp_core._scipy_optimize_extension("_no_such_module")
-    assert str(info.value) == f"no compiled module scipy.optimize._no_such_module in {where}"
-    assert info.value.name == "scipy.optimize._no_such_module"
-    assert "scipy.optimize._no_such_module" not in sys.modules
+    # StopIteration from the suffix search, and leaves no sys.modules entry;
+    # scipy/optimize holds compiled modules, scipy/sparse/csgraph .py files too
+    optimize = Path(lp_core.highspy.__file__).parents[1]
+    csgraph = Path(sys.modules["scipy.sparse.csgraph._validation"].__file__).parent
+    for where, name in [(optimize, "optimize._no_such_module"),
+                        (csgraph, "sparse.csgraph._no_such_module")]:
+        with pytest.raises(ImportError) as info:
+            lp_core._scipy_module(name)
+        assert str(info.value) == f"no module scipy.{name} in {where}"
+        assert info.value.name == f"scipy.{name}"
+        assert f"scipy.{name}" not in sys.modules
+
+
+def test_a_scipy_module_that_fails_to_run_leaves_no_sys_modules_entry(tmp_path, monkeypatch):
+    # as an import does: a later import must not find the half-run module
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "_optloss_fails.py").write_text("raise RuntimeError('at run')\n")
+    (tmp_path / "scipy" / "_optloss_runs.py").write_text("VALUE = 1\n")
+    monkeypatch.setattr(lp_core, "scipy", SimpleNamespace(
+        __file__=str(tmp_path / "scipy" / "__init__.py")))
+    with pytest.raises(RuntimeError, match="at run"):
+        lp_core._scipy_module("_optloss_fails")
+    assert "scipy._optloss_fails" not in sys.modules
+    try:
+        module = lp_core._scipy_module("_optloss_runs")
+        assert module.VALUE == 1 and sys.modules["scipy._optloss_runs"] is module
+    finally:
+        sys.modules.pop("scipy._optloss_runs", None)
