@@ -36,6 +36,7 @@ from .hypergraph import (
     REL_TOL,
     ConflictHypergraph,
     _budget,
+    _check_degree,
     _cross_class_pairs,
     _f32_at_least,
     _gram_slack,
@@ -98,8 +99,7 @@ def optimal_loss(dataset: LabeledDataset, epsilon: float, m: int,
     m gives a lower bound. m must be at least 2: L*(1), with no hyperedge,
     is always 0. ``jobs`` is ignored (see ``extend_hyperedges``).
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _check_degree("m", m)
     graph = build_conflict_graph(dataset, epsilon)
     if m > 2:
         graph = extend_hyperedges(graph, m)
@@ -757,8 +757,7 @@ def bound_report(dataset: LabeledDataset, epsilon: float, m_max: int = 2,
     no thread here (see ``extend_hyperedges``).
     """
     k = dataset.num_classes
-    if not 2 <= m_max:
-        raise ValueError("m_max must be >= 2")
+    _check_degree("m_max", m_max)
     _check_cap("hard_cap", hard_cap)
     runtimes: dict[str, float] = {}
 

@@ -257,14 +257,19 @@ def gen_gaussian(num_classes: int = 3, per_class: int = 1000, variance: float = 
     """Spherical 2-D Gaussian mixture with class means on a circle.
 
     Means sit at angles 2*pi*k/K on the circle of radius ``mean_radius``.
-    Sampling uses a Philox counter-based generator seeded with ``seed`` and
-    draws classes sequentially, so a (num_classes, per_class, variance,
+    Sampling uses a Philox counter-based generator keyed with ``seed``, below
+    2**128, and draws classes sequentially, so a (num_classes, per_class, variance,
     mean_radius, seed) tuple pins the dataset exactly on any platform.
     """
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    if num_classes < 1 or per_class < 1:
-        raise ValueError("num_classes and per_class must be >= 1")
+    for name, count in (("num_classes", num_classes), ("per_class", per_class)):
+        if not _is_integer(count) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    if not _is_integer(seed) or not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+    if not (np.isfinite(variance) and variance > 0):
+        raise ValueError(f"variance must be finite and positive, got {variance!r}")
+    if not np.isfinite(mean_radius):
+        raise ValueError(f"mean_radius must be finite, got {mean_radius!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     sigma = float(np.sqrt(variance))
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes

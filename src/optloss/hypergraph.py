@@ -175,6 +175,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_degree(name: str, m) -> None:
+    if not _is_integer(m):
+        raise ValueError(f"{name} must be an integer, got {m!r}")
+    if m < 2:
+        raise ValueError(f"{name} must be >= 2, got {m!r}")
+
+
 def vertex_graph(dataset, epsilon: float) -> ConflictHypergraph:
     """The dataset's support points as a graph without edges (max degree 1)."""
     epsilon = _budget(epsilon)
@@ -470,8 +477,7 @@ def extend_hyperedges(graph: ConflictHypergraph, m: int, jobs: int = 1,
     of ``optimal_loss``, ``pairwise_binary_losses`` and ``bound_report``, is
     accepted only because the benchmark harness passes it.
     """
-    if m < 2:
-        raise ValueError("max degree m must be >= 2")
+    _check_degree("max degree m", m)
     if graph.max_degree >= m:
         return graph
     if graph.max_degree < 2:

@@ -13,20 +13,19 @@ a vertex of another, over two classes in all, is bipartite by its labels;
 with masses that are integers under one scale it is a minimum-weight vertex
 cover, and a max-flow min cut solves it exactly (backend ``"flow"``). Every
 other LP goes to HiGHS (backend ``"highs"``), called through scipy's compiled
-binding ``scipy.optimize._highspy._core``, in one of two forms chosen by the
-widest row:
+binding ``scipy.optimize._highspy._core``, in one of two forms:
 
-- A *wide* LP, with a row of more than two entries (a hyperedge of degree
-  3 or more), is given to HiGHS as its dual, the covering LP, which has one
-  row per vertex where the packing form has one per hyperedge; HiGHS's
-  primal simplex solves it about twice as fast on the benchmark's L*(3)
-  and L*(4). Above ``GENERATION_ROWS`` rows its hyperedge columns are
-  generated in rounds (see ``_highs_covering``).
-- A pair LP gets the packing form with the options
+- Every other pair LP gets the *packing* form, whole, with the options
   ``linprog(method="highs")`` sets: the answers are linprog's bit for bit,
   without its per-call input cleaning and option checks, which took about
   two thirds of a 30-vertex solve. Caro-Wei reads L*(2)'s q, and the
   covering form's optimum, as good but another, moves it.
+- A *wide* LP, with a row of more than two entries (a hyperedge of degree
+  3 or more), of at most ``GENERATION_ROWS`` rows gets its dual whole, the
+  *covering* form, with one row per vertex; HiGHS's primal simplex solves
+  it about twice as fast on the benchmark's L*(3) and L*(4). A larger one
+  gets the packing form, generated: its rows join a warm model in rounds
+  that the dual simplex re-solves (see ``_highs_packing``).
 
 The choice depends only on the LP: its rows, masses and labels. A HiGHS
 answer outside the certificate's feasibility tolerance is rerun once with
@@ -105,13 +104,11 @@ _scipy_module("sparse.csgraph._validation")
 maximum_flow = _scipy_module("sparse.csgraph._flow").maximum_flow
 breadth_first_order = _scipy_module("sparse.csgraph._traversal").breadth_first_order
 
-# A wide LP (a row of more than two entries) of more rows than this generates
-# its covering columns in rounds; up to it, every column goes in at once. The
-# two cross between 23,685 and 24,891 rows. Measured on L*(3) of
-# gen_gaussian(3, n, seed=7) at eps 2.6, on a 2-vCPU Xeon (all at once vs
-# generated): 79-106 ms vs 94-130 ms at 23,685 rows (n = 125), 142-182 ms vs
-# 123-143 ms at 24,891 (n = 130) and 254-276 ms vs 219-225 ms at 29,888
-# (n = 140).
+# A wide LP (a row of more than two entries) of more rows than this is generated
+# in packing rows; up to it, the covering form is solved whole. L*(3) of
+# gen_gaussian(3, n, seed=7) at eps 2.6, 2-vCPU Xeon, 7 runs, whole vs generated:
+# 73-90 vs 97-127 ms at 23,685 rows (n = 125), 121-140 vs 121-142 ms at 24,891
+# (n = 130) and 232-274 vs 170-177 ms at 29,888 (n = 140).
 GENERATION_ROWS = 24_000
 
 __all__ = [
@@ -389,10 +386,13 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
         found = _flow_packing(p, B, lp.incidence.labels)
     if found is not None:
         (q, z), backend = found, "flow"
-    elif np.diff(B.indptr).max() > 2:
+    elif np.diff(B.indptr).max() <= 2:
+        (q, z), backend = _highs_packing(p, B, tol), "highs"
+    elif B.shape[0] <= GENERATION_ROWS:
         (q, z), backend = _highs_covering(p, B, tol), "highs"
     else:
-        (q, z), backend = _highs_packing(p, B, tol), "highs"
+        (q, z), backend = _highs_packing(p, B, tol,
+                                         _row_nominator(B, tol.feasibility_abs)), "highs"
     q = np.clip(q, 0.0, 1.0) + 0.0  # + 0.0 turns -0.0 into 0.0
     z = np.maximum(z, 0.0) + 0.0  # which zero maximum keeps is unspecified
     cover = B.T @ z
@@ -412,81 +412,70 @@ def solve_packing(lp: PackingLp, tol: Tolerances = Tolerances()) -> LpSolution:
     return sol
 
 
-def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
-    """(q, z) of a pair LP from HiGHS, called through scipy's binding.
+def _highs_packing(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances, nominate=None):
+    """(q, z) of a pair LP, whole, or of a wide LP, generated, from HiGHS.
 
-    HiGHS gets the model and the options that ``linprog(method="highs")``
-    passes it: presolve on, the dual simplex strategy, both iteration limits
-    at ``tol.max_iterations`` and no output. So it returns linprog's vertex:
-    q is linprog's x, and z its row marginals negated.
+    Whole (no ``nominate``), HiGHS gets the model and the options that
+    ``linprog(method="highs")`` passes it: presolve on, the dual simplex
+    strategy, both iteration limits at ``tol.max_iterations`` and no output,
+    so q is linprog's x and z its row marginals negated. Generated, the model
+    starts, presolve off, from the rows ``nominate`` (a ``_row_nominator``)
+    names at q = 1, and takes those it names at each round's q as rows, warm,
+    until none is violated beyond ``tol.feasibility_abs``; z is 0 on the rest.
     """
     m, n = B.shape
-    A = B.tocsc()
-    highs = _highs_model(tol, presolve="on", simplex_strategy=1)  # 1: dual simplex
+    rows = np.arange(m) if nominate is None else nominate(np.ones(n))
+    A = (B if nominate is None else B[rows]).tocsc()
+    highs = _highs_model(tol, presolve="on" if nominate is None else "off",
+                         simplex_strategy=1)  # 1: dual simplex
     # the array overload: no HighsLp to fill field by field; integrality 0 is continuous
-    status = highs.passModel(n, m, A.nnz, highspy.MatrixFormat.kColwise,
+    status = highs.passModel(n, rows.size, A.nnz, highspy.MatrixFormat.kColwise,
                              highspy.ObjSense.kMinimize, 0.0, -p, np.zeros(n), np.ones(n),
-                             np.full(m, -math.inf), np.ones(m), A.indptr, A.indices, A.data,
-                             np.zeros(n, np.int32))
+                             np.full(rows.size, -math.inf), np.ones(rows.size), A.indptr,
+                             A.indices, A.data, np.zeros(n, np.int32))
     _check_loaded(status, "packing")
-    _run_certifiable(highs, tol)
+    added = [rows]
+    while True:
+        _run_certifiable(highs, tol)
+        solution = highs.getSolution()
+        q = np.asarray(solution.col_value)
+        if nominate is None or (rows := nominate(q)).size == 0:
+            break
+        R = B[rows]
+        _check_loaded(highs.addRows(rows.size, np.full(rows.size, -math.inf),
+                                    np.ones(rows.size), R.nnz, R.indptr[:-1], R.indices,
+                                    R.data), "packing")
+        added.append(rows)
 
-    solution = highs.getSolution()
-    return np.asarray(solution.col_value), -np.asarray(solution.row_dual)
+    z = np.zeros(m)
+    z[np.concatenate(added)] = -np.asarray(solution.row_dual)
+    return q, z
 
 
 def _highs_covering(p: np.ndarray, B: sp.csr_matrix, tol: Tolerances):
-    """(q, z) of a wide LP from HiGHS's primal simplex on its dual.
+    """(q, z) of a wide LP, whole, from HiGHS's primal simplex on its dual.
 
     The model is the covering LP ``min 1^T z + 1^T y  s.t.  B^T z + y >= p,
     z, y >= 0``, presolve off: one row per vertex, a column z_e per
     hyperedge it holds, then a column y_v per vertex. q is its row duals and
-    z its z column values. An LP of at most ``GENERATION_ROWS`` rows gets
-    every z column at once. A larger one starts from the rows that
-    ``_row_nominator`` names at q = 1, the y columns' duals, and then, in
-    rounds, appends those it names at the model's q to the warm model as
-    columns, until no row outside it is violated beyond
-    ``tol.feasibility_abs``. z is 0 on every row never added.
+    z its z column values.
     """
     m, n = B.shape
-    nominate = _row_nominator(B, tol.feasibility_abs) if m > GENERATION_ROWS else None
-    rows = np.arange(m) if nominate is None else nominate(np.ones(n))
-    starts, index, value = _columns_of(B if nominate is None else B[rows])
-    k, nnz = rows.size, value.size
     highs = _highs_model(tol, presolve="off", simplex_strategy=4)  # 4: primal simplex
     status = highs.passModel(
-        k + n, n, nnz + n, highspy.MatrixFormat.kColwise, highspy.ObjSense.kMinimize, 0.0,
-        np.ones(k + n), np.zeros(k + n), np.full(k + n, math.inf), p, np.full(n, math.inf),
-        np.concatenate([starts, nnz + np.arange(n, dtype=np.int32)]),
-        np.concatenate([index, np.arange(n, dtype=np.int32)]),
-        np.concatenate([value, np.ones(n)]), np.zeros(k + n, np.int32))
+        m + n, n, B.nnz + n, highspy.MatrixFormat.kColwise, highspy.ObjSense.kMinimize, 0.0,
+        np.ones(m + n), np.zeros(m + n), np.full(m + n, math.inf), p, np.full(n, math.inf),
+        np.concatenate([B.indptr[:-1], B.nnz + np.arange(n)], dtype=np.int32),
+        np.concatenate([B.indices, np.arange(n)], dtype=np.int32),
+        np.concatenate([B.data, np.ones(n)]), np.zeros(m + n, np.int32))
     _check_loaded(status, "covering")
-    columns = [rows]
-    while True:
-        _run_certifiable(highs, tol)
-        solution = highs.getSolution()
-        q = np.asarray(solution.row_dual)
-        if nominate is None or (rows := nominate(q)).size == 0:
-            break
-        starts, index, value = _columns_of(B[rows])
-        _check_loaded(highs.addCols(rows.size, np.ones(rows.size), np.zeros(rows.size),
-                                    np.full(rows.size, math.inf), value.size, starts, index,
-                                    value), "covering")
-        columns.append(rows)
-
-    value = np.asarray(solution.col_value)
-    z = np.zeros(m)
-    z[np.concatenate(columns)] = np.concatenate([value[:k], value[k + n:]])
-    return q, z
-
-
-def _columns_of(rows: sp.csr_matrix):
-    """(starts, indices, values) of ``rows`` as HiGHS columns, one per row."""
-    return rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32), rows.data
+    _run_certifiable(highs, tol)
+    solution = highs.getSolution()
+    return np.asarray(solution.row_dual), np.asarray(solution.col_value)[:m]
 
 
 def _row_nominator(B: sp.csr_matrix, threshold: float):
-    """The nominations of column generation, as a function of q.
+    """The nominations of row generation, as a function of q.
 
     Each call returns, sorted, one row per vertex: among the vertex's
     incident rows not returned before, the first of the largest excess

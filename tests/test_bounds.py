@@ -1361,6 +1361,19 @@ def test_l2_iteration_limit_surfaces_from_the_worker(monkeypatch, eps):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("bad", [3.0, 2.5, True, np.float64(3.0)])
+def test_degree_bounds_must_be_integers(bad):
+    # a float used to raise a bare TypeError from range; True was read as 1
+    ds = gen_gaussian(3, 5, seed=1)
+    message = re.escape(f" must be an integer, got {bad!r}")
+    with pytest.raises(ValueError, match=f"^m_max{message}$"):
+        bound_report(ds, 2.4, m_max=bad)
+    with pytest.raises(ValueError, match=f"^m{message}$"):
+        optimal_loss(ds, 2.4, bad)
+    with pytest.raises(ValueError, match=f"^max degree m{message}$"):
+        extend_hyperedges(build_conflict_graph(ds, 2.4), bad)
+
+
 @pytest.mark.parametrize("bad", [-5, 2.5, True, np.True_])
 def test_exact_search_caps_must_be_integers_of_at_least_zero(bad):
     # each used to skip the search without a word (hard_bruteforce None, where

@@ -1,6 +1,8 @@
 """Loaders, subsetting, Gaussian generation, serialization round trips."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +172,24 @@ def test_gen_gaussian_validation():
         gen_gaussian(variance=0.0)
     with pytest.raises(ValueError):
         gen_gaussian(per_class=0)
+
+
+@pytest.mark.parametrize("name, bad, message", [
+    # seed 1.5 gave seed 1's points under a provenance reading seed=1.5
+    ("seed", 1.5, "seed must be an integer in [0, 2**128), got 1.5"),
+    ("seed", -1, "seed must be an integer in [0, 2**128), got -1"),
+    ("seed", 2**128, f"seed must be an integer in [0, 2**128), got {2**128}"),
+    ("num_classes", True, "num_classes must be an integer >= 1, got True"),  # one class
+    ("per_class", 2.5, "per_class must be an integer >= 1, got 2.5"),  # numpy's TypeError
+    ("variance", float("nan"), "variance must be finite and positive, got nan"),
+    ("variance", float("inf"), "variance must be finite and positive, got inf"),
+    ("mean_radius", float("inf"), "mean_radius must be finite, got inf"),  # a RuntimeWarning
+])
+def test_gen_gaussian_names_the_argument_it_refuses(name, bad, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_gaussian(**{"per_class": 2, name: bad})
 
 
 def test_json_round_trip_is_exact():

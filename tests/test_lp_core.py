@@ -155,20 +155,22 @@ def test_incidence_entry_highs_cannot_use_raises(entry, error, message):
         solve_packing(lp)
 
 
-@pytest.mark.parametrize("generation_rows", [lp_core.GENERATION_ROWS, 0])
+@pytest.mark.parametrize("generation_rows, form", [(lp_core.GENERATION_ROWS, "covering"),
+                                                   (0, "packing")])
 @pytest.mark.parametrize("entry, error, message", [
     (np.nan, UncertifiedSolveError, "primal=nan"),
-    (np.inf, ValueError, "HiGHS rejects the covering LP"),
-    (1e300, ValueError, "HiGHS rejects the covering LP"),
+    (np.inf, ValueError, "HiGHS rejects the {form} LP"),
+    (1e300, ValueError, "HiGHS rejects the {form} LP"),
 ])
 def test_incidence_entry_the_covering_form_cannot_use_raises(monkeypatch, entry, error,
-                                                             message, generation_rows):
-    # a row of three makes the LP wide; with generation the entry's row
-    # joins in a round (inf, 1e300) or never (nan, whose excess is no maximum)
+                                                             message, generation_rows, form):
+    # a row of three makes the LP wide: solved whole it takes the covering
+    # form; generated, the packing form, where the entry's row joins the
+    # first model (inf, 1e300) or never (nan, whose excess is no maximum)
     monkeypatch.setattr(lp_core, "GENERATION_ROWS", generation_rows)
     matrix = sp.csr_matrix(np.array([[1.0, entry, 1.0], [1.0, 1.0, 0.0]]))
     lp = PackingLp(np.full(3, 1 / 3), IncidenceMatrix(matrix, np.arange(3)))
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message.format(form=form)):
         solve_packing(lp)
 
 
@@ -626,7 +628,7 @@ def test_highs_covering_reruns_when_its_own_tolerance_misses_the_certificate(mon
     assert verify_certificates(lp, sol).ok
 
 
-# ------------------------------------------------------- column generation
+# ---------------------------------------------------------- row generation
 
 
 def small_batch_lps(monkeypatch):
@@ -680,12 +682,36 @@ def test_column_generation_matches_the_all_at_once_solve(monkeypatch):
         sol = solve_packing(lp)
         added = solves[-1]
         assert abs(sol.loss - want.loss) <= 1e-9
-        assert sol.certificate == verify_certificates(lp, sol)  # over the full incidence
+        # over the full incidence, canonical as solve_packing judges it: a
+        # random wide LP's row may list a vertex twice, summed in another order
+        judged = PackingLp(lp.masses, IncidenceMatrix(canonical(lp.incidence.matrix),
+                                                      lp.incidence.labels))
+        assert sol.certificate == verify_certificates(judged, sol)
         assert sol.certificate.ok
         assert np.all(sol.edge_cover[~added] == 0.0)
     assert len(solves) == len(lps)
     # G60/2.6/3 has 4,936 rows; the rounds add a fraction of them
     assert np.count_nonzero(solves[0]) < 4936 // 2
+
+
+def test_a_wide_lp_past_generation_rows_is_generated_in_packing_rows(monkeypatch):
+    # GENERATION_ROWS as shipped: L*(3) of G140/2.6 passes it
+    g140 = extend_hyperedges(build_conflict_graph(gen_gaussian(per_class=140, seed=7), 2.6), 3)
+    lp = PackingLp(g140.masses, incidence(g140))
+    assert lp.incidence.matrix.shape[0] == 29_888 > lp_core.GENERATION_ROWS
+
+    def whole_only(*args):
+        raise AssertionError("a generated LP reached the covering form")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lp_core, "_highs_covering", whole_only)
+        solves = record_nominations(patched)
+        sol = solve_packing(lp)
+    assert 0 < np.count_nonzero(solves[0]) < 29_888
+    assert sol.certificate == verify_certificates(lp, sol)  # over the full incidence
+    assert sol.certificate.ok
+    monkeypatch.setattr(lp_core, "GENERATION_ROWS", 29_888)
+    assert abs(sol.loss - solve_packing(lp).loss) <= 1e-9  # the covering form, whole
 
 
 def test_iteration_limit_raises_in_a_generation_round(monkeypatch):
@@ -825,7 +851,7 @@ def test_completing_y_cannot_hide_a_wrong_z(monkeypatch, backend, lp, corrupt):
 def test_the_installed_highs_binding_has_every_call_lp_core_makes():
     # the oldest supported scipy must offer each of these; a missing one fails
     # here by name rather than deep inside a solve
-    methods = {"passModel", "addCols", "setOptionValue", "run", "getModelStatus",
+    methods = {"passModel", "addRows", "setOptionValue", "run", "getModelStatus",
                "modelStatusToString", "getInfo", "getSolution"}
     members = {("HighsStatus", "kError"), ("MatrixFormat", "kColwise"),
                ("ObjSense", "kMinimize"), ("HighsModelStatus", "kOptimal")}
